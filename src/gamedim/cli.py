@@ -185,6 +185,10 @@ def _run_command(args, stdin, stdout) -> int:
         return 0
 
     if command == "equiv":
+        if args.game1 == "-" and args.game2 in (None, "-"):
+            raise InvalidGameError(
+                "equiv can read only one game from standard input; give the other as a file"
+            )
         first = _load_game(args.game1, stdin)
         second = _load_game(args.game2, stdin)
         same = structure.equivalent(first, second)

@@ -13,12 +13,14 @@ Both reduce to a minimum-partition problem over the extremal coalitions:
 
 Block feasibility is an exact rational LP and is downward closed, so a
 minimum cover can be assumed to be a partition.  The search memoises the
-oracle over target-subset bitmasks, seeds a clique lower bound and a greedy
-upper bound from the pairwise-incompatibility graph, and when the two
-disagree first tries to enumerate the whole feasible-block family (the
-enumeration is complete on desk-scale instances and turns the problem into
-an exact minimum set cover); an iterative-deepening partition search remains
-as the fallback when enumeration would be too large.
+oracle over target-subset bitmasks and seeds a clique lower bound and a
+greedy upper bound from the pairwise-incompatibility graph.  When the two
+disagree, an iterative-deepening partition search tries each block count
+from the lower bound up.  It places the targets one at a time into an
+existing compatible block or a new one; by downward closure every partition
+into k feasible blocks stays feasible on each prefix of the targets, so an
+attempt at k finds one whenever one exists and a failed attempt proves that
+none does.
 """
 
 from __future__ import annotations
@@ -42,12 +44,6 @@ from .core import (
 from .structure import equivalent, extremal_sets, maximal_losing, minimal_winning
 
 COVER_MAX = 32
-
-# Gates for the feasible-block enumeration between the greedy bounds and the
-# deepening fallback.
-_EXPLORE_SOLVE_BUDGET = 20_000
-_EXPLORE_BLOCK_CAP = 100_000
-_COVER_DP_MAX_TARGETS = 18
 
 
 @dataclass(frozen=True)
@@ -214,135 +210,6 @@ def _greedy_clique(vertices: Sequence[int], adj: Sequence[int]) -> list[int]:
     return clique
 
 
-def _explore_feasible_blocks(
-    count: int, cache: SeparabilityOracleCache, adj: Sequence[int], pairs: list[int]
-) -> set[int] | None:
-    """Every feasible block as a target mask, or None if the family is too big.
-
-    Blocks are grown one index at a time above their highest member; downward
-    closure guarantees every feasible block is reached this way.
-    """
-    start_solves = cache.lp_solves
-    blocks: set[int] = {1 << i for i in range(count)}
-    frontier = pairs
-    blocks.update(frontier)
-    while frontier:
-        next_frontier: list[int] = []
-        seen: set[int] = set()
-        for bm in frontier:
-            top = bm.bit_length() - 1
-            for v in range(top + 1, count):
-                if adj[v] & bm:
-                    continue
-                cand = bm | (1 << v)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if cache.lp_solves - start_solves > _EXPLORE_SOLVE_BUDGET:
-                    return None
-                if cache.query(cand) is not None:
-                    next_frontier.append(cand)
-        blocks.update(next_frontier)
-        if len(blocks) > _EXPLORE_BLOCK_CAP:
-            return None
-        frontier = next_frontier
-    return blocks
-
-
-def _maximal_blocks(count: int, blocks: set[int], adj: Sequence[int]) -> list[int]:
-    maximal = []
-    for bm in blocks:
-        extendable = False
-        for v in range(count):
-            if bm >> v & 1 or adj[v] & bm:
-                continue
-            if bm | (1 << v) in blocks:
-                extendable = True
-                break
-        if not extendable:
-            maximal.append(bm)
-    return sorted(maximal)
-
-
-def _min_cover_dp(count: int, blocks: list[int]) -> list[int]:
-    """Exact minimum cover of all ``count`` indices by the given blocks."""
-    full = (1 << count) - 1
-    by_element: list[list[int]] = [[] for _ in range(count)]
-    for bm in blocks:
-        for v in _iter_bits(bm):
-            by_element[v].append(bm)
-    size = count + 1
-    best = [size] * (full + 1)
-    parent: dict[int, tuple[int, int]] = {}
-    best[0] = 0
-    for covered in range(full + 1):
-        used = best[covered]
-        if used >= size or covered == full:
-            continue
-        free = (~covered) & full
-        element = (free & -free).bit_length() - 1
-        for bm in by_element[element]:
-            merged = covered | bm
-            if used + 1 < best[merged]:
-                best[merged] = used + 1
-                parent[merged] = (covered, bm)
-    chosen = []
-    at = full
-    while at:
-        at, bm = parent[at]
-        chosen.append(bm)
-    return chosen
-
-
-def _min_cover_branch_bound(
-    count: int, blocks: list[int], upper: list[int]
-) -> list[int]:
-    """Branch-and-bound minimum cover for target counts beyond the DP range."""
-    by_element: list[list[int]] = [[] for _ in range(count)]
-    for bm in blocks:
-        for v in _iter_bits(bm):
-            by_element[v].append(bm)
-    for cands in by_element:
-        cands.sort(key=lambda bm: -bm.bit_count())
-    max_size = max(bm.bit_count() for bm in blocks)
-    full = (1 << count) - 1
-    best = list(upper)
-
-    def descend(covered: int, chosen: list[int]) -> None:
-        nonlocal best
-        if covered == full:
-            if len(chosen) < len(best):
-                best = list(chosen)
-            return
-        remaining = full & ~covered
-        bound = len(chosen) + -(-remaining.bit_count() // max_size)
-        if bound >= len(best):
-            return
-        element = min(
-            _iter_bits(remaining), key=lambda v: sum(1 for b in by_element[v] if b & ~covered)
-        )
-        for bm in by_element[element]:
-            chosen.append(bm)
-            descend(covered | bm, chosen)
-            chosen.pop()
-
-    descend(0, [])
-    return best
-
-
-def _cover_to_partition(count: int, cover: list[int]) -> list[int]:
-    taken = 0
-    partition = []
-    for bm in cover:
-        reduced = bm & ~taken
-        if reduced:
-            partition.append(reduced)
-            taken |= reduced
-    if taken != (1 << count) - 1:
-        raise RuntimeError("internal error: cover does not reach every target")
-    return partition
-
-
 def _deepening_search(
     count: int,
     cache: SeparabilityOracleCache,
@@ -351,7 +218,13 @@ def _deepening_search(
     lower: int,
     upper_blocks: list[int],
 ) -> list[int]:
-    """Iterative-deepening partition search between the greedy bounds."""
+    """Least partition between the clique bound and the greedy partition.
+
+    Each attempt at a block count ``limit`` places the targets in ``order``
+    into an existing block the oracle accepts, or into a new block while
+    fewer than ``limit`` exist.  It prunes when the targets that fit no
+    current block contain a clique too large for the blocks still allowed.
+    """
 
     def attempt(limit: int) -> list[int] | None:
         blocks: list[int] = []
@@ -403,15 +276,11 @@ def _minimum_partition(count: int, cache: SeparabilityOracleCache) -> list[int]:
             raise RuntimeError("internal error: a singleton target block is infeasible")
 
     adj = [0] * count
-    pairs = []
     for i in range(count):
         for j in range(i + 1, count):
-            pair = (1 << i) | (1 << j)
-            if cache.query(pair) is None:
+            if cache.query((1 << i) | (1 << j)) is None:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-            else:
-                pairs.append(pair)
 
     by_degree = sorted(range(count), key=lambda v: (-adj[v].bit_count(), v))
     clique = _greedy_clique(by_degree, adj)
@@ -430,20 +299,6 @@ def _minimum_partition(count: int, cache: SeparabilityOracleCache) -> list[int]:
             greedy.append(vbit)
     if len(greedy) == lower:
         return greedy
-
-    blocks = _explore_feasible_blocks(count, cache, adj, pairs)
-    if blocks is not None:
-        largest = max(bm.bit_count() for bm in blocks)
-        lower = max(lower, -(-count // largest))
-        if len(greedy) == lower:
-            return greedy
-        maximal = _maximal_blocks(count, blocks, adj)
-        if count <= _COVER_DP_MAX_TARGETS:
-            cover = _min_cover_dp(count, maximal)
-        else:
-            cover = _min_cover_branch_bound(count, maximal, greedy)
-        return _cover_to_partition(count, cover)
-
     return _deepening_search(count, cache, adj, order, lower, greedy)
 
 

@@ -16,6 +16,7 @@ otherwise; the pivoting sequence and certificates are identical either way.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 try:
@@ -111,20 +112,22 @@ class FeasibilityResult:
         return self.status == FEASIBLE
 
 
-_certificate_log: list | None = None
+_certificate_log: ContextVar[list | None] = ContextVar("_certificate_log", default=None)
 
 
 @contextmanager
 def record_certificates():
-    """Collect (LinearProgram, FeasibilityResult) pairs from nested solves."""
-    global _certificate_log
-    previous = _certificate_log
+    """Collect (LinearProgram, FeasibilityResult) pairs from nested solves.
+
+    The recorder is scoped to the current context: an inner block collects
+    only its own solves, and solves in other threads are never recorded here.
+    """
     log: list[tuple[LinearProgram, FeasibilityResult]] = []
-    _certificate_log = log
+    token = _certificate_log.set(log)
     try:
         yield log
     finally:
-        _certificate_log = previous
+        _certificate_log.reset(token)
 
 
 def verify_certificate(lp: LinearProgram, result: FeasibilityResult) -> None:
@@ -173,8 +176,9 @@ def solve_feasibility(lp: LinearProgram) -> FeasibilityResult:
     """Exact feasibility status plus a verified certificate of the outcome."""
     result = _phase_one(lp)
     verify_certificate(lp, result)
-    if _certificate_log is not None:
-        _certificate_log.append((lp, result))
+    log = _certificate_log.get()
+    if log is not None:
+        log.append((lp, result))
     return result
 
 

@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 import gamedim as gd
 from gamedim.cli import run
 
@@ -158,6 +160,12 @@ class TestEquiv:
             ["equiv", str(path)], stdin_text=gd.serialize_game(gd.gen_example1(2))
         )
         assert code == 0 and out == "equivalent\n"
+
+    @pytest.mark.parametrize("argv", [["equiv", "-"], ["equiv", "-", "-"]])
+    def test_both_games_from_stdin_is_refused(self, argv):
+        code, out, err = call(argv, stdin_text=gd.serialize_game(gd.gen_example1(2)))
+        assert code == 1 and out == ""
+        assert "standard input" in err and "bad-header" not in err
 
     def test_json(self, tmp_path):
         path = tmp_path / "g.sg"

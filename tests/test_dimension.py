@@ -3,7 +3,6 @@
 import pytest
 
 import gamedim as gd
-from gamedim import dimsolver
 from conftest import exhaustive_dimension, games_agree_by_hand
 from gamedim.generators import splitmix64
 
@@ -156,17 +155,25 @@ class TestSolverAgreement:
             assert witness.value == expected
             assert games_agree_by_hand(witness.as_game(), game)
 
-    def test_deepening_fallback_matches_cover_path(self, monkeypatch):
-        # Disabling block enumeration forces the iterative-deepening search.
-        results = {}
-        for label in ("cover", "deepening"):
-            if label == "deepening":
-                monkeypatch.setattr(dimsolver, "_EXPLORE_SOLVE_BUDGET", -1)
-            results[label] = (
-                gd.codimension(gd.gen_example1(3)).value,
-                gd.dimension(gd.gen_ssp(gd.SSPInstance(3, (1, 2, 3), 2))).value,
-            )
-        assert results["cover"] == results["deepening"]
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [((7, 3, 1016), 2), ((6, 3, 1021), 2), ((7, 6, 1004), 3), ((8, 5, 1023), 3)],
+        ids=["7-3-1016", "6-3-1021", "7-6-1004", "8-5-1023"],
+    )
+    def test_partition_search_matches_exhaustive_enumeration(self, spec, expected):
+        # On these games the greedy partition exceeds the clique bound, so the
+        # value comes from the deepening search, not from the bounds alone.
+        game = gd.gen_random_monotone(*spec)
+        value = gd.dimension(game).value
+        assert value == exhaustive_dimension(game) == expected
+        assert gd.codimension(gd.dual(game)).value == value
+
+    def test_partition_search_on_nineteen_targets(self):
+        # 19 maximal losing coalitions, and the clique and greedy bounds disagree.
+        game = gd.gen_random_monotone(9, 7, 5040)
+        witness = gd.dimension(game)
+        assert witness.value == 3
+        assert games_agree_by_hand(witness.as_game(), game)
 
     def test_self_dual_games_have_equal_dimensions(self, small_corpus):
         for game in small_corpus:

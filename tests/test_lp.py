@@ -1,5 +1,6 @@
 """Exact feasibility solver: certificates, determinism, and brute-force agreement."""
 
+import threading
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,25 @@ class TestCertificates:
         assert len(log) == 2
         for logged_lp, logged_result in log:
             gd.verify_certificate(logged_lp, logged_result)
+
+    def test_record_certificates_nests(self):
+        lp = lp_of([((1,), gd.GE, 1)], 1)
+        with gd.record_certificates() as outer:
+            gd.solve_feasibility(lp)
+            with gd.record_certificates() as inner:
+                gd.solve_feasibility(lp)
+            gd.solve_feasibility(lp)
+        assert len(inner) == 1 and len(outer) == 2
+
+    def test_record_certificates_ignores_other_threads(self):
+        lp = lp_of([((1,), gd.GE, 1)], 1)
+        with gd.record_certificates() as log:
+            worker = threading.Thread(target=gd.solve_feasibility, args=(lp,))
+            worker.start()
+            worker.join()
+            assert log == []
+            gd.solve_feasibility(lp)
+        assert len(log) == 1
 
 
 def random_pointed_lp(stream, num_vars, num_rows):
