@@ -7,10 +7,10 @@ subcommands compose in pipes::
     gamedim gen example1 --n 3 | gamedim dim
     gamedim gen ssp --b 2 --a 5,7 --d 2 | gamedim weighted
 
-Exit codes: 0 reported an answer, 1 parse or validation failure, 2 size-limit
-refusal.  ``--json`` switches the report to one JSON object with stable keys
-(``value``, ``parts``, ``mwc``, ``mlc``, ``equivalent``, ``weighted``,
-``players``, ``form``, ``win``).
+Exit codes: 0 reported an answer, 1 usage, parse or validation failure, 2
+size-limit refusal.  ``--json`` switches the report to one JSON object with
+stable keys (``value``, ``parts``, ``mwc``, ``mlc``, ``equivalent``,
+``weighted``, ``players``, ``form``, ``win``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .core import (
     SizeLimitError,
     WeightedGame,
 )
-from .gamefile import GameParseError, parse_game, serialize_game
+from .gamefile import GameParseError, parse_game, serialize_game, wmg_line
 from .generators import (
     SSPInstance,
     gen_example1,
@@ -52,10 +52,6 @@ def _game_json(game: SimpleGame) -> dict:
     else:
         doc["parts"] = [_part_json(p) for p in game.parts]
     return doc
-
-
-def _wmg_lines(parts) -> list[str]:
-    return [f"wmg {p.quota} : {' '.join(map(str, p.weights))}" for p in parts]
 
 
 def _load_game(path: str | None, stdin) -> SimpleGame:
@@ -80,8 +76,18 @@ def _parse_int_list(raw: str, what: str) -> list[int]:
         raise InvalidGameError(f"{what} must be a comma-separated integer list, got {raw!r}")
 
 
+class _UsageError(Exception):
+    """A command line that argparse rejected, with its usage message."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    # argparse would print to sys.stderr and exit 2, the size-limit code.
+    def error(self, message):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="gamedim",
         description="Exact analysis of simple games: extremal coalitions, duals, "
         "weightedness, dimension, and codimension.",
@@ -159,7 +165,7 @@ def _report_witness(label: str, witness, as_json: bool) -> str:
         }
         return json.dumps(doc) + "\n"
     lines = [f"{label} {witness.value}"]
-    lines.extend(_wmg_lines(witness.parts))
+    lines.extend(wmg_line(p) for p in witness.parts)
     return "\n".join(lines) + "\n"
 
 
@@ -220,7 +226,7 @@ def _run_command(args, stdin, stdout) -> int:
         elif part is None:
             text = "not weighted\n"
         else:
-            text = "weighted\n" + _wmg_lines([part])[0] + "\n"
+            text = f"weighted\n{wmg_line(part)}\n"
     elif command == "dim":
         text = _report_witness("dimension", dim_mod.dimension(game), args.json)
     elif command == "codim":
@@ -241,10 +247,11 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _run_command(args, stdin, stdout)
+        return _run_command(_build_parser().parse_args(argv), stdin, stdout)
+    except _UsageError as exc:
+        print(exc, file=stderr)
+        return 1
     except GameParseError as exc:
         print(f"gamedim: {exc}", file=stderr)
         return 1
@@ -254,10 +261,14 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     except InvalidGameError as exc:
         print(f"gamedim: invalid input: {exc}", file=stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"gamedim: {exc}", file=stderr)
         return 1
 
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

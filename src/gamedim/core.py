@@ -10,8 +10,11 @@ simple game stores one of four representations of a monotone winning family:
 * ``union``         - a coalition wins iff it wins in some listed part.
 
 Every constructible game is proper: the empty coalition loses and the grand
-coalition wins.  All types are immutable; the per-game truth table is built
-lazily and cached (recomputation is harmless, so concurrent sharing is safe).
+coalition wins.  All types are immutable and the per-game truth table is
+cached.  An explicit game builds its table at construction, as the superset
+closure of its antichain, and is valid exactly when the minimal winning
+coalitions of that table are the given ones; the other forms build theirs on
+first use (recomputation is harmless, so concurrent sharing is safe).
 """
 
 from __future__ import annotations
@@ -197,6 +200,50 @@ def _subset_weight_table(weights: Sequence[int]) -> np.ndarray:
     return np.array(values, dtype=object)
 
 
+def superset_closure(masks: Sequence[int], n: int) -> np.ndarray:
+    """Boolean table over compact masks, true exactly on supersets of ``masks``.
+
+    One zeta-transform pass per player: each coalition with player j+1
+    inherits the value of the same coalition without it.
+    """
+    table = np.zeros(1 << n, dtype=bool)
+    table[np.asarray(masks, dtype=np.int64)] = True
+    for j in range(n):
+        pairs = table.reshape(-1, 2, 1 << j)
+        pairs[:, 1] |= pairs[:, 0]
+    return table
+
+
+def minimal_masks(table: np.ndarray) -> np.ndarray:
+    """Ascending compact masks of the minimal true entries of a monotone table.
+
+    Under monotonicity an entry is minimal exactly when dropping any single
+    member makes it false, which is one vectorised pass per player.
+    """
+    is_min = table.copy()
+    loses = ~table
+    for j in range(table.size.bit_length() - 1):
+        # Axis views pairing each coalition with its bit-j neighbour.
+        shape = (-1, 2, 1 << j)
+        is_min.reshape(shape)[:, 1] &= loses.reshape(shape)[:, 0]
+    return np.flatnonzero(is_min)
+
+
+def first_nested_pair(masks: Sequence[int]) -> tuple[int, int] | None:
+    """Indices i < j of the first equal or nested pair, by the later index j.
+
+    This is the error path of the antichain check: it only names the pair
+    once :func:`minimal_masks` has shown that one exists.
+    """
+    arr = np.asarray(masks, dtype=np.int64)
+    for j in range(1, arr.size):
+        earlier = arr[:j]
+        hits = np.flatnonzero((earlier & ~arr[j] == 0) | (arr[j] & ~earlier == 0))
+        if hits.size:
+            return int(hits[0]), j
+    return None
+
+
 @dataclass(frozen=True)
 class SimpleGame:
     """A simple game over players 1..n in one of the four representation forms.
@@ -248,14 +295,13 @@ class SimpleGame:
                 raise InvalidGameError(f"coalition over {c.n} players, game has {self.n}")
             if c.members == 0:
                 raise InvalidGameError("the empty coalition cannot be winning")
-        masks = [c.members for c in coalitions]
-        for i, mi in enumerate(masks):
-            for mj in masks[i + 1 :]:
-                if mi & ~mj == 0 or mj & ~mi == 0:
-                    raise InvalidGameError(
-                        "winning coalitions must form an antichain "
-                        f"({Coalition(mi, self.n)} and {Coalition(mj, self.n)} are comparable)"
-                    )
+        masks = [c.members >> 1 for c in coalitions]
+        if not np.array_equal(minimal_masks(self.truth_table), masks):
+            i, j = first_nested_pair(masks)
+            raise InvalidGameError(
+                "winning coalitions must form an antichain "
+                f"({coalitions[i]} and {coalitions[j]} are comparable)"
+            )
 
     @classmethod
     def from_weighted(cls, part: WeightedGame) -> "SimpleGame":
@@ -264,14 +310,12 @@ class SimpleGame:
     def is_winning(self, coalition: Coalition) -> bool:
         if coalition.n != self.n:
             raise InvalidGameError(f"coalition over {coalition.n} players, game has {self.n}")
-        table = self.__dict__.get("truth_table")
-        if table is not None:
-            return bool(table[coalition.members >> 1])
+        # Explicit games build their table at construction.
+        if "truth_table" in self.__dict__:
+            return bool(self.truth_table[coalition.members >> 1])
         return self._eval_mask(coalition.members)
 
     def _eval_mask(self, mask: int) -> bool:
-        if self.form == EXPLICIT:
-            return any(c.members & ~mask == 0 for c in self.antichain)
         if self.form == WEIGHTED:
             part = self.parts[0]
             return part._weight_of_mask(mask) >= part.quota
@@ -282,13 +326,8 @@ class SimpleGame:
     @cached_property
     def truth_table(self) -> np.ndarray:
         """Boolean win/lose vector indexed by compact mask (members >> 1)."""
-        size = 1 << self.n
         if self.form == EXPLICIT:
-            table = np.zeros(size, dtype=bool)
-            masks = np.arange(size, dtype=np.uint32)
-            for c in self.antichain:
-                cm = c.members >> 1
-                table |= (masks & cm) == cm
+            table = superset_closure([c.members >> 1 for c in self.antichain], self.n)
         else:
             part_tables = [
                 _subset_weight_table(p.weights) >= p.quota for p in self.parts
@@ -314,9 +353,10 @@ def make_explicit(
 ) -> SimpleGame:
     """Explicit-form game whose winning family is the upward closure of ``coalitions``.
 
-    In ``minimal-given`` mode the list must already be an antichain; in
-    ``arbitrary-winning`` mode non-minimal and duplicate coalitions are
-    discarded.
+    In ``minimal-given`` mode the list must already be an antichain.  In
+    ``arbitrary-winning`` mode the antichain is the minimal masks of the
+    superset closure of the list, which drops duplicate and non-minimal
+    coalitions in O(n 2^n) whatever the list length.
     """
     if mode not in (MINIMAL_GIVEN, ARBITRARY_WINNING):
         raise InvalidGameError(f"unknown mode {mode!r}")
@@ -325,16 +365,9 @@ def make_explicit(
     for c in coalitions:
         if c.n != n:
             raise InvalidGameError(f"coalition over {c.n} players, game has {n}")
-        if c.members == 0:
-            raise InvalidGameError("the empty coalition cannot be winning")
     if mode == ARBITRARY_WINNING:
-        masks = sorted({c.members for c in coalitions})
-        minimal = [
-            m
-            for m in masks
-            if not any(other != m and other & ~m == 0 for other in masks)
-        ]
-        coalitions = [Coalition(m, n) for m in minimal]
+        table = superset_closure([c.members >> 1 for c in coalitions], n)
+        coalitions = [Coalition(int(m) << 1, n) for m in minimal_masks(table)]
     return SimpleGame(n, EXPLICIT, antichain=tuple(coalitions))
 
 

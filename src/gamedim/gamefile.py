@@ -16,6 +16,9 @@ the 1-based line number of the offending line; the version-1 codes are:
     bad-header, bad-players, player-limit, bad-form, empty-body, bad-line,
     wrong-part-count, bitstring-length, bad-bitstring, empty-coalition,
     not-antichain, bad-wmg, invalid-wmg
+
+``not-antichain`` is reported at the later line of the first pair of ``win``
+lines that are equal or nested, taking pairs in the order of that later line.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .core import (
     InvalidGameError,
     SimpleGame,
     WeightedGame,
+    first_nested_pair,
     make_explicit,
 )
 
@@ -55,10 +59,13 @@ def serialize_game(game: SimpleGame) -> str:
     if game.form == EXPLICIT:
         lines.extend(f"win {c.bitstring()}" for c in game.antichain)
     else:
-        lines.extend(
-            f"wmg {p.quota} : {' '.join(map(str, p.weights))}" for p in game.parts
-        )
+        lines.extend(wmg_line(p) for p in game.parts)
     return "\n".join(lines) + "\n"
+
+
+def wmg_line(part: WeightedGame) -> str:
+    """The ``wmg <q> : <w1> ... <wn>`` line of one weighted part."""
+    return f"wmg {part.quota} : {' '.join(map(str, part.weights))}"
 
 
 def _numbered_lines(text: str) -> list[tuple[int, str]]:
@@ -140,15 +147,18 @@ def parse_game(text: str) -> SimpleGame:
             coalition = Coalition.from_bitstring(bits, n)
             if coalition.members == 0:
                 raise GameParseError("empty-coalition", lineno, "the empty coalition cannot win")
-            for earlier in coalitions:
-                if earlier.issubset(coalition) or coalition.issubset(earlier):
-                    raise GameParseError(
-                        "not-antichain",
-                        lineno,
-                        f"coalition {bits} is nested with {earlier.bitstring()}",
-                    )
             coalitions.append(coalition)
-        return make_explicit(n, coalitions, MINIMAL_GIVEN)
+        try:
+            return make_explicit(n, coalitions, MINIMAL_GIVEN)
+        except InvalidGameError:
+            # Every line passed its own checks, so only nesting can fail.
+            i, j = first_nested_pair([c.members for c in coalitions])
+            raise GameParseError(
+                "not-antichain",
+                body[j][0],
+                f"coalition {coalitions[j].bitstring()} is nested with "
+                f"{coalitions[i].bitstring()}",
+            ) from None
 
     parts = [_parse_wmg_line(lineno, line, n) for lineno, line in body]
     if form == WEIGHTED:

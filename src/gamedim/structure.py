@@ -1,10 +1,10 @@
 """Extremal coalitions, dual games, and equivalence of simple games.
 
 The enumeration oracle walks all 2^n coalitions through the cached truth
-table.  Because every representable game is monotone, a winning coalition is
-minimal exactly when dropping any single member makes it lose, and a losing
-coalition is maximal exactly when adding any single absent player makes it
-win; both tests are vectorised over the table.
+table with the one minimality routine, :func:`gamedim.core.minimal_masks`.
+A losing coalition S is maximal exactly when its complement is minimal
+winning in the dual, whose table is the reversed, negated table of the game
+(compact index 2^n - 1 - S is the complement of S).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .core import (
     WeightedGame,
     combine,
     make_explicit,
+    minimal_masks,
 )
 
 
@@ -35,38 +36,31 @@ class ExtremalSets:
     maximal_losing: tuple[Coalition, ...]
 
 
-def _boundary_masks(game: SimpleGame) -> tuple[np.ndarray, np.ndarray]:
-    table = game.truth_table
-    n = game.n
-    is_min = table.copy()
-    is_max = ~table
-    for j in range(n):
-        # Axis view pairing each coalition with its bit-j neighbour.
-        shape = (-1, 2, 1 << j)
-        with_j = table.reshape(shape)[:, 1, :]
-        without_j = table.reshape(shape)[:, 0, :]
-        is_min.reshape(shape)[:, 1, :] &= ~without_j
-        is_max.reshape(shape)[:, 0, :] &= with_j
-    return np.nonzero(is_min)[0], np.nonzero(is_max)[0]
+def _coalitions(masks: np.ndarray, n: int) -> tuple[Coalition, ...]:
+    return tuple(Coalition(int(m) << 1, n) for m in masks)
+
+
+def _maximal_losing_masks(table: np.ndarray) -> np.ndarray:
+    # ~table[::-1] is the dual's table; complements of its minimal masks.
+    dual_mins = minimal_masks(~table[::-1])
+    return (table.size - 1 - dual_mins)[::-1]
 
 
 def minimal_winning(game: SimpleGame) -> tuple[Coalition, ...]:
     """Antichain of winning coalitions all of whose proper subsets lose."""
-    mins, _ = _boundary_masks(game)
-    return tuple(Coalition(int(m) << 1, game.n) for m in mins)
+    return _coalitions(minimal_masks(game.truth_table), game.n)
 
 
 def maximal_losing(game: SimpleGame) -> tuple[Coalition, ...]:
     """Antichain of losing coalitions all of whose proper supersets win."""
-    _, maxs = _boundary_masks(game)
-    return tuple(Coalition(int(m) << 1, game.n) for m in maxs)
+    return _coalitions(_maximal_losing_masks(game.truth_table), game.n)
 
 
 def extremal_sets(game: SimpleGame) -> ExtremalSets:
-    mins, maxs = _boundary_masks(game)
+    table = game.truth_table
     return ExtremalSets(
-        tuple(Coalition(int(m) << 1, game.n) for m in mins),
-        tuple(Coalition(int(m) << 1, game.n) for m in maxs),
+        _coalitions(minimal_masks(table), game.n),
+        _coalitions(_maximal_losing_masks(table), game.n),
     )
 
 

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -232,3 +235,41 @@ class TestExitCodes:
     def test_missing_file_is_exit_one(self):
         code, _, err = call(["dim", "/nonexistent/game.sg"])
         assert code == 1 and err
+
+    def test_undecodable_file_is_exit_one(self, tmp_path):
+        path = tmp_path / "game.sg"
+        path.write_bytes(b"\xff")
+        code, out, err = call(["dim", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("gamedim: ") and "utf-8" in err
+
+    def test_usage_error_is_exit_one_on_given_stderr(self):
+        code, out, err = call(["gen", "example1", "--n", "x"])
+        assert code == 1 and out == ""
+        assert err.startswith("usage: gamedim gen example1")
+        assert "invalid int value: 'x'" in err
+
+    def test_missing_command_is_exit_one(self):
+        code, _, err = call([])
+        assert code == 1 and "usage: gamedim" in err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            call(["gen", "-h"])
+        assert info.value.code == 0
+        assert "example1" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(gd.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gamedim", "gen", "example1", "--n", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert gd.equivalent(gd.parse_game(proc.stdout), gd.gen_example1(2))

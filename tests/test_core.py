@@ -129,6 +129,27 @@ class TestMakeExplicit:
         with pytest.raises(gd.InvalidGameError):
             gd.make_explicit(3, [players([1], 2)])
 
+    @pytest.mark.parametrize(
+        "n, m, seed", [(4, 3, 7), (6, 5, 8), (8, 9, 9), (10, 14, 10), (12, 20, 11)]
+    )
+    def test_arbitrary_winning_keeps_brute_force_minimal_set(self, n, m, seed):
+        # Pad a random antichain with duplicates and random supersets, in a
+        # scrambled order; the result must be the minimal elements by hand.
+        base = gd.gen_random_monotone(n, m, seed)
+        stream = gd.splitmix64(seed)
+        full = gd.Coalition.grand(n).members
+        padded = list(base.antichain)
+        for c in base.antichain:
+            padded.append(c)
+            padded.append(gd.Coalition(c.members | (next(stream) << 1) & full, n))
+        padded.append(gd.Coalition.grand(n))
+        padded.sort(key=lambda _: next(stream))
+        masks = {c.members for c in padded}
+        expected = sorted(x for x in masks if not any(o != x and o & ~x == 0 for o in masks))
+        game = gd.make_explicit(n, padded, gd.ARBITRARY_WINNING)
+        assert [c.members for c in game.antichain] == expected
+        assert game.antichain == base.antichain
+
 
 class TestIsWinning:
     def test_example1_paper_rule(self):
@@ -212,6 +233,11 @@ class TestGameInvariants:
                 for j in c.players:
                     smaller = gd.Coalition(c.members ^ (1 << j), game.n)
                     assert not game.is_winning(smaller)
+
+    def test_explicit_truth_table_is_upward_closure(self, random_corpus):
+        for game in random_corpus:
+            closure = {m >> 1 for m in winning_masks_by_hand(game)}
+            assert set(np.flatnonzero(game.truth_table).tolist()) == closure
 
     def test_truth_table_is_cached_and_frozen(self):
         game = gd.gen_example1(2)

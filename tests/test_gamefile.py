@@ -68,6 +68,15 @@ class TestParse:
             assert gd.equivalent(again, game)
             assert gd.serialize_game(again) == gd.serialize_game(game)
 
+    def test_roundtrip_large_explicit_majority(self):
+        # 3,003 minimal winning coalitions of the 8-of-14 majority.
+        majority = gd.SimpleGame.from_weighted(gd.make_weighted(8, [1] * 14))
+        game = gd.make_explicit(14, gd.minimal_winning(majority))
+        assert len(game.antichain) == 3003
+        assert gd.parse_game(gd.serialize_game(game)) == game
+        assert gd.equivalent(gd.dual(gd.dual(game)), game)
+        assert gd.equivalent(gd.dual(game), gd.dual(majority))
+
 
 def parse_error(text):
     with pytest.raises(gd.GameParseError) as info:
@@ -123,6 +132,29 @@ class TestParseErrors:
             "simplegame 1\nplayers 4\nform explicit\nwin 1100\nwin 1110\n"
         )
         assert err.code == "not-antichain" and err.line == 5
+
+    def test_not_antichain_superset_first(self):
+        err = parse_error(
+            "simplegame 1\nplayers 4\nform explicit\nwin 1110\nwin 1100\n"
+        )
+        assert err.code == "not-antichain" and err.line == 5
+        assert str(err) == "line 5: not-antichain: coalition 1100 is nested with 1110"
+
+    def test_not_antichain_names_first_nested_pair(self):
+        err = parse_error(
+            "simplegame 1\nplayers 4\nform explicit\n"
+            "win 1000\nwin 0110\nwin 0011\nwin 0111\nwin 1100\n"
+        )
+        assert err.line == 7
+        assert str(err) == "line 7: not-antichain: coalition 0111 is nested with 0110"
+
+    def test_repeated_win_line_reported_at_second(self):
+        err = parse_error(
+            "simplegame 1\nplayers 3\nform explicit\n"
+            "win 110\nwin 011\n\nwin 110\nwin 101\n"
+        )
+        assert err.code == "not-antichain" and err.line == 7
+        assert str(err) == "line 7: not-antichain: coalition 110 is nested with 110"
 
     def test_bad_wmg_syntax(self):
         err = parse_error("simplegame 1\nplayers 2\nform weighted\nwmg 1 1 1\n")
