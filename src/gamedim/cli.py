@@ -57,8 +57,12 @@ def _game_json(game: SimpleGame) -> dict:
 def _load_game(path: str | None, stdin) -> SimpleGame:
     if path is None or path == "-":
         return parse_game(stdin.read())
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_game(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from exc
+    return parse_game(text)
 
 
 def _emit(text: str, output: str | None, stdout) -> None:

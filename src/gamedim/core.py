@@ -366,8 +366,15 @@ def make_explicit(
         if c.n != n:
             raise InvalidGameError(f"coalition over {c.n} players, game has {n}")
     if mode == ARBITRARY_WINNING:
+        # The closure of the list is the closure of its minimal masks, so it
+        # becomes the game's cached truth table; validation still checks it.
         table = superset_closure([c.members >> 1 for c in coalitions], n)
-        coalitions = [Coalition(int(m) << 1, n) for m in minimal_masks(table)]
+        table.setflags(write=False)
+        antichain = tuple(Coalition(int(m) << 1, n) for m in minimal_masks(table))
+        game = object.__new__(SimpleGame)
+        game.__dict__["truth_table"] = table
+        game.__init__(n, EXPLICIT, antichain=antichain)
+        return game
     return SimpleGame(n, EXPLICIT, antichain=tuple(coalitions))
 
 

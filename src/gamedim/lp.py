@@ -1,28 +1,32 @@
 """Exact rational linear feasibility with machine-checkable certificates.
 
 Systems of the form  {a.x >= b,  a.x <= b,  x_j >= 0 for declared j}  are
-decided by a phase-one simplex over exact rationals with Bland's pivoting
-rule, which guarantees termination and makes the outcome deterministic for
-identical input.  A feasible outcome carries an assignment satisfying every
-constraint exactly; an infeasible outcome carries Farkas multipliers that
-recombine the constraints into 0 >= c with c > 0.  Both certificate kinds
-re-verify by plain substitution in :func:`verify_certificate`, and the solver
-self-checks every certificate before returning it.
+decided by a phase-one simplex with Bland's pivoting rule, which guarantees
+termination and makes the outcome deterministic for identical input.  A
+feasible outcome carries an assignment satisfying every constraint exactly; an
+infeasible outcome carries Farkas multipliers that recombine the constraints
+into 0 >= c with c > 0.  Both certificate kinds re-verify by plain
+substitution in :func:`verify_certificate`, and the solver self-checks every
+certificate before returning it.
 
-Rationals are gmpy2.mpq when gmpy2 is importable and fractions.Fraction
-otherwise; the pivoting sequence and certificates are identical either way.
+The simplex works on an integer tableau with fraction-free pivoting (Edmonds
+1967; Bareiss 1968).  Every row is first multiplied by one common factor, the
+least common multiple of all denominators, so the tableau is integral.  It is
+then held as d times the rational tableau, where d is the determinant of the
+current basis.  Each pivot divides exactly by the old d.  The pivot element
+becomes the new d, and it is always positive, so signs of reduced costs and
+ratios compared by cross-multiplication are those of the rational tableau,
+and the pivot sequence is the one Bland's rule takes over the rationals.
+``fractions.Fraction`` values are formed only when the result is built.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-
-try:
-    from gmpy2 import mpq as _Rat
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _Rat
+from fractions import Fraction
 
 GE = ">="
 LE = "<="
@@ -30,8 +34,7 @@ LE = "<="
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
-_ZERO = _Rat(0)
-_ONE = _Rat(1)
+_ZERO = Fraction(0)
 
 
 class CertificateError(RuntimeError):
@@ -39,10 +42,8 @@ class CertificateError(RuntimeError):
 
 
 def rational(numerator, denominator=1):
-    """Exact rational in the active backend (gmpy2.mpq or Fraction)."""
-    if hasattr(numerator, "numerator") and not isinstance(numerator, int):
-        return _Rat(numerator.numerator, numerator.denominator) * _Rat(1, denominator)
-    return _Rat(numerator, denominator)
+    """The exact rational ``numerator / denominator`` as a ``Fraction``."""
+    return Fraction(numerator, denominator)
 
 
 @dataclass(frozen=True)
@@ -201,41 +202,49 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
     art0 = surplus0 + m
     ncols = art0 + m
 
-    # Rows are oriented as >= and then sign-normalised to nonnegative rhs.
-    tableau: list[list] = []
+    # Rows oriented as >= and multiplied by one common factor, so that the
+    # rescaled problem takes the same pivots and has the same multipliers.
+    scale = math.lcm(
+        *(v.denominator for con in lp.constraints for v in (*con.coeffs, con.rhs))
+    )
+    ge_rows: list[tuple[list[int], int]] = []
+    for con in lp.constraints:
+        sign = 1 if con.relation == GE else -1
+        ge_rows.append((
+            [sign * c.numerator * (scale // c.denominator) for c in con.coeffs],
+            sign * con.rhs.numerator * (scale // con.rhs.denominator),
+        ))
+
+    # Rows are sign-normalised to nonnegative rhs; the reduced-cost row for
+    # minimising the artificial sum goes last, its rhs entry the negated
+    # objective value.
+    tableau: list[list[int]] = []
     sigma: list[int] = []
-    for i, con in enumerate(lp.constraints):
-        coeffs, rhs = con.ge_form()
+    for i, (coeffs, rhs) in enumerate(ge_rows):
         s = 1 if rhs >= 0 else -1
-        row = [_ZERO] * (ncols + 1)
+        row = [0] * (ncols + 1)
         for j, c in enumerate(coeffs):
             if c == 0:
                 continue
-            value = c if s == 1 else -c
             pos, neg = col_of_var[j]
-            row[pos] = value
+            row[pos] = s * c
             if neg is not None:
-                row[neg] = -value
-        row[surplus0 + i] = -_ONE if s == 1 else _ONE
-        row[art0 + i] = _ONE
-        row[ncols] = rhs if s == 1 else -rhs
+                row[neg] = -s * c
+        row[surplus0 + i] = -s
+        row[art0 + i] = 1
+        row[ncols] = s * rhs
         tableau.append(row)
         sigma.append(s)
-
-    # Reduced-cost row for minimising the artificial sum; z[ncols] stays the
-    # negated objective value.
-    z = [_ZERO] * (ncols + 1)
-    for j in range(ncols + 1):
-        total = _ZERO
-        for row in tableau:
-            total += row[j]
-        z[j] = -total
-    for i in range(m):
-        z[art0 + i] = _ZERO
+    z = [0] * (ncols + 1)
+    for row in tableau:
+        z = [a - b for a, b in zip(z, row)]
+    z[art0:ncols] = [0] * m
+    tableau.append(z)
 
     basis = [art0 + i for i in range(m)]
-
+    d = 1
     while True:
+        z = tableau[m]
         enter = -1
         for j in range(ncols):  # Bland: smallest eligible column index
             if z[j] < 0:
@@ -243,71 +252,66 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
                 break
         if enter < 0:
             break
+        # Ratio test rhs/t by cross-multiplication (every t > 0), ties to
+        # the smallest basic variable.
         leave = -1
-        best_ratio = None
-        best_var = -1
         for i in range(m):
             t = tableau[i][enter]
             if t > 0:
-                ratio = tableau[i][ncols] / t
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < best_var)
-                ):
-                    best_ratio = ratio
-                    best_var = basis[i]
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs = tableau[i][ncols] * tableau[leave][enter]
+                rhs = tableau[leave][ncols] * t
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:  # objective is bounded below by zero
             raise CertificateError("phase-one search became unbounded")
-        _pivot(tableau, z, basis, leave, enter, ncols)
+        d = _pivot(tableau, d, leave, enter)
+        basis[leave] = enter
 
-    objective = -z[ncols]
-    if objective == 0:
-        values = [_ZERO] * ncols
+    z = tableau[m]
+    if z[ncols] == 0:
+        values = [0] * ncols
         for i, bv in enumerate(basis):
             values[bv] = tableau[i][ncols]
-        assignment = []
-        for pos, neg in col_of_var:
-            assignment.append(values[pos] - values[neg] if neg is not None else values[pos])
-        return FeasibilityResult(FEASIBLE, assignment=tuple(assignment))
+        assignment = tuple(
+            Fraction(values[pos] - values[neg] if neg is not None else values[pos], d)
+            for pos, neg in col_of_var
+        )
+        return FeasibilityResult(FEASIBLE, assignment=assignment)
 
-    # Simplex multipliers off the artificial columns: y_i = 1 - zbar(art_i);
-    # undoing the sign normalisation gives the >=-form row multipliers.
-    lam = []
-    for i in range(m):
-        y = _ONE - z[art0 + i]
-        lam.append(y if sigma[i] == 1 else -y)
-    combo = [_ZERO] * n
-    for mult, con in zip(lam, lp.constraints):
-        if mult == 0:
+    # Simplex multipliers off the artificial columns: y_i = 1 - zbar(art_i),
+    # here (d - z[art_i]) / d; undoing the sign normalisation gives the
+    # >=-form row multipliers.
+    y_num = [sigma[i] * (d - z[art0 + i]) for i in range(m)]
+    combo = [0] * n
+    for y, (coeffs, _) in zip(y_num, ge_rows):
+        if y == 0:
             continue
-        coeffs, _ = con.ge_form()
         for j, c in enumerate(coeffs):
-            combo[j] += mult * c
+            combo[j] += y * c
     nonneg_mults = tuple(
-        (j, -combo[j]) for j in sorted(lp.nonneg_vars) if combo[j] != 0
+        (j, Fraction(-combo[j], d * scale)) for j in sorted(lp.nonneg_vars) if combo[j] != 0
     )
-    witness = FarkasWitness(tuple(lam), nonneg_mults)
+    witness = FarkasWitness(tuple(Fraction(y, d) for y in y_num), nonneg_mults)
     return FeasibilityResult(INFEASIBLE, farkas=witness)
 
 
-def _pivot(tableau, z, basis, leave, enter, ncols):
-    row = tableau[leave]
-    piv = row[enter]
-    if piv != 1:
-        tableau[leave] = row = [v / piv for v in row]
-    for other in tableau:
-        if other is row:
+def _pivot(tableau, d, leave, enter):
+    """Fraction-free pivot on ``tableau[leave][enter]``; returns the new divisor.
+
+    Every row but the pivot row becomes (p * row - row[enter] * pivot_row) / d,
+    which divides exactly; the pivot row is kept as it is.
+    """
+    pivot_row = tableau[leave]
+    p = pivot_row[enter]
+    for i, row in enumerate(tableau):
+        if i == leave:
             continue
-        f = other[enter]
+        f = row[enter]
         if f != 0:
-            for j in range(ncols + 1):
-                if row[j] != 0:
-                    other[j] -= f * row[j]
-    f = z[enter]
-    if f != 0:
-        for j in range(ncols + 1):
-            if row[j] != 0:
-                z[j] -= f * row[j]
-    basis[leave] = enter
+            tableau[i] = [(p * a - f * b) // d for a, b in zip(row, pivot_row)]
+        elif p != d:
+            tableau[i] = [p * a // d for a in row]
+    return p

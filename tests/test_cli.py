@@ -243,6 +243,16 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("gamedim: ") and "utf-8" in err
 
+    def test_undecodable_file_is_named(self, tmp_path):
+        good, bad = tmp_path / "good.sg", tmp_path / "bad.sg"
+        good.write_text(gd.serialize_game(gd.gen_example1(2)), encoding="utf-8")
+        bad.write_bytes(b"\xff")
+        for argv in (["equiv", str(good), str(bad)], ["equiv", str(bad), str(good)]):
+            code, out, err = call(argv)
+            assert code == 1 and out == ""
+            assert err.startswith(f"gamedim: {bad}: 'utf-8' codec can't decode")
+            assert "good.sg" not in err
+
     def test_usage_error_is_exit_one_on_given_stderr(self):
         code, out, err = call(["gen", "example1", "--n", "x"])
         assert code == 1 and out == ""

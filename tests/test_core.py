@@ -129,6 +129,30 @@ class TestMakeExplicit:
         with pytest.raises(gd.InvalidGameError):
             gd.make_explicit(3, [players([1], 2)])
 
+    def test_arbitrary_winning_builds_its_table_once(self, monkeypatch):
+        # The closure of the list becomes the game's table, and validation
+        # still runs the minimality pass on that very table.
+        base = gd.gen_random_monotone(8, 9, 9)
+        closures, checked = [], []
+        closure, minimal = gd.core.superset_closure, gd.core.minimal_masks
+
+        def counting_closure(masks, n):
+            closures.append(closure(masks, n))
+            return closures[-1]
+
+        def recording_minimal(table):
+            checked.append(table)
+            return minimal(table)
+
+        monkeypatch.setattr(gd.core, "superset_closure", counting_closure)
+        monkeypatch.setattr(gd.core, "minimal_masks", recording_minimal)
+        game = gd.make_explicit(8, list(base.antichain) * 2, gd.ARBITRARY_WINNING)
+        assert len(closures) == 1
+        assert checked[-1] is game.truth_table is closures[0]
+        assert game.antichain == base.antichain
+        wins = {m >> 1 for m in winning_masks_by_hand(base)}
+        assert set(np.flatnonzero(game.truth_table).tolist()) == wins
+
     @pytest.mark.parametrize(
         "n, m, seed", [(4, 3, 7), (6, 5, 8), (8, 9, 9), (10, 14, 10), (12, 20, 11)]
     )

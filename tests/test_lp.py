@@ -188,6 +188,144 @@ class TestBruteForceAgreement:
         assert not gd.solve_feasibility(lp).feasible
 
 
+def separation_lp(n, winning, losing):
+    """[q; w] separation rows: w(S) - q >= 0 on winning S, <= -1 on losing S, q >= 1."""
+
+    def row(players):
+        return tuple(int(j + 1 in players) for j in range(n)) + (-1,)
+
+    rows = [(row(s), gd.GE, 0) for s in winning] + [(row(s), gd.LE, -1) for s in losing]
+    rows.append(((0,) * n + (1,), gd.GE, 1))
+    return lp_of(rows, n + 1)
+
+
+def as_fractions(*values):
+    return tuple(Fraction(v) for v in values)
+
+
+EXAMPLE1_3_TRANSVERSALS = [
+    (a, b, c) for a in (1, 2) for b in (3, 4) for c in (5, 6)
+]
+# Minimal winning coalitions of gen_random_monotone(8, 6, 1029), a corpus game.
+CORPUS_8_6_1029_MWC = [(1, 3), (2, 3, 4, 7), (2, 5, 7), (2, 4, 5, 6, 8), (1, 5, 6, 7, 8)]
+RATIONAL_FEASIBLE_ROWS = [
+    (as_fractions(4, "5/2", 1), gd.LE, -1),
+    (as_fractions(-1, "5/4", "-4/3"), gd.GE, 1),
+    (as_fractions("-5/3", "1/4", -4), gd.GE, Fraction(1, 3)),
+    (as_fractions("4/3", 1, "3/2"), gd.GE, -1),
+]
+RATIONAL_INFEASIBLE_ROWS = [
+    (as_fractions("-2/5", "3/2", 0), gd.LE, Fraction(5, 3)),
+    (as_fractions("-4/5", "-5/4", "-1/5"), gd.GE, Fraction(-2, 3)),
+    (as_fractions("2/5", "3/4", "1/2"), gd.GE, 5),
+    (as_fractions("3/4", -5, "-3/5"), gd.GE, -1),
+]
+
+# Certificates as the Bland pivot sequence over rationals returns them:
+# (lp, assignment) for feasible and (lp, (row multipliers, sign-row
+# multipliers)) for infeasible systems.
+GOLDEN_FEASIBLE = [
+    pytest.param(
+        separation_lp(6, EXAMPLE1_3_TRANSVERSALS, [(1, 2, 3, 4)]),
+        as_fractions(0, 0, 0, 0, 1, 1, 1),
+        id="example1-one-pair",
+    ),
+    pytest.param(
+        separation_lp(
+            8, CORPUS_8_6_1029_MWC,
+            [(2, 3, 4, 5, 6), (2, 3, 4, 5, 8), (2, 3, 4, 6, 8), (3, 4, 5, 6, 7, 8)],
+        ),
+        as_fractions(8, 4, 0, 1, 1, 1, 3, 1, 8),
+        id="corpus-8-6-1029",
+    ),
+    pytest.param(
+        lp_of(RATIONAL_FEASIBLE_ROWS, 3, nonneg=(1, 2)),
+        as_fractions("-41/27", "104/567", "106/189"),
+        id="rational-free-variable",
+    ),
+]
+GOLDEN_INFEASIBLE = [
+    pytest.param(
+        separation_lp(6, EXAMPLE1_3_TRANSVERSALS, [(1, 2, 3, 4), (1, 2, 5, 6)]),
+        as_fractions(0, 0, 0, 0, 1, 0, 0, 1, 1, 1, 0),
+        ((0, Fraction(2)),),
+        id="example1-two-pairs",
+    ),
+    pytest.param(
+        separation_lp(8, CORPUS_8_6_1029_MWC, [(1, 2, 4, 5, 6), (2, 3, 4, 5, 8)]),
+        as_fractions(1, 0, 0, 1, 0, 1, 1, 0),
+        ((1, Fraction(1)), (3, Fraction(1)), (4, Fraction(1))),
+        id="corpus-8-6-1029",
+    ),
+    pytest.param(
+        lp_of(RATIONAL_INFEASIBLE_ROWS, 3, nonneg=(1, 2)),
+        as_fractions(0, "41/42", 1, "32/63"),
+        ((1, Fraction(1517, 504)),),
+        id="rational-free-variable",
+    ),
+]
+
+
+def all_fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+class TestGoldenCertificates:
+    """Exact certificates pinned, so the pivot sequence itself is tested."""
+
+    @pytest.mark.parametrize("lp, assignment", GOLDEN_FEASIBLE)
+    def test_feasible_assignment(self, lp, assignment):
+        result = gd.solve_feasibility(lp)
+        assert result.feasible and result.farkas is None
+        assert result.assignment == assignment
+        assert all_fractions(result.assignment)
+
+    @pytest.mark.parametrize("lp, rows, signs", GOLDEN_INFEASIBLE)
+    def test_infeasible_multipliers(self, lp, rows, signs):
+        result = gd.solve_feasibility(lp)
+        assert not result.feasible and result.assignment is None
+        assert result.farkas.row_multipliers == rows
+        assert result.farkas.nonneg_multipliers == signs
+        assert all_fractions(result.farkas.row_multipliers)
+        assert all_fractions(v for _, v in result.farkas.nonneg_multipliers)
+
+
+def random_rational_lp(stream, num_vars, num_rows, nonneg):
+    def value():
+        return Fraction(next(stream) % 9 - 4, 1 + next(stream) % 4)
+
+    rows = []
+    for _ in range(num_rows):
+        coeffs = tuple(value() for _ in range(num_vars))
+        relation = gd.GE if next(stream) % 2 else gd.LE
+        rows.append((coeffs, relation, value()))
+    return lp_of(rows, num_vars, nonneg)
+
+
+class TestRandomCertificates:
+    def test_rational_systems_certify(self):
+        stream = splitmix64(31337)
+        statuses = {True: 0, False: 0}
+        pointed = 0
+        for _ in range(200):
+            num_vars = 1 + next(stream) % 3
+            num_rows = 1 + next(stream) % 4
+            if next(stream) % 2:
+                nonneg = range(num_vars)
+            else:
+                nonneg = [j for j in range(num_vars) if next(stream) % 2]
+            lp = random_rational_lp(stream, num_vars, num_rows, nonneg)
+            result = gd.solve_feasibility(lp)
+            gd.verify_certificate(lp, result)
+            if lp.nonneg_vars == frozenset(range(num_vars)):
+                assert result.feasible == vertex_feasible(lp)
+                pointed += 1
+            statuses[result.feasible] += 1
+        # both outcomes and both kinds of system must occur to mean anything
+        assert statuses[True] > 20 and statuses[False] > 20
+        assert 50 < pointed < 150
+
+
 class TestSolverContract:
     def test_scale_invariance_of_status(self):
         stream = splitmix64(99)
