@@ -26,7 +26,7 @@ none does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from . import lp as _lp
@@ -123,8 +123,7 @@ def _separation_lp(
 
 
 def _integer_game(assignment: Sequence, n: int) -> WeightedGame:
-    scale = lcm(*(int(v.denominator) for v in assignment))
-    values = [int(v * scale) for v in assignment]
+    values, _ = _lp.common_denominator(assignment)
     shrink = gcd(*values)
     if shrink > 1:
         values = [v // shrink for v in values]

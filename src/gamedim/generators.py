@@ -144,8 +144,10 @@ def gen_random_monotone(n: int, m: int, seed: int) -> SimpleGame:
     """
     n = as_int(n)
     m = as_int(m)
-    if not 1 <= n <= 12:
-        raise InvalidGameError(f"player count must be in 1..12, got {n}")
+    if n < 1:
+        raise InvalidGameError(f"player count must be at least 1, got {n}")
+    if n > 12:
+        raise SizeLimitError(f"{n} players exceed the random generator's cap of 12")
     if m < 1:
         raise InvalidGameError(f"need at least one seed coalition, got {m}")
     if n == 1:

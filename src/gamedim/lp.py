@@ -17,12 +17,20 @@ current basis.  Each pivot divides exactly by the old d.  The pivot element
 becomes the new d, and it is always positive, so signs of reduced costs and
 ratios compared by cross-multiplication are those of the rational tableau,
 and the pivot sequence is the one Bland's rule takes over the rationals.
-``fractions.Fraction`` values are formed only when the result is built.
+
+Both kinds of Farkas multiplier are reduced costs of the final tableau (LP
+duality; Schrijver, *Theory of Linear and Integer Programming*, 1986): the
+multiplier of a row is the reduced cost of its surplus column, and that of a
+sign row x_j >= 0 is the reduced cost of x_j's column over the common factor.
+``fractions.Fraction`` values are formed only when the result is built.  The
+verifier puts a certificate over one common denominator and substitutes its
+integer numerators, so integer rows are checked in integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -34,8 +42,6 @@ LE = "<="
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
-_ZERO = Fraction(0)
-
 
 class CertificateError(RuntimeError):
     """A certificate failed exact re-verification."""
@@ -46,9 +52,26 @@ def rational(numerator, denominator=1):
     return Fraction(numerator, denominator)
 
 
+def _exact(value):
+    return value if isinstance(value, int) else Fraction(value)
+
+
+def common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators over one positive common denominator of exact rationals."""
+    for v in values:
+        if not isinstance(v, numbers.Rational):
+            raise CertificateError(f"certificate value {v!r} is not an exact rational")
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 @dataclass(frozen=True)
 class Constraint:
-    """One row  coeffs . x  (>=|<=)  rhs  over rational coefficients."""
+    """One row  coeffs . x  (>=|<=)  rhs  over rational coefficients.
+
+    An ``int`` coefficient or rhs is kept as it is; any other value becomes a
+    ``Fraction`` (``Fraction("1/2")``, ``Fraction(0.5)``).
+    """
 
     coeffs: tuple
     relation: str
@@ -57,8 +80,8 @@ class Constraint:
     def __post_init__(self) -> None:
         if self.relation not in (GE, LE):
             raise ValueError(f"relation must be {GE!r} or {LE!r}, got {self.relation!r}")
-        object.__setattr__(self, "coeffs", tuple(rational(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", rational(self.rhs))
+        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
+        object.__setattr__(self, "rhs", _exact(self.rhs))
 
     def ge_form(self) -> tuple[tuple, object]:
         """Coefficients and rhs with the row oriented as >=."""
@@ -132,44 +155,49 @@ def record_certificates():
 
 
 def verify_certificate(lp: LinearProgram, result: FeasibilityResult) -> None:
-    """Re-check a certificate by exact substitution; raise CertificateError on failure."""
+    """Re-check a certificate by exact substitution; raise CertificateError on failure.
+
+    The certificate's values are put over one common denominator D, and their
+    integer numerators are substituted: an assignment must meet every row
+    against rhs * D, and the multiplied rows must cancel every variable and
+    leave a positive right-hand side.
+    """
     if result.feasible:
         x = result.assignment
         if x is None or len(x) != lp.num_vars:
             raise CertificateError("feasible result lacks a full assignment")
+        x, d = common_denominator(x)
         for j in lp.nonneg_vars:
             if x[j] < 0:
                 raise CertificateError(f"assignment violates x_{j} >= 0")
         for i, con in enumerate(lp.constraints):
-            value = sum((c * xj for c, xj in zip(con.coeffs, x)), _ZERO)
-            if con.relation == GE and value < con.rhs:
-                raise CertificateError(f"assignment violates row {i}")
-            if con.relation == LE and value > con.rhs:
+            value = sum(c * xj for c, xj in zip(con.coeffs, x) if c)
+            rhs = con.rhs * d
+            if value < rhs if con.relation == GE else value > rhs:
                 raise CertificateError(f"assignment violates row {i}")
         return
     witness = result.farkas
     if witness is None or len(witness.row_multipliers) != len(lp.constraints):
         raise CertificateError("infeasible result lacks a full Farkas witness")
-    combo = [_ZERO] * lp.num_vars
-    combo_rhs = _ZERO
-    for mult, con in zip(witness.row_multipliers, lp.constraints):
-        if mult < 0:
-            raise CertificateError("negative row multiplier")
-        if mult == 0:
-            continue
-        coeffs, rhs = con.ge_form()
-        for j, c in enumerate(coeffs):
-            combo[j] += mult * c
-        combo_rhs += mult * rhs
-    for j, mult in witness.nonneg_multipliers:
+    signs = witness.nonneg_multipliers
+    mults, _ = common_denominator([*witness.row_multipliers, *(u for _, u in signs)])
+    if any(y < 0 for y in mults):
+        raise CertificateError("negative multiplier")
+    sums = [0] * lp.num_vars
+    rhs_sum = 0
+    for y, con in zip(mults, lp.constraints):
+        if y:
+            coeffs, rhs = con.ge_form()
+            for j, c in enumerate(coeffs):
+                sums[j] += y * c
+            rhs_sum += y * rhs
+    for (j, _), u in zip(signs, mults[len(lp.constraints):]):
         if j not in lp.nonneg_vars:
             raise CertificateError(f"x_{j} is not sign-constrained")
-        if mult < 0:
-            raise CertificateError("negative multiplier on a sign row")
-        combo[j] += mult
-    if any(c != 0 for c in combo):
+        sums[j] += u
+    if any(sums):
         raise CertificateError("combination does not cancel all variables")
-    if combo_rhs <= 0:
+    if rhs_sum <= 0:
         raise CertificateError("combined right-hand side is not positive")
 
 
@@ -203,40 +231,30 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
     ncols = art0 + m
 
     # Rows oriented as >= and multiplied by one common factor, so that the
-    # rescaled problem takes the same pivots and has the same multipliers.
+    # rescaled problem takes the same pivots and has the same multipliers,
+    # then sign-normalised to nonnegative rhs.  The reduced-cost row for
+    # minimising the artificial sum goes last, its rhs entry the negated
+    # objective value.
     scale = math.lcm(
         *(v.denominator for con in lp.constraints for v in (*con.coeffs, con.rhs))
     )
-    ge_rows: list[tuple[list[int], int]] = []
-    for con in lp.constraints:
-        sign = 1 if con.relation == GE else -1
-        ge_rows.append((
-            [sign * c.numerator * (scale // c.denominator) for c in con.coeffs],
-            sign * con.rhs.numerator * (scale // con.rhs.denominator),
-        ))
-
-    # Rows are sign-normalised to nonnegative rhs; the reduced-cost row for
-    # minimising the artificial sum goes last, its rhs entry the negated
-    # objective value.
     tableau: list[list[int]] = []
-    sigma: list[int] = []
-    for i, (coeffs, rhs) in enumerate(ge_rows):
-        s = 1 if rhs >= 0 else -1
-        row = [0] * (ncols + 1)
-        for j, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            pos, neg = col_of_var[j]
-            row[pos] = s * c
-            if neg is not None:
-                row[neg] = -s * c
-        row[surplus0 + i] = -s
-        row[art0 + i] = 1
-        row[ncols] = s * rhs
-        tableau.append(row)
-        sigma.append(s)
     z = [0] * (ncols + 1)
-    for row in tableau:
+    for i, con in enumerate(lp.constraints):
+        ge = 1 if con.relation == GE else -1
+        rhs = ge * con.rhs.numerator * (scale // con.rhs.denominator)
+        norm = 1 if rhs >= 0 else -1
+        s = ge * norm
+        row = [0] * (ncols + 1)
+        for c, (pos, neg) in zip(con.coeffs, col_of_var):
+            if c:
+                row[pos] = c = s * c.numerator * (scale // c.denominator)
+                if neg is not None:
+                    row[neg] = -c
+        row[surplus0 + i] = -norm
+        row[art0 + i] = 1
+        row[ncols] = norm * rhs
+        tableau.append(row)
         z = [a - b for a, b in zip(z, row)]
     z[art0:ncols] = [0] * m
     tableau.append(z)
@@ -281,20 +299,16 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
         )
         return FeasibilityResult(FEASIBLE, assignment=assignment)
 
-    # Simplex multipliers off the artificial columns: y_i = 1 - zbar(art_i),
-    # here (d - z[art_i]) / d; undoing the sign normalisation gives the
-    # >=-form row multipliers.
-    y_num = [sigma[i] * (d - z[art0 + i]) for i in range(m)]
-    combo = [0] * n
-    for y, (coeffs, _) in zip(y_num, ge_rows):
-        if y == 0:
-            continue
-        for j, c in enumerate(coeffs):
-            combo[j] += y * c
-    nonneg_mults = tuple(
-        (j, Fraction(-combo[j], d * scale)) for j in sorted(lp.nonneg_vars) if combo[j] != 0
+    # The Farkas multipliers are reduced costs: of each row's surplus column,
+    # and of each nonnegative variable's column over the common factor.
+    witness = FarkasWitness(
+        tuple(Fraction(y, d) for y in z[surplus0:art0]),
+        tuple(
+            (j, Fraction(z[pos], d * scale))
+            for j, (pos, neg) in enumerate(col_of_var)
+            if neg is None and z[pos]
+        ),
     )
-    witness = FarkasWitness(tuple(Fraction(y, d) for y in y_num), nonneg_mults)
     return FeasibilityResult(INFEASIBLE, farkas=witness)
 
 

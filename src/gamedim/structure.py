@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    EXPLICIT,
     INTERSECTION,
     MINIMAL_GIVEN,
     UNION,
@@ -91,8 +90,6 @@ def equivalent(g1: SimpleGame, g2: SimpleGame) -> bool:
     """True iff both games have the same players and the same winning family."""
     if g1.n != g2.n:
         return False
-    if g1.form == EXPLICIT and g2.form == EXPLICIT:
-        return g1.antichain == g2.antichain
     return bool(np.array_equal(g1.truth_table, g2.truth_table))
 
 

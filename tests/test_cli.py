@@ -229,8 +229,12 @@ class TestExitCodes:
         assert code == 2 and "size limit" in err
 
     def test_gen_size_limit_is_exit_two(self):
-        code, _, err = call(["gen", "example1", "--n", "13"])
-        assert code == 2 and "size limit" in err
+        for argv in (
+            ["gen", "example1", "--n", "13"],
+            ["gen", "random", "--n", "13", "--m", "1"],
+        ):
+            code, _, err = call(argv)
+            assert code == 2 and "size limit" in err
 
     def test_missing_file_is_exit_one(self):
         code, _, err = call(["dim", "/nonexistent/game.sg"])

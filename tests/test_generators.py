@@ -183,7 +183,7 @@ class TestGenRandomMonotone:
     def test_validation(self):
         with pytest.raises(gd.InvalidGameError):
             gd.gen_random_monotone(0, 1, 0)
-        with pytest.raises(gd.InvalidGameError):
+        with pytest.raises(gd.SizeLimitError):
             gd.gen_random_monotone(13, 1, 0)
         with pytest.raises(gd.InvalidGameError):
             gd.gen_random_monotone(3, 0, 0)

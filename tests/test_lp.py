@@ -126,6 +126,47 @@ class TestCertificates:
             gd.verify_certificate(lp, forged)
         gd.verify_certificate(lp, result)
 
+    def test_verifier_rejects_inexact_values(self):
+        # 3 * 0.333... rounds to 1.0 in floats, but is 1 - 2**-54 exactly.
+        lp = lp_of([((3,), gd.GE, 1)], 1)
+        inexact = gd.FeasibilityResult("feasible", assignment=(1 / 3,))
+        with pytest.raises(gd.CertificateError, match="not an exact rational"):
+            gd.verify_certificate(lp, inexact)
+        lp = lp_of([((1,), gd.GE, 1), ((1,), gd.LE, 0)], 1, nonneg=())
+        inexact = gd.FeasibilityResult(
+            "infeasible", farkas=gd.FarkasWitness((1.0, gd.rational(1)), ())
+        )
+        with pytest.raises(gd.CertificateError, match="not an exact rational"):
+            gd.verify_certificate(lp, inexact)
+
+    def test_verifier_rejects_sign_row_on_wrong_variable(self):
+        # -x_0 >= 1 with x_0, x_1 >= 0: 1 * (-x_0 >= 1) + 1 * (x_0 >= 0) gives 0 >= 1.
+        lp = lp_of([((-1, 0), gd.GE, 1)], 2)
+        result = gd.solve_feasibility(lp)
+        assert result.farkas == gd.FarkasWitness((Fraction(1),), ((0, Fraction(1)),))
+        forged = gd.FeasibilityResult(
+            "infeasible", farkas=gd.FarkasWitness((Fraction(1),), ((1, Fraction(1)),))
+        )
+        with pytest.raises(gd.CertificateError, match="cancel"):
+            gd.verify_certificate(lp, forged)
+
+    def test_verifier_substitutes_mixed_denominators_exactly(self):
+        # x_0 + 3 x_1 = 3/4 as a pair of rows; 1/4 + 3 * 1/6 meets it exactly.
+        lp = lp_of([((1, 3), gd.GE, Fraction(3, 4)), ((1, 3), gd.LE, Fraction(3, 4))], 2)
+        exact = (Fraction(1, 4), Fraction(1, 6))
+        gd.verify_certificate(lp, gd.FeasibilityResult("feasible", assignment=exact))
+        for miss in (Fraction(1, 1000), Fraction(-1, 1000)):
+            near = (Fraction(1, 4) + miss, Fraction(1, 6))
+            with pytest.raises(gd.CertificateError, match="violates row"):
+                gd.verify_certificate(lp, gd.FeasibilityResult("feasible", assignment=near))
+
+    def test_constraint_keeps_ints_and_makes_other_values_fractions(self):
+        con = gd.Constraint((1, "1/2", 0.5, -3), gd.LE, 2)
+        assert [type(c) for c in con.coeffs] == [int, Fraction, Fraction, int]
+        assert con.coeffs == (1, Fraction(1, 2), Fraction(1, 2), -3)
+        assert type(con.rhs) is int
+        assert type(gd.Constraint((1,), gd.GE, "1/2").rhs) is Fraction
+
     def test_record_certificates_collects_solves(self):
         lp = lp_of([((1,), gd.GE, 1)], 1)
         with gd.record_certificates() as log:
