@@ -257,6 +257,9 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         print(exc, file=stderr)
         return 1
     except GameParseError as exc:
+        if exc.code == "player-limit":
+            print(f"gamedim: size limit: {exc}", file=stderr)
+            return 2
         print(f"gamedim: {exc}", file=stderr)
         return 1
     except SizeLimitError as exc:

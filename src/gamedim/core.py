@@ -51,6 +51,13 @@ def full_mask(n: int) -> int:
     return ((1 << n) - 1) << 1
 
 
+def _bad_player_count(n: int) -> InvalidGameError:
+    """The error for a player count outside 1..N_MAX; above it is a size limit."""
+    if n > N_MAX:
+        return SizeLimitError(f"{n} players exceed the cap of {N_MAX}")
+    return InvalidGameError(f"player count must be in 1..{N_MAX}, got {n}")
+
+
 @dataclass(frozen=True)
 class Coalition:
     """A subset of the players 1..n, encoded as a bitmask (bit j = player j)."""
@@ -60,7 +67,7 @@ class Coalition:
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= N_MAX:
-            raise InvalidGameError(f"player count must be in 1..{N_MAX}, got {self.n}")
+            raise _bad_player_count(self.n)
         if self.members & 1:
             raise InvalidGameError("bit 0 is unused; players are numbered from 1")
         if self.members & ~full_mask(self.n):
@@ -151,7 +158,7 @@ class WeightedGame:
         object.__setattr__(self, "quota", as_int(self.quota))
         object.__setattr__(self, "weights", tuple(as_int(w) for w in self.weights))
         if not 1 <= len(self.weights) <= N_MAX:
-            raise InvalidGameError(f"need 1..{N_MAX} weights, got {len(self.weights)}")
+            raise _bad_player_count(len(self.weights))
         if self.quota < 1:
             raise InvalidGameError("quota must be at least 1 (the empty coalition loses)")
         if any(w < 0 for w in self.weights):
@@ -262,7 +269,7 @@ class SimpleGame:
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= N_MAX:
-            raise InvalidGameError(f"player count must be in 1..{N_MAX}, got {self.n}")
+            raise _bad_player_count(self.n)
         if self.form not in FORMS:
             raise InvalidGameError(f"unknown form {self.form!r}")
         if self.form == EXPLICIT:

@@ -12,15 +12,17 @@ Both reduce to a minimum-partition problem over the extremal coalitions:
   coalition and wins on all of A (``realizable``).
 
 Block feasibility is an exact rational LP and is downward closed, so a
-minimum cover can be assumed to be a partition.  The search memoises the
-oracle over target-subset bitmasks and seeds a clique lower bound and a
-greedy upper bound from the pairwise-incompatibility graph.  When the two
-disagree, an iterative-deepening partition search tries each block count
-from the lower bound up.  It places the targets one at a time into an
-existing compatible block or a new one; by downward closure every partition
-into k feasible blocks stays feasible on each prefix of the targets, so an
-attempt at k finds one whenever one exists and a failed attempt proves that
-none does.
+minimum cover can be assumed to be a partition.  The oracle cache keeps the
+feasible and the infeasible target-subset bitmasks it has solved and answers
+every later subset or superset from them.  One iterative-deepening partition
+search tries each block count from a clique bound of the pairwise-
+incompatibility graph up.  It places the targets one at a time, in the first
+block the oracle accepts or else a new one, and backtracks when an attempt
+runs out of blocks; the first-fit greedy partition is thus the first descent
+of every attempt it fits in, and no separate greedy pass runs.  By downward
+closure every partition into k feasible blocks stays feasible on each prefix
+of the targets, so an attempt at k finds one whenever one exists and a
+failed attempt proves that none does.
 """
 
 from __future__ import annotations
@@ -59,45 +61,36 @@ class DimensionWitness:
 
 
 class SeparabilityOracleCache:
-    """Memoised block-feasibility oracle keyed by target-subset bitmasks.
+    """Block-feasibility oracle keyed by target-subset bitmasks.
 
-    Feasibility is downward closed: a cached infeasible subset settles every
-    superset, and the witness of a cached feasible superset is reused for
-    every subset.  Writers recompute identical values, so concurrent use only
-    needs last-write-wins dictionary semantics.
+    Feasibility is downward closed: the witness of a cached feasible superset
+    is reused for every subset, and a cached infeasible subset settles every
+    superset.  The two lists only grow at the end, so they also answer
+    repeats: a repeated query finds the same first match, or its own entry,
+    and gets the same witness object.  Under concurrent use two threads may
+    solve the same mask; both outcomes are correct, so the duplicate only
+    costs one LP.
     """
 
     def __init__(self, solver: Callable[[int], WeightedGame | None]):
         self._solver = solver
-        self._results: dict[int, WeightedGame | None] = {}
         self._feasible: list[tuple[int, WeightedGame]] = []
         self._infeasible: list[int] = []
         self.lp_solves = 0
 
     def query(self, mask: int) -> WeightedGame | None:
-        try:
-            return self._results[mask]
-        except KeyError:
-            pass
-        outcome: WeightedGame | None = None
-        known = False
         for fmask, witness in self._feasible:
             if mask & ~fmask == 0:
-                outcome, known = witness, True
-                break
-        if not known:
-            for imask in self._infeasible:
-                if imask & ~mask == 0:
-                    known = True
-                    break
-        if not known:
-            outcome = self._solver(mask)
-            self.lp_solves += 1
-            if outcome is None:
-                self._infeasible.append(mask)
-            else:
-                self._feasible.append((mask, outcome))
-        self._results[mask] = outcome
+                return witness
+        for imask in self._infeasible:
+            if imask & ~mask == 0:
+                return None
+        outcome = self._solver(mask)
+        self.lp_solves += 1
+        if outcome is None:
+            self._infeasible.append(mask)
+        else:
+            self._feasible.append((mask, outcome))
         return outcome
 
 
@@ -209,21 +202,34 @@ def _greedy_clique(vertices: Sequence[int], adj: Sequence[int]) -> list[int]:
     return clique
 
 
-def _deepening_search(
-    count: int,
-    cache: SeparabilityOracleCache,
-    adj: Sequence[int],
-    order: Sequence[int],
-    lower: int,
-    upper_blocks: list[int],
-) -> list[int]:
-    """Least partition between the clique bound and the greedy partition.
+def _minimum_partition(count: int, cache: SeparabilityOracleCache) -> list[int]:
+    """Minimum-cardinality partition of target indices into feasible blocks.
 
     Each attempt at a block count ``limit`` places the targets in ``order``
     into an existing block the oracle accepts, or into a new block while
     fewer than ``limit`` exist.  It prunes when the targets that fit no
     current block contain a clique too large for the blocks still allowed.
+    The attempts run from the clique bound up, so the first that succeeds
+    is a minimum.
     """
+    full = (1 << count) - 1
+    if cache.query(full) is not None:
+        return [full]
+    for i in range(count):
+        if cache.query(1 << i) is None:
+            raise RuntimeError("internal error: a singleton target block is infeasible")
+
+    adj = [0] * count
+    for i in range(count):
+        for j in range(i + 1, count):
+            if cache.query((1 << i) | (1 << j)) is None:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+
+    by_degree = sorted(range(count), key=lambda v: (-adj[v].bit_count(), v))
+    clique = _greedy_clique(by_degree, adj)
+    in_clique = set(clique)
+    order = clique + [v for v in by_degree if v not in in_clique]
 
     def attempt(limit: int) -> list[int] | None:
         blocks: list[int] = []
@@ -258,47 +264,10 @@ def _deepening_search(
 
         return list(blocks) if extend(0) else None
 
-    for limit in range(lower, len(upper_blocks)):
-        found = attempt(limit)
-        if found is not None:
-            return found
-    return upper_blocks
-
-
-def _minimum_partition(count: int, cache: SeparabilityOracleCache) -> list[int]:
-    """Minimum-cardinality partition of target indices into feasible blocks."""
-    full = (1 << count) - 1
-    if cache.query(full) is not None:
-        return [full]
-    for i in range(count):
-        if cache.query(1 << i) is None:
-            raise RuntimeError("internal error: a singleton target block is infeasible")
-
-    adj = [0] * count
-    for i in range(count):
-        for j in range(i + 1, count):
-            if cache.query((1 << i) | (1 << j)) is None:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-
-    by_degree = sorted(range(count), key=lambda v: (-adj[v].bit_count(), v))
-    clique = _greedy_clique(by_degree, adj)
-    lower = max(1, len(clique))
-    in_clique = set(clique)
-    order = clique + [v for v in by_degree if v not in in_clique]
-
-    greedy: list[int] = []
-    for v in order:
-        vbit = 1 << v
-        for i, bm in enumerate(greedy):
-            if not adj[v] & bm and cache.query(bm | vbit) is not None:
-                greedy[i] = bm | vbit
-                break
-        else:
-            greedy.append(vbit)
-    if len(greedy) == lower:
-        return greedy
-    return _deepening_search(count, cache, adj, order, lower, greedy)
+    limit = max(1, len(clique))
+    while (found := attempt(limit)) is None:
+        limit += 1
+    return found
 
 
 def _witnessed_partition(

@@ -227,11 +227,15 @@ class TestExitCodes:
         big_majority = gd.combine(gd.INTERSECTION, [gd.make_weighted(6, [1] * 10)])
         code, _, err = call(["codim"], stdin_text=gd.serialize_game(big_majority))
         assert code == 2 and "size limit" in err
+        too_many_players = "simplegame 1\nplayers 25\nform weighted\nwmg 1 : " + "1 " * 25 + "\n"
+        code, _, err = call(["dim"], stdin_text=too_many_players)
+        assert code == 2 and "size limit" in err and "player-limit" in err
 
     def test_gen_size_limit_is_exit_two(self):
         for argv in (
             ["gen", "example1", "--n", "13"],
             ["gen", "random", "--n", "13", "--m", "1"],
+            ["gen", "unanimity", "--blocks", "1" * 25],
         ):
             code, _, err = call(argv)
             assert code == 2 and "size limit" in err

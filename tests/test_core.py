@@ -46,8 +46,12 @@ class TestCoalition:
     def test_rejects_bad_player_count(self):
         with pytest.raises(gd.InvalidGameError):
             gd.Coalition(0, 0)
-        with pytest.raises(gd.InvalidGameError):
+        with pytest.raises(gd.SizeLimitError):
             gd.Coalition(0, gd.N_MAX + 1)
+        with pytest.raises(gd.SizeLimitError):
+            gd.make_weighted(1, [1] * (gd.N_MAX + 1))
+        with pytest.raises(gd.SizeLimitError):
+            gd.SimpleGame(gd.N_MAX + 1, gd.WEIGHTED)
 
     def test_bitstring_validation(self):
         with pytest.raises(gd.InvalidGameError):

@@ -156,22 +156,34 @@ class TestSolverAgreement:
             assert games_agree_by_hand(witness.as_game(), game)
 
     @pytest.mark.parametrize(
-        "spec, expected",
-        [((7, 3, 1016), 2), ((6, 3, 1021), 2), ((7, 6, 1004), 3), ((8, 5, 1023), 3)],
+        "spec, expected, max_lps",
+        [
+            ((7, 3, 1016), 2, 33),
+            ((6, 3, 1021), 2, 68),
+            ((7, 6, 1004), 3, 50),
+            ((8, 5, 1023), 3, 50),
+        ],
         ids=["7-3-1016", "6-3-1021", "7-6-1004", "8-5-1023"],
     )
-    def test_partition_search_matches_exhaustive_enumeration(self, spec, expected):
-        # On these games the greedy partition exceeds the clique bound, so the
-        # value comes from the deepening search, not from the bounds alone.
+    def test_partition_search_matches_exhaustive_enumeration(self, spec, expected, max_lps):
+        # On these games first-fit placement needs more blocks than the clique
+        # bound, so the search must backtrack before it proves the value.
+        # ``max_lps`` is the LP count of the earlier two-pass search (a greedy
+        # pass, then deepening); one search must not run more.
         game = gd.gen_random_monotone(*spec)
-        value = gd.dimension(game).value
+        with gd.record_certificates() as log:
+            value = gd.dimension(game).value
+        assert len(log) <= max_lps
         assert value == exhaustive_dimension(game) == expected
         assert gd.codimension(gd.dual(game)).value == value
 
     def test_partition_search_on_nineteen_targets(self):
-        # 19 maximal losing coalitions, and the clique and greedy bounds disagree.
+        # 19 maximal losing coalitions, and first-fit placement needs more
+        # blocks than the clique bound.  217 LPs is the earlier two-pass count.
         game = gd.gen_random_monotone(9, 7, 5040)
-        witness = gd.dimension(game)
+        with gd.record_certificates() as log:
+            witness = gd.dimension(game)
+        assert len(log) <= 217
         assert witness.value == 3
         assert games_agree_by_hand(witness.as_game(), game)
 
@@ -282,8 +294,8 @@ class TestConvert:
 
 
 class TestOracleCache:
-    def test_witness_reuse_and_downward_closure(self):
-        game = gd.gen_example1(2)
+    @staticmethod
+    def _dimension_cache(game):
         sets = gd.extremal_sets(game)
         targets = list(sets.maximal_losing)
 
@@ -291,12 +303,35 @@ class TestOracleCache:
             chosen = [targets[i] for i in range(len(targets)) if mask >> i & 1]
             return gd.co_realizable(sets.minimal_winning, chosen)
 
-        cache = gd.SeparabilityOracleCache(solver)
-        assert cache.query(0b01) is not None
+        return gd.SeparabilityOracleCache(solver)
+
+    def test_witness_reuse_and_downward_closure(self):
+        cache = self._dimension_cache(gd.gen_example1(2))
+        first = cache.query(0b01)
+        assert first is not None
         solves = cache.lp_solves
-        assert cache.query(0b01) is not None  # exact memo hit
+        assert cache.query(0b01) is first  # its own feasible entry
         assert cache.lp_solves == solves
         assert cache.query(0b11) is None
         solves = cache.lp_solves
-        assert cache.query(0b11) is None  # memo again
+        assert cache.query(0b11) is None  # its own infeasible entry
+        assert cache.lp_solves == solves
+
+    def test_subset_of_feasible_mask_reuses_its_witness(self):
+        # Of the seven maximal losing targets, {0, 2} is separable.
+        cache = self._dimension_cache(gd.gen_random_monotone(7, 3, 1016))
+        witness = cache.query(0b101)
+        assert witness is not None
+        solves = cache.lp_solves
+        assert cache.query(0b001) is witness
+        assert cache.query(0b100) is witness
+        assert cache.lp_solves == solves
+
+    def test_superset_of_infeasible_mask_is_infeasible(self):
+        # Of the seven maximal losing targets, {1, 2} is not separable.
+        cache = self._dimension_cache(gd.gen_random_monotone(7, 3, 1016))
+        assert cache.query(0b110) is None
+        solves = cache.lp_solves
+        assert cache.query(0b111) is None
+        assert cache.query(0b1110) is None
         assert cache.lp_solves == solves
