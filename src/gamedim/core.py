@@ -336,16 +336,15 @@ class SimpleGame:
         if self.form == EXPLICIT:
             table = superset_closure([c.members >> 1 for c in self.antichain], self.n)
         else:
-            part_tables = [
-                _subset_weight_table(p.weights) >= p.quota for p in self.parts
-            ]
-            table = part_tables[0]
-            for other in part_tables[1:]:
+            # Each part is folded in as soon as it is built, so one part
+            # table is held at a time, however many parts there are.
+            table = np.full(1 << self.n, self.form == INTERSECTION)
+            for p in self.parts:
+                part = _subset_weight_table(p.weights) >= p.quota
                 if self.form == INTERSECTION:
-                    table &= other
+                    table &= part
                 else:
-                    table |= other
-            table = np.asarray(table, dtype=bool)
+                    table |= part
         table.setflags(write=False)
         return table
 

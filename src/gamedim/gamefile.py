@@ -111,9 +111,11 @@ def parse_game(text: str) -> SimpleGame:
 
     lineno, players_line = lines[1]
     tokens = players_line.split()
-    if len(tokens) != 2 or tokens[0] != "players" or not tokens[1].isdigit():
+    # isdigit alone admits "²" (which int() rejects) and "٣" (which it reads as 3).
+    count = tokens[1] if len(tokens) == 2 and tokens[0] == "players" else ""
+    if not (count.isascii() and count.isdigit()):
         raise GameParseError("bad-players", lineno, "expected 'players <n>'")
-    n = int(tokens[1])
+    n = int(count)
     if n < 1:
         raise GameParseError("bad-players", lineno, "need at least one player")
     if n > N_MAX:

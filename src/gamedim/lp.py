@@ -18,10 +18,25 @@ becomes the new d, and it is always positive, so signs of reduced costs and
 ratios compared by cross-multiplication are those of the rational tableau,
 and the pivot sequence is the one Bland's rule takes over the rationals.
 
+The tableau stores the structural and surplus columns only.  Each row's
+artificial variable is a basis label with no column, so an artificial that
+leaves the basis never re-enters (Chvátal, *Linear Programming*, 1983).  Its
+column would be a fixed multiple of its row's surplus column, so dropping it
+changes no other column, and the pivots are those of the full tableau up to
+the first point where Bland's rule would bring an artificial back.  Bland's
+rule terminates between two departures (Bland, Math. Oper. Res. 1977), and
+there are at most m departures.  Once the artificial sum reaches zero every
+further pivot is degenerate, so a feasible assignment is the one the full
+tableau gives.
+
 Both kinds of Farkas multiplier are reduced costs of the final tableau (LP
 duality; Schrijver, *Theory of Linear and Integer Programming*, 1986): the
 multiplier of a row is the reduced cost of its surplus column, and that of a
 sign row x_j >= 0 is the reduced cost of x_j's column over the common factor.
+Phase one stops only when no stored column has a negative reduced cost, and
+a certificate needs nothing more than those signs, so the drop rule keeps
+every infeasible answer certified.
+
 ``fractions.Fraction`` values are formed only when the result is built.  The
 verifier puts a certificate over one common denominator and substitutes its
 integer numerators, so integer rows are checked in integer arithmetic.
@@ -216,7 +231,9 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
     m = len(lp.constraints)
 
     # Column layout: per variable one column (nonnegative) or a +/- pair
-    # (free), then one surplus column per row, then one artificial per row.
+    # (free), then one surplus column per row.  Row i's artificial is basis
+    # label ncols + i with no stored column, so once it leaves the basis it
+    # never re-enters.
     col_of_var: list[tuple[int, int | None]] = []
     col = 0
     for j in range(n):
@@ -227,8 +244,7 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
             col_of_var.append((col, col + 1))
             col += 2
     surplus0 = col
-    art0 = surplus0 + m
-    ncols = art0 + m
+    ncols = surplus0 + m
 
     # Rows oriented as >= and multiplied by one common factor, so that the
     # rescaled problem takes the same pivots and has the same multipliers,
@@ -252,14 +268,12 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
                 if neg is not None:
                     row[neg] = -c
         row[surplus0 + i] = -norm
-        row[art0 + i] = 1
         row[ncols] = norm * rhs
         tableau.append(row)
         z = [a - b for a, b in zip(z, row)]
-    z[art0:ncols] = [0] * m
     tableau.append(z)
 
-    basis = [art0 + i for i in range(m)]
+    basis = [ncols + i for i in range(m)]
     d = 1
     while True:
         z = tableau[m]
@@ -290,7 +304,7 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
 
     z = tableau[m]
     if z[ncols] == 0:
-        values = [0] * ncols
+        values = [0] * (ncols + m)  # basic artificials are 0
         for i, bv in enumerate(basis):
             values[bv] = tableau[i][ncols]
         assignment = tuple(
@@ -302,7 +316,7 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
     # The Farkas multipliers are reduced costs: of each row's surplus column,
     # and of each nonnegative variable's column over the common factor.
     witness = FarkasWitness(
-        tuple(Fraction(y, d) for y in z[surplus0:art0]),
+        tuple(Fraction(y, d) for y in z[surplus0:ncols]),
         tuple(
             (j, Fraction(z[pos], d * scale))
             for j, (pos, neg) in enumerate(col_of_var)

@@ -214,8 +214,13 @@ class TestJsonAgreement:
 
 class TestExitCodes:
     def test_parse_error_is_exit_one(self):
-        code, out, err = call(["dim"], stdin_text="not a game file\n")
-        assert code == 1 and out == "" and "bad-header" in err
+        for text, error in (
+            ("not a game file\n", "bad-header"),
+            ("simplegame 1\nplayers \u00b2\nform weighted\n", "bad-players"),
+        ):
+            code, out, err = call(["dim"], stdin_text=text)
+            assert code == 1 and out == "" and error in err
+            assert "Traceback" not in err
 
     def test_validation_error_is_exit_one(self):
         code, _, err = call(

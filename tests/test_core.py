@@ -222,6 +222,27 @@ class TestCombine:
         assert single.form == gd.INTERSECTION
         assert games_agree_by_hand(single, gd.SimpleGame.from_weighted(wg))
 
+    def test_truth_table_folds_one_part_at_a_time(self):
+        # 64 part tables of 2^16 entries held at once would peak near 5 MiB.
+        import tracemalloc
+
+        n = 16
+        parts = [
+            gd.make_weighted(8 + k % 8, [1 + (j * k) % 5 for j in range(n)]) for k in range(64)
+        ]
+        game = gd.combine(gd.INTERSECTION, parts)
+        tracemalloc.start()
+        try:
+            table = game.truth_table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        expected = np.logical_and.reduce(
+            [gd.SimpleGame.from_weighted(p).truth_table for p in parts]
+        )
+        assert (table == expected).all()
+
     def test_rejects_empty_and_mismatched_parts(self):
         with pytest.raises(gd.InvalidGameError):
             gd.combine(gd.INTERSECTION, [])

@@ -94,8 +94,10 @@ class TestParseErrors:
         assert err.code == "bad-header" and err.line == 3
 
     def test_bad_players(self):
-        err = parse_error("simplegame 1\nplayers two\nform weighted\nwmg 1 : 1\n")
-        assert err.code == "bad-players" and err.line == 2
+        # Only ASCII digits count: "²" passes str.isdigit and "٣" is int 3.
+        for count in ("two", "\u00b2", "\u0663"):
+            err = parse_error(f"simplegame 1\nplayers {count}\nform weighted\nwmg 1 : 1\n")
+            assert err.code == "bad-players" and err.line == 2
 
     def test_player_limit(self):
         err = parse_error(

@@ -262,7 +262,8 @@ RATIONAL_INFEASIBLE_ROWS = [
     (as_fractions("3/4", -5, "-3/5"), gd.GE, -1),
 ]
 
-# Certificates as the Bland pivot sequence over rationals returns them:
+# Certificates as the Bland pivot sequence over rationals returns them, with
+# phase-one artificials that never re-enter the basis once they have left:
 # (lp, assignment) for feasible and (lp, (row multipliers, sign-row
 # multipliers)) for infeasible systems.
 GOLDEN_FEASIBLE = [
@@ -304,6 +305,17 @@ GOLDEN_INFEASIBLE = [
         ((1, Fraction(1517, 504)),),
         id="rational-free-variable",
     ),
+    # The is_weighted LP of gen_random_monotone(7, 7, 2006): with artificial
+    # columns stored, Bland's rule brings a departed artificial back here.
+    pytest.param(
+        separation_lp(
+            7, [(3, 4, 5), (3, 6), (4, 7)],
+            [(1, 2, 3, 4), (1, 2, 4, 5, 6), (1, 2, 3, 5, 7), (1, 2, 5, 6, 7)],
+        ),
+        as_fractions(1, 1, 1, 2, 0, 0, 1, 0),
+        ((0, Fraction(3)), (1, Fraction(3))),
+        id="artificial-not-re-entered",
+    ),
 ]
 
 
@@ -312,7 +324,11 @@ def all_fractions(values):
 
 
 class TestGoldenCertificates:
-    """Exact certificates pinned, so the pivot sequence itself is tested."""
+    """Exact certificates pinned, so the pivot sequence itself is tested.
+
+    Bland's rule scans the stored columns only, so an artificial that has
+    left the basis never re-enters; the last infeasible case pins that.
+    """
 
     @pytest.mark.parametrize("lp, assignment", GOLDEN_FEASIBLE)
     def test_feasible_assignment(self, lp, assignment):
