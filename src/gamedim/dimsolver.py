@@ -12,9 +12,12 @@ Both reduce to a minimum-partition problem over the extremal coalitions:
   coalition and wins on all of A (``realizable``).
 
 Block feasibility is an exact rational LP and is downward closed, so a
-minimum cover can be assumed to be a partition.  The oracle cache keeps the
-feasible and the infeasible target-subset bitmasks it has solved and answers
-every later subset or superset from them.  One iterative-deepening partition
+minimum cover can be assumed to be a partition.  The oracle cache keys each
+feasible entry by its witness's cover, the bitmask of every target that the
+witness separates, and each infeasible entry by the block solved; it answers
+every later subset of a cover or superset of an infeasible block from them.
+Pair blocks are queried before singletons, so a feasible pair's witness also
+answers both of its singletons.  One iterative-deepening partition
 search tries each block count from a clique bound of the pairwise-
 incompatibility graph up.  It places the targets one at a time, in the first
 block the oracle accepts or else a new one, and backtracks when an attempt
@@ -63,24 +66,27 @@ class DimensionWitness:
 class SeparabilityOracleCache:
     """Block-feasibility oracle keyed by target-subset bitmasks.
 
-    Feasibility is downward closed: the witness of a cached feasible superset
-    is reused for every subset, and a cached infeasible subset settles every
-    superset.  The two lists only grow at the end, so they also answer
-    repeats: a repeated query finds the same first match, or its own entry,
-    and gets the same witness object.  Under concurrent use two threads may
-    solve the same mask; both outcomes are correct, so the duplicate only
-    costs one LP.
+    ``solver(mask)`` returns None for an infeasible block, or a pair
+    ``(cover, witness)`` where ``cover`` is the bitmask of every target the
+    witness separates; it must contain ``mask``, or ``query`` raises
+    ``CertificateError``.  A feasible entry is keyed by its cover, so its
+    witness answers every block inside the cover, not only subsets of the
+    block that was solved; a cached infeasible block settles every superset.
+    The two lists only grow at the end, so they also answer repeats: a
+    repeated query finds the same first match, or its own entry, and gets the
+    same witness object.  Under concurrent use two threads may solve the same
+    mask; both outcomes are correct, so the duplicate only costs one LP.
     """
 
-    def __init__(self, solver: Callable[[int], WeightedGame | None]):
+    def __init__(self, solver: Callable[[int], tuple[int, WeightedGame] | None]):
         self._solver = solver
         self._feasible: list[tuple[int, WeightedGame]] = []
         self._infeasible: list[int] = []
         self.lp_solves = 0
 
     def query(self, mask: int) -> WeightedGame | None:
-        for fmask, witness in self._feasible:
-            if mask & ~fmask == 0:
+        for cover, witness in self._feasible:
+            if mask & ~cover == 0:
                 return witness
         for imask in self._infeasible:
             if imask & ~mask == 0:
@@ -89,9 +95,12 @@ class SeparabilityOracleCache:
         self.lp_solves += 1
         if outcome is None:
             self._infeasible.append(mask)
-        else:
-            self._feasible.append((mask, outcome))
-        return outcome
+            return None
+        cover, witness = outcome
+        if mask & ~cover:
+            raise _lp.CertificateError("witness does not separate every target of its block")
+        self._feasible.append((cover, witness))
+        return witness
 
 
 def _player_row(mask: int, n: int, quota_coeff) -> list:
@@ -138,6 +147,15 @@ def _solve_separation(
         if game._weight_of_mask(m) > game.quota - 1:
             raise _lp.CertificateError("scaled weighted game misses a losing constraint")
     return game
+
+
+def _cover(part: WeightedGame, target_masks: Sequence[int], wins: bool) -> int:
+    """Bitmask of the targets on which ``part`` wins (``wins``) or loses."""
+    cover = 0
+    for i, m in enumerate(target_masks):
+        if (part._weight_of_mask(m) >= part.quota) == wins:
+            cover |= 1 << i
+    return cover
 
 
 def _coalition_masks(coalitions: Iterable[Coalition], n: int, label: str) -> list[int]:
@@ -215,16 +233,15 @@ def _minimum_partition(count: int, cache: SeparabilityOracleCache) -> list[int]:
     full = (1 << count) - 1
     if cache.query(full) is not None:
         return [full]
-    for i in range(count):
-        if cache.query(1 << i) is None:
-            raise RuntimeError("internal error: a singleton target block is infeasible")
-
     adj = [0] * count
     for i in range(count):
         for j in range(i + 1, count):
             if cache.query((1 << i) | (1 << j)) is None:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
+    for i in range(count):
+        if cache.query(1 << i) is None:
+            raise RuntimeError("internal error: a singleton target block is infeasible")
 
     by_degree = sorted(range(count), key=lambda v: (-adj[v].bit_count(), v))
     clique = _greedy_clique(by_degree, adj)
@@ -273,7 +290,7 @@ def _minimum_partition(count: int, cache: SeparabilityOracleCache) -> list[int]:
 def _witnessed_partition(
     game: SimpleGame,
     targets: Sequence[Coalition],
-    solver: Callable[[int], WeightedGame | None],
+    solver: Callable[[int], tuple[int, WeightedGame] | None],
     kind: str,
 ) -> DimensionWitness:
     if len(targets) > COVER_MAX:
@@ -297,9 +314,10 @@ def dimension(game: SimpleGame) -> DimensionWitness:
     win_masks = [c.members for c in sets.minimal_winning]
     target_masks = [c.members for c in sets.maximal_losing]
 
-    def solver(mask: int) -> WeightedGame | None:
+    def solver(mask: int) -> tuple[int, WeightedGame] | None:
         lose = [target_masks[i] for i in _iter_bits(mask)]
-        return _solve_separation(game.n, win_masks, lose, False)
+        part = _solve_separation(game.n, win_masks, lose, False)
+        return None if part is None else (_cover(part, target_masks, False), part)
 
     return _witnessed_partition(game, sets.maximal_losing, solver, INTERSECTION)
 
@@ -317,9 +335,10 @@ def codimension(game: SimpleGame) -> DimensionWitness:
     lose_masks = [c.members for c in sets.maximal_losing]
     target_masks = [c.members for c in sets.minimal_winning]
 
-    def solver(mask: int) -> WeightedGame | None:
+    def solver(mask: int) -> tuple[int, WeightedGame] | None:
         win = [target_masks[i] for i in _iter_bits(mask)]
-        return _solve_separation(game.n, win, lose_masks, True)
+        part = _solve_separation(game.n, win, lose_masks, True)
+        return None if part is None else (_cover(part, target_masks, True), part)
 
     return _witnessed_partition(game, sets.minimal_winning, solver, UNION)
 

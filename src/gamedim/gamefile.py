@@ -23,6 +23,8 @@ lines that are equal or nested, taking pairs in the order of that later line.
 
 from __future__ import annotations
 
+import re
+
 from .core import (
     EXPLICIT,
     FORMS,
@@ -81,11 +83,11 @@ def _parse_wmg_line(lineno: int, line: str, n: int) -> WeightedGame:
     tokens = line.split()
     if len(tokens) < 3 or tokens[0] != "wmg" or tokens[2] != ":":
         raise GameParseError("bad-wmg", lineno, "expected 'wmg <quota> : <weights>'")
-    try:
-        quota = int(tokens[1])
-        weights = [int(t) for t in tokens[3:]]
-    except ValueError:
+    numbers = [tokens[1], *tokens[3:]]
+    # int() alone also reads "٣" and "２" as digits and "1_0" as 10.
+    if not all(re.fullmatch(r"[+-]?[0-9]+", t) for t in numbers):
         raise GameParseError("bad-wmg", lineno, "quota and weights must be integers")
+    quota, *weights = map(int, numbers)
     if len(weights) != n:
         raise GameParseError(
             "bad-wmg", lineno, f"expected {n} weights, got {len(weights)}"

@@ -18,24 +18,36 @@ becomes the new d, and it is always positive, so signs of reduced costs and
 ratios compared by cross-multiplication are those of the rational tableau,
 and the pivot sequence is the one Bland's rule takes over the rationals.
 
-The tableau stores the structural and surplus columns only.  Each row's
-artificial variable is a basis label with no column, so an artificial that
-leaves the basis never re-enters (Chvátal, *Linear Programming*, 1983).  Its
-column would be a fixed multiple of its row's surplus column, so dropping it
-changes no other column, and the pivots are those of the full tableau up to
-the first point where Bland's rule would bring an artificial back.  Bland's
-rule terminates between two departures (Bland, Math. Oper. Res. 1977), and
-there are at most m departures.  Once the artificial sum reaches zero every
-further pivot is degenerate, so a feasible assignment is the one the full
-tableau gives.
+Phase one starts from slack columns where it can (Chvátal, *Linear
+Programming*, 1983; Maros, *Computational Techniques of the Simplex Method*,
+2003, on crash bases).  A row whose >=-oriented rhs is at most 0 already
+holds at x = 0; it is negated, so its surplus column is +e_i, and its
+surplus starts basic at the value -rhs >= 0.  Only a row with rhs > 0 gets
+an artificial, and only those rows enter the phase-one objective.  Every win
+row w.S - q >= 0 of a separation LP has rhs 0, so such an LP starts with
+nearly all of its rows basic in their surplus.
+
+The tableau stores the structural and surplus columns only.  Each artificial
+is a basis label with no column, so an artificial that leaves the basis never
+re-enters (Chvátal 1983).  Its column would be a fixed multiple of its row's
+surplus column, so dropping it changes no other column, and the pivots are
+those of the full tableau up to the first point where Bland's rule would
+bring an artificial back.  The mixed start of surplus and artificial labels
+is a feasible basis of the phase-one problem, so Bland's rule terminates
+between two departures (Bland, Math. Oper. Res. 1977), and there are at most
+m departures.  Phase one stops as soon as the artificial sum is zero: every
+further pivot would be degenerate, so the feasible assignment is the one a
+longer run would give.
 
 Both kinds of Farkas multiplier are reduced costs of the final tableau (LP
 duality; Schrijver, *Theory of Linear and Integer Programming*, 1986): the
 multiplier of a row is the reduced cost of its surplus column, and that of a
 sign row x_j >= 0 is the reduced cost of x_j's column over the common factor.
-Phase one stops only when no stored column has a negative reduced cost, and
-a certificate needs nothing more than those signs, so the drop rule keeps
-every infeasible answer certified.
+Negating a row negates both its surplus column and its dual value, so that
+reading holds whether a row starts with its artificial or its surplus.  An
+infeasible phase one stops only when no stored column has a negative reduced
+cost, and a certificate needs nothing more than those signs, so the drop rule
+keeps every infeasible answer certified.
 
 ``fractions.Fraction`` values are formed only when the result is built.  The
 verifier puts a certificate over one common denominator and substitutes its
@@ -247,19 +259,22 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
     ncols = surplus0 + m
 
     # Rows oriented as >= and multiplied by one common factor, so that the
-    # rescaled problem takes the same pivots and has the same multipliers,
-    # then sign-normalised to nonnegative rhs.  The reduced-cost row for
-    # minimising the artificial sum goes last, its rhs entry the negated
-    # objective value.
+    # rescaled problem takes the same pivots and has the same multipliers.
+    # A row with rhs > 0 starts with its artificial basic; any other row is
+    # negated, so its surplus column is +e_i and x = 0 leaves the surplus at
+    # -rhs >= 0, and starts with its surplus basic.  The reduced-cost row for
+    # minimising the artificial sum goes last: minus the sum of the rows that
+    # have an artificial, its rhs entry the negated objective value.
     scale = math.lcm(
         *(v.denominator for con in lp.constraints for v in (*con.coeffs, con.rhs))
     )
     tableau: list[list[int]] = []
+    basis: list[int] = []
     z = [0] * (ncols + 1)
     for i, con in enumerate(lp.constraints):
         ge = 1 if con.relation == GE else -1
         rhs = ge * con.rhs.numerator * (scale // con.rhs.denominator)
-        norm = 1 if rhs >= 0 else -1
+        norm = 1 if rhs > 0 else -1
         s = ge * norm
         row = [0] * (ncols + 1)
         for c, (pos, neg) in zip(con.coeffs, col_of_var):
@@ -270,12 +285,15 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
         row[surplus0 + i] = -norm
         row[ncols] = norm * rhs
         tableau.append(row)
-        z = [a - b for a, b in zip(z, row)]
+        if norm > 0:
+            basis.append(ncols + i)
+            z = [a - b for a, b in zip(z, row)]
+        else:
+            basis.append(surplus0 + i)
     tableau.append(z)
 
-    basis = [ncols + i for i in range(m)]
     d = 1
-    while True:
+    while tableau[m][ncols]:  # stop once the artificial sum is zero
         z = tableau[m]
         enter = -1
         for j in range(ncols):  # Bland: smallest eligible column index

@@ -301,7 +301,11 @@ class TestOracleCache:
 
         def solver(mask):
             chosen = [targets[i] for i in range(len(targets)) if mask >> i & 1]
-            return gd.co_realizable(sets.minimal_winning, chosen)
+            part = gd.co_realizable(sets.minimal_winning, chosen)
+            if part is None:
+                return None
+            cover = sum(1 << i for i, t in enumerate(targets) if not part.wins(t))
+            return cover, part
 
         return gd.SeparabilityOracleCache(solver)
 
@@ -335,3 +339,23 @@ class TestOracleCache:
         assert cache.query(0b111) is None
         assert cache.query(0b1110) is None
         assert cache.lp_solves == solves
+
+    def test_witness_answers_every_block_inside_its_cover(self):
+        # Of the four maximal losing targets, the witness found for {0, 1}
+        # also loses on target 2, so it answers {1, 2} without another LP.
+        game = gd.gen_random_monotone(4, 4, 1003)
+        targets = list(gd.extremal_sets(game).maximal_losing)
+        assert len(targets) == 4
+        cache = self._dimension_cache(game)
+        witness = cache.query(0b0011)
+        assert witness is not None
+        cover = sum(1 << i for i, t in enumerate(targets) if not witness.wins(t))
+        assert cover & 0b0011 == 0b0011 and cover != 0b0011
+        solves = cache.lp_solves
+        assert cache.query(0b0110) is witness
+        assert cache.lp_solves == solves
+
+    def test_cover_missing_the_block_is_refused(self):
+        cache = gd.SeparabilityOracleCache(lambda mask: (0b01, gd.make_weighted(1, [1])))
+        with pytest.raises(gd.CertificateError):
+            cache.query(0b11)

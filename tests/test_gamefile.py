@@ -162,6 +162,16 @@ class TestParseErrors:
         err = parse_error("simplegame 1\nplayers 2\nform weighted\nwmg 1 1 1\n")
         assert err.code == "bad-wmg" and err.line == 4
 
+    def test_wmg_numbers_are_ascii_decimal(self):
+        # int() would read the quota "٣" as 3, "1_0" as 10 and "２" as 2.
+        for line in ("wmg ٣ : 1 1", "wmg 1 : 1_0 1", "wmg 1 : 1 ２"):
+            err = parse_error(f"simplegame 1\nplayers 2\nform weighted\n{line}\n")
+            assert err.code == "bad-wmg" and err.line == 4
+        game = gd.parse_game("simplegame 1\nplayers 2\nform weighted\nwmg +2 : 02 1\n")
+        assert game.parts == (gd.make_weighted(2, [2, 1]),)
+        err = parse_error("simplegame 1\nplayers 2\nform weighted\nwmg 1 : -1 2\n")
+        assert err.code == "invalid-wmg" and err.line == 4
+
     def test_bad_wmg_width(self):
         err = parse_error("simplegame 1\nplayers 3\nform weighted\nwmg 1 : 1 1\n")
         assert err.code == "bad-wmg" and err.line == 4

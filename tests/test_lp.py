@@ -262,9 +262,11 @@ RATIONAL_INFEASIBLE_ROWS = [
     (as_fractions("3/4", -5, "-3/5"), gd.GE, -1),
 ]
 
-# Certificates as the Bland pivot sequence over rationals returns them, with
-# phase-one artificials that never re-enter the basis once they have left:
-# (lp, assignment) for feasible and (lp, (row multipliers, sign-row
+# Certificates as the Bland pivot sequence over rationals returns them from a
+# slack start (a row already met at x = 0 starts with its surplus basic, and
+# only the others get an artificial), with artificials that never re-enter
+# the basis once they have left and no pivot after the artificial sum reaches
+# zero: (lp, assignment) for feasible and (lp, (row multipliers, sign-row
 # multipliers)) for infeasible systems.
 GOLDEN_FEASIBLE = [
     pytest.param(
@@ -282,15 +284,15 @@ GOLDEN_FEASIBLE = [
     ),
     pytest.param(
         lp_of(RATIONAL_FEASIBLE_ROWS, 3, nonneg=(1, 2)),
-        as_fractions("-41/27", "104/567", "106/189"),
+        as_fractions("-241/383", "200/383", "81/383"),
         id="rational-free-variable",
     ),
 ]
 GOLDEN_INFEASIBLE = [
     pytest.param(
         separation_lp(6, EXAMPLE1_3_TRANSVERSALS, [(1, 2, 3, 4), (1, 2, 5, 6)]),
-        as_fractions(0, 0, 0, 0, 1, 0, 0, 1, 1, 1, 0),
-        ((0, Fraction(2)),),
+        as_fractions(0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 0),
+        ((1, Fraction(2)),),
         id="example1-two-pairs",
     ),
     pytest.param(
@@ -305,15 +307,16 @@ GOLDEN_INFEASIBLE = [
         ((1, Fraction(1517, 504)),),
         id="rational-free-variable",
     ),
-    # The is_weighted LP of gen_random_monotone(7, 7, 2006): with artificial
-    # columns stored, Bland's rule brings a departed artificial back here.
+    # The is_weighted LP of gen_random_monotone(7, 7, 2006): with an artificial
+    # on every row and artificial columns stored, Bland's rule brought a
+    # departed artificial back here.
     pytest.param(
         separation_lp(
             7, [(3, 4, 5), (3, 6), (4, 7)],
             [(1, 2, 3, 4), (1, 2, 4, 5, 6), (1, 2, 3, 5, 7), (1, 2, 5, 6, 7)],
         ),
-        as_fractions(1, 1, 1, 2, 0, 0, 1, 0),
-        ((0, Fraction(3)), (1, Fraction(3))),
+        as_fractions(0, 2, 2, 1, 1, 1, 1, 0),
+        ((0, Fraction(4)), (1, Fraction(4)), (4, Fraction(3))),
         id="artificial-not-re-entered",
     ),
 ]
@@ -326,8 +329,11 @@ def all_fractions(values):
 class TestGoldenCertificates:
     """Exact certificates pinned, so the pivot sequence itself is tested.
 
-    Bland's rule scans the stored columns only, so an artificial that has
-    left the basis never re-enters; the last infeasible case pins that.
+    Phase one starts each row that x = 0 already meets with its surplus
+    basic, and stops as soon as the artificial sum is zero.  Bland's rule
+    scans the stored columns only, so an artificial that has left the basis
+    never re-enters; the last infeasible case is one where, with an artificial
+    column stored for every row, one did.
     """
 
     @pytest.mark.parametrize("lp, assignment", GOLDEN_FEASIBLE)
