@@ -12,7 +12,12 @@ Both reduce to a minimum-partition problem over the extremal coalitions:
   coalition and wins on all of A (``realizable``).
 
 Block feasibility is an exact rational LP and is downward closed, so a
-minimum cover can be assumed to be a partition.  The oracle cache keys each
+minimum cover can be assumed to be a partition.  Every LP of one call begins
+with the same fixed rows: the minimal winning rows and the quota row for
+dimension, the maximal losing rows, the quota row and the grand-coalition row
+for codimension.  Phase one runs on those rows once per call, and each block's
+LP appends its target rows to that finished tableau and continues; the start
+is shared by every query and never changed.  The oracle cache keys each
 feasible entry by its witness's cover, the bitmask of every target that the
 witness separates, and each infeasible entry by the block solved; it answers
 every later subset of a cover or superset of an infeasible block from them.
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from . import lp as _lp
@@ -75,7 +81,10 @@ class SeparabilityOracleCache:
     The two lists only grow at the end, so they also answer repeats: a
     repeated query finds the same first match, or its own entry, and gets the
     same witness object.  Under concurrent use two threads may solve the same
-    mask; both outcomes are correct, so the duplicate only costs one LP.
+    mask; both outcomes are correct, so the duplicate only costs one LP.  The
+    solvers that :func:`dimension` and :func:`codimension` pass in extend one
+    phase-one start, which they share and only read, so concurrent queries
+    need no lock for it either.
     """
 
     def __init__(self, solver: Callable[[int], tuple[int, WeightedGame] | None]):
@@ -103,25 +112,34 @@ class SeparabilityOracleCache:
         return witness
 
 
-def _player_row(mask: int, n: int, quota_coeff) -> list:
-    row = [1 if mask >> (j + 1) & 1 else 0 for j in range(n)]
-    row.append(quota_coeff)
-    return row
+def _separation_rows(
+    n: int, fixed_masks: Sequence[int], target_masks: Sequence[int], union: bool
+) -> tuple[tuple[_lp.Constraint, ...], list[_lp.Constraint]]:
+    """Rows of the separation LP for a weighted game [q; w] over w_1..w_n, q.
+
+    The fixed rows come first: one per fixed coalition, the quota row q >= 1
+    and, for a union factor, the grand coalition winning, so that an empty
+    target set still gives a valid game.  Then one row per target.  An
+    intersection factor wins on the fixed coalitions and loses on the
+    targets; a union factor the reverse.
+    """
+    win, lose = (_lp.GE, 0), (_lp.LE, -1)
+    fixed_side, target_side = (lose, win) if union else (win, lose)
+
+    def row(mask, relation, rhs):
+        coeffs = [1 if mask >> (j + 1) & 1 else 0 for j in range(n)]
+        coeffs.append(-1)
+        return _lp.Constraint(coeffs, relation, rhs)
+
+    fixed = [row(m, *fixed_side) for m in fixed_masks]
+    fixed.append(_lp.Constraint((0,) * n + (1,), _lp.GE, 1))
+    if union:
+        fixed.append(_lp.Constraint((1,) * n + (-1,), _lp.GE, 0))
+    return tuple(fixed), [row(m, *target_side) for m in target_masks]
 
 
-def _separation_lp(
-    n: int, win_masks: Sequence[int], lose_masks: Sequence[int], require_grand: bool
-) -> _lp.LinearProgram:
-    """Feasibility system for a weighted game [q; w] over variables w_1..w_n, q."""
-    rows = []
-    for m in win_masks:
-        rows.append(_lp.Constraint(_player_row(m, n, -1), _lp.GE, 0))
-    for m in lose_masks:
-        rows.append(_lp.Constraint(_player_row(m, n, -1), _lp.LE, -1))
-    rows.append(_lp.Constraint((0,) * n + (1,), _lp.GE, 1))
-    if require_grand:
-        rows.append(_lp.Constraint((1,) * n + (-1,), _lp.GE, 0))
-    return _lp.LinearProgram(n + 1, tuple(rows), frozenset(range(n + 1)))
+def _separation_lp(n: int, rows: Sequence[_lp.Constraint]) -> _lp.LinearProgram:
+    return _lp.LinearProgram(n + 1, rows, frozenset(range(n + 1)))
 
 
 def _integer_game(assignment: Sequence, n: int) -> WeightedGame:
@@ -133,19 +151,18 @@ def _integer_game(assignment: Sequence, n: int) -> WeightedGame:
 
 
 def _solve_separation(
-    n: int, win_masks: Sequence[int], lose_masks: Sequence[int], require_grand: bool
+    n: int, rows: Sequence[_lp.Constraint], start: _lp.Tableau | None = None
 ) -> WeightedGame | None:
-    program = _separation_lp(n, win_masks, lose_masks, require_grand)
-    result = _lp.solve_feasibility(program)
+    program = _separation_lp(n, rows)
+    result = _lp.solve_feasibility(program, start)
     if not result.feasible:
         return None
     game = _integer_game(result.assignment, n)
-    for m in win_masks:
-        if game._weight_of_mask(m) < game.quota:
-            raise _lp.CertificateError("scaled weighted game misses a winning constraint")
-    for m in lose_masks:
-        if game._weight_of_mask(m) > game.quota - 1:
-            raise _lp.CertificateError("scaled weighted game misses a losing constraint")
+    values = (*game.weights, game.quota)
+    for con in program.constraints:
+        value = sum(map(mul, con.coeffs, values))
+        if value < con.rhs if con.relation == _lp.GE else value > con.rhs:
+            raise _lp.CertificateError("scaled weighted game misses a separation row")
     return game
 
 
@@ -177,13 +194,7 @@ def co_realizable(
     integer representation obtained from the exact LP certificate, or None
     when the rational system is infeasible.
     """
-    mwc = tuple(mwc)
-    if not mwc:
-        raise InvalidGameError("need at least one minimal winning coalition")
-    n = mwc[0].n
-    return _solve_separation(
-        n, _coalition_masks(mwc, n, "winning"), _coalition_masks(targets, n, "losing"), False
-    )
+    return _realize(mwc, targets, False)
 
 
 def realizable(
@@ -196,13 +207,25 @@ def realizable(
     coalitions.  The grand coalition is constrained to win so the empty
     target set still yields a valid weighted game.
     """
-    mlc = tuple(mlc)
-    if not mlc:
-        raise InvalidGameError("need at least one maximal losing coalition")
-    n = mlc[0].n
-    return _solve_separation(
-        n, _coalition_masks(targets, n, "winning"), _coalition_masks(mlc, n, "losing"), True
+    return _realize(mlc, targets, True)
+
+
+def _realize(
+    fixed: Sequence[Coalition], targets: Iterable[Coalition], union: bool
+) -> WeightedGame | None:
+    fixed = tuple(fixed)
+    if not fixed:
+        side = "maximal losing" if union else "minimal winning"
+        raise InvalidGameError(f"need at least one {side} coalition")
+    n = fixed[0].n
+    fixed_label, target_label = ("losing", "winning") if union else ("winning", "losing")
+    fixed_rows, target_rows = _separation_rows(
+        n,
+        _coalition_masks(fixed, n, fixed_label),
+        _coalition_masks(targets, n, target_label),
+        union,
     )
+    return _solve_separation(n, fixed_rows + tuple(target_rows))
 
 
 def _iter_bits(mask: int):
@@ -288,17 +311,22 @@ def _minimum_partition(count: int, cache: SeparabilityOracleCache) -> list[int]:
 
 
 def _witnessed_partition(
-    game: SimpleGame,
-    targets: Sequence[Coalition],
-    solver: Callable[[int], tuple[int, WeightedGame] | None],
-    kind: str,
+    game: SimpleGame, fixed_masks: Sequence[int], target_masks: Sequence[int], kind: str
 ) -> DimensionWitness:
-    if len(targets) > COVER_MAX:
+    if len(target_masks) > COVER_MAX:
         raise SizeLimitError(
-            f"{len(targets)} separation targets exceed the solver cap of {COVER_MAX}"
+            f"{len(target_masks)} separation targets exceed the solver cap of {COVER_MAX}"
         )
+    n, union = game.n, kind == UNION
+    fixed, rows = _separation_rows(n, fixed_masks, target_masks, union)
+    start = _lp.warm_start(_separation_lp(n, fixed))
+
+    def solver(mask: int) -> tuple[int, WeightedGame] | None:
+        part = _solve_separation(n, fixed + tuple(rows[i] for i in _iter_bits(mask)), start)
+        return None if part is None else (_cover(part, target_masks, union), part)
+
     cache = SeparabilityOracleCache(solver)
-    partition = _minimum_partition(len(targets), cache)
+    partition = _minimum_partition(len(target_masks), cache)
     parts = tuple(cache.query(bm) for bm in partition)
     witness = DimensionWitness(len(parts), parts, kind)
     if not equivalent(witness.as_game(), game):
@@ -311,15 +339,12 @@ def dimension(game: SimpleGame) -> DimensionWitness:
     if game.form == WEIGHTED:
         return DimensionWitness(1, game.parts, INTERSECTION)
     sets = extremal_sets(game)
-    win_masks = [c.members for c in sets.minimal_winning]
-    target_masks = [c.members for c in sets.maximal_losing]
-
-    def solver(mask: int) -> tuple[int, WeightedGame] | None:
-        lose = [target_masks[i] for i in _iter_bits(mask)]
-        part = _solve_separation(game.n, win_masks, lose, False)
-        return None if part is None else (_cover(part, target_masks, False), part)
-
-    return _witnessed_partition(game, sets.maximal_losing, solver, INTERSECTION)
+    return _witnessed_partition(
+        game,
+        [c.members for c in sets.minimal_winning],
+        [c.members for c in sets.maximal_losing],
+        INTERSECTION,
+    )
 
 
 def codimension(game: SimpleGame) -> DimensionWitness:
@@ -332,15 +357,12 @@ def codimension(game: SimpleGame) -> DimensionWitness:
     if game.form == WEIGHTED:
         return DimensionWitness(1, game.parts, UNION)
     sets = extremal_sets(game)
-    lose_masks = [c.members for c in sets.maximal_losing]
-    target_masks = [c.members for c in sets.minimal_winning]
-
-    def solver(mask: int) -> tuple[int, WeightedGame] | None:
-        win = [target_masks[i] for i in _iter_bits(mask)]
-        part = _solve_separation(game.n, win, lose_masks, True)
-        return None if part is None else (_cover(part, target_masks, True), part)
-
-    return _witnessed_partition(game, sets.minimal_winning, solver, UNION)
+    return _witnessed_partition(
+        game,
+        [c.members for c in sets.maximal_losing],
+        [c.members for c in sets.minimal_winning],
+        UNION,
+    )
 
 
 def is_weighted(game: SimpleGame) -> WeightedGame | None:

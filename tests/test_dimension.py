@@ -193,6 +193,49 @@ class TestSolverAgreement:
                 assert gd.dimension(game).value == gd.codimension(game).value
 
 
+def fixed_separation_rows(game, union):
+    """The rows every oracle LP of one call shares, built from the definitions:
+    w(S) - q >= 0 on each minimal winning S (dimension) or <= -1 on each
+    maximal losing S (codimension), q >= 1, and for codimension w(N) - q >= 0."""
+    sets = gd.extremal_sets(game)
+    n = game.n
+
+    def row(coalition, relation, rhs):
+        coeffs = tuple(int(j in coalition) for j in range(1, n + 1)) + (-1,)
+        return gd.Constraint(coeffs, relation, rhs)
+
+    if union:
+        rows = [row(c, gd.LE, -1) for c in sets.maximal_losing]
+    else:
+        rows = [row(c, gd.GE, 0) for c in sets.minimal_winning]
+    rows.append(gd.Constraint((0,) * n + (1,), gd.GE, 1))
+    if union:
+        rows.append(gd.Constraint((1,) * n + (-1,), gd.GE, 0))
+    return tuple(rows)
+
+
+class TestSharedFixedRows:
+    @pytest.mark.parametrize(
+        "solve, game, union, expected",
+        [
+            (gd.dimension, gd.gen_example1(4), False, 4),
+            (gd.codimension, gd.gen_ssp(gd.SSPInstance(3, (1, 2, 3), 2)), True, 2),
+        ],
+        ids=["dim-example1-4", "codim-ssp-yes-2"],
+    )
+    def test_every_oracle_lp_begins_with_the_fixed_rows(self, solve, game, union, expected):
+        fixed = fixed_separation_rows(game, union)
+        with gd.record_certificates() as log:
+            witness = solve(game)
+        assert witness.value == expected
+        assert games_agree_by_hand(witness.as_game(), game)
+        assert log
+        for lp, result in log:
+            assert lp.constraints[: len(fixed)] == fixed
+            assert len(lp.constraints) > len(fixed)
+            gd.verify_certificate(lp, result)
+
+
 class TestIsWeighted:
     def test_rederives_majority_from_explicit_form(self):
         majority = gd.SimpleGame.from_weighted(gd.make_weighted(2, [1, 1, 1]))
