@@ -2,20 +2,22 @@
 
 The dimension of a game is the least k for which the game is an intersection
 of k weighted majority games; the codimension is the least k for a union.
-Both reduce to a minimum-partition problem over the extremal coalitions:
+Both reduce to one minimum-partition problem, solved by one separation LP:
+partition the targets into the fewest blocks B for which one weighted game
+wins on every fixed coalition and loses on all of B (``co_realizable``).
 
-* dimension   - partition the maximal losing coalitions into the fewest
-  blocks B for which one weighted game wins on every minimal winning
-  coalition and loses on all of B (``co_realizable``);
-* codimension - partition the minimal winning coalitions into the fewest
-  blocks A for which one weighted game loses on every maximal losing
-  coalition and wins on all of A (``realizable``).
+* dimension   - the fixed coalitions are the minimal winning ones and the
+  targets the maximal losing ones;
+* codimension - the fixed coalitions are the complements N - L of the
+  maximal losing L and the targets the complements N - A of the minimal
+  winning A.  The dual [w(N) - q + 1; w] of a game found for a block then
+  loses on every L and wins on the block's A (``realizable`` has the proof),
+  so each part is mapped back by ``dual_weighted``.
 
 Block feasibility is an exact rational LP and is downward closed, so a
 minimum cover can be assumed to be a partition.  Every LP of one call begins
-with the same fixed rows: the minimal winning rows and the quota row for
-dimension, the maximal losing rows, the quota row and the grand-coalition row
-for codimension.  Phase one runs on those rows once per call, and each block's
+with the same fixed rows: one winning row per fixed coalition and the quota
+row.  Phase one runs on those rows once per call, and each block's
 LP appends its target rows to that finished tableau and continues; the start
 is shared by every query and never changed.  The oracle cache keys each
 feasible entry by its witness's cover, the bitmask of every target that the
@@ -51,8 +53,9 @@ from .core import (
     SizeLimitError,
     WeightedGame,
     combine,
+    full_mask,
 )
-from .structure import equivalent, extremal_sets, maximal_losing, minimal_winning
+from .structure import dual_weighted, equivalent, extremal_sets, maximal_losing, minimal_winning
 
 COVER_MAX = 32
 
@@ -113,29 +116,23 @@ class SeparabilityOracleCache:
 
 
 def _separation_rows(
-    n: int, fixed_masks: Sequence[int], target_masks: Sequence[int], union: bool
+    n: int, fixed_masks: Sequence[int], target_masks: Sequence[int]
 ) -> tuple[tuple[_lp.Constraint, ...], list[_lp.Constraint]]:
     """Rows of the separation LP for a weighted game [q; w] over w_1..w_n, q.
 
-    The fixed rows come first: one per fixed coalition, the quota row q >= 1
-    and, for a union factor, the grand coalition winning, so that an empty
-    target set still gives a valid game.  Then one row per target.  An
-    intersection factor wins on the fixed coalitions and loses on the
-    targets; a union factor the reverse.
+    The fixed rows come first: w(S) - q >= 0 on each fixed coalition S, so
+    the game wins on it, and the quota row q >= 1.  Then w(T) - q <= -1 on
+    each target T, so the game loses on it.
     """
-    win, lose = (_lp.GE, 0), (_lp.LE, -1)
-    fixed_side, target_side = (lose, win) if union else (win, lose)
 
     def row(mask, relation, rhs):
         coeffs = [1 if mask >> (j + 1) & 1 else 0 for j in range(n)]
         coeffs.append(-1)
         return _lp.Constraint(coeffs, relation, rhs)
 
-    fixed = [row(m, *fixed_side) for m in fixed_masks]
+    fixed = [row(m, _lp.GE, 0) for m in fixed_masks]
     fixed.append(_lp.Constraint((0,) * n + (1,), _lp.GE, 1))
-    if union:
-        fixed.append(_lp.Constraint((1,) * n + (-1,), _lp.GE, 0))
-    return tuple(fixed), [row(m, *target_side) for m in target_masks]
+    return tuple(fixed), [row(m, _lp.LE, -1) for m in target_masks]
 
 
 def _separation_lp(n: int, rows: Sequence[_lp.Constraint]) -> _lp.LinearProgram:
@@ -166,20 +163,20 @@ def _solve_separation(
     return game
 
 
-def _cover(part: WeightedGame, target_masks: Sequence[int], wins: bool) -> int:
-    """Bitmask of the targets on which ``part`` wins (``wins``) or loses."""
+def _cover(part: WeightedGame, target_masks: Sequence[int]) -> int:
+    """Bitmask of the targets on which ``part`` loses."""
     cover = 0
     for i, m in enumerate(target_masks):
-        if (part._weight_of_mask(m) >= part.quota) == wins:
+        if part._weight_of_mask(m) < part.quota:
             cover |= 1 << i
     return cover
 
 
-def _coalition_masks(coalitions: Iterable[Coalition], n: int, label: str) -> list[int]:
+def _coalition_masks(coalitions: Iterable[Coalition], n: int) -> list[int]:
     masks = []
     for c in coalitions:
         if c.n != n:
-            raise InvalidGameError(f"{label} coalition over {c.n} players, expected {n}")
+            raise InvalidGameError(f"coalition over {c.n} players, expected {n}")
         masks.append(c.members)
     return masks
 
@@ -194,7 +191,12 @@ def co_realizable(
     integer representation obtained from the exact LP certificate, or None
     when the rational system is infeasible.
     """
-    return _realize(mwc, targets, False)
+    mwc = tuple(mwc)
+    if not mwc:
+        raise InvalidGameError("need at least one minimal winning coalition")
+    n = mwc[0].n
+    fixed, rows = _separation_rows(n, _coalition_masks(mwc, n), _coalition_masks(targets, n))
+    return _solve_separation(n, fixed + tuple(rows))
 
 
 def realizable(
@@ -204,28 +206,19 @@ def realizable(
 
     The mirror of :func:`co_realizable` for union factors: ``mlc`` is the
     maximal losing antichain, ``targets`` a subset of the minimal winning
-    coalitions.  The grand coalition is constrained to win so the empty
-    target set still yields a valid weighted game.
+    coalitions.  It is the dual, ``dual_weighted(p) = [w(N) - q* + 1; w]``,
+    of the game ``p = [q*; w]`` that :func:`co_realizable` finds winning on
+    each N - L and losing on each N - A: then w(L) = w(N) - w(N - L) <= q - 1
+    and w(A) = w(N) - w(N - A) >= q for the new quota q.  That q is a valid
+    quota and the grand coalition wins, so the empty target set still yields
+    a weighted game: q* <= w(N - L) <= w(N) on any fixed row gives q >= 1,
+    and q* >= 1 from the quota row gives w(N) >= q.
     """
-    return _realize(mlc, targets, True)
-
-
-def _realize(
-    fixed: Sequence[Coalition], targets: Iterable[Coalition], union: bool
-) -> WeightedGame | None:
-    fixed = tuple(fixed)
-    if not fixed:
-        side = "maximal losing" if union else "minimal winning"
-        raise InvalidGameError(f"need at least one {side} coalition")
-    n = fixed[0].n
-    fixed_label, target_label = ("losing", "winning") if union else ("winning", "losing")
-    fixed_rows, target_rows = _separation_rows(
-        n,
-        _coalition_masks(fixed, n, fixed_label),
-        _coalition_masks(targets, n, target_label),
-        union,
-    )
-    return _solve_separation(n, fixed_rows + tuple(target_rows))
+    mlc = tuple(mlc)
+    if not mlc:
+        raise InvalidGameError("need at least one maximal losing coalition")
+    part = co_realizable([c.complement() for c in mlc], [c.complement() for c in targets])
+    return None if part is None else dual_weighted(part)
 
 
 def _iter_bits(mask: int):
@@ -317,17 +310,19 @@ def _witnessed_partition(
         raise SizeLimitError(
             f"{len(target_masks)} separation targets exceed the solver cap of {COVER_MAX}"
         )
-    n, union = game.n, kind == UNION
-    fixed, rows = _separation_rows(n, fixed_masks, target_masks, union)
+    n = game.n
+    fixed, rows = _separation_rows(n, fixed_masks, target_masks)
     start = _lp.warm_start(_separation_lp(n, fixed))
 
     def solver(mask: int) -> tuple[int, WeightedGame] | None:
         part = _solve_separation(n, fixed + tuple(rows[i] for i in _iter_bits(mask)), start)
-        return None if part is None else (_cover(part, target_masks, union), part)
+        return None if part is None else (_cover(part, target_masks), part)
 
     cache = SeparabilityOracleCache(solver)
     partition = _minimum_partition(len(target_masks), cache)
     parts = tuple(cache.query(bm) for bm in partition)
+    if kind == UNION:
+        parts = tuple(map(dual_weighted, parts))
     witness = DimensionWitness(len(parts), parts, kind)
     if not equivalent(witness.as_game(), game):
         raise RuntimeError("internal error: witness parts do not recombine to the game")
@@ -350,17 +345,20 @@ def dimension(game: SimpleGame) -> DimensionWitness:
 def codimension(game: SimpleGame) -> DimensionWitness:
     """Least k with the game a union of k weighted games, plus parts.
 
-    Computed directly on the minimal winning coalitions with the union-factor
-    oracle; the dual identity dim(game) = codim(dual) is then a checkable
-    property rather than the implementation path.
+    A part [q; w] loses on every maximal losing L and wins on a minimal
+    winning A exactly when its dual [w(N) - q + 1; w] wins on N - L and loses
+    on N - A (see :func:`realizable`).  So the dimension oracle runs on the
+    complemented masks of the game's own extremal sets, and each part found
+    is mapped back by ``dual_weighted``; no dual game is built.
     """
     if game.form == WEIGHTED:
         return DimensionWitness(1, game.parts, UNION)
     sets = extremal_sets(game)
+    full = full_mask(game.n)
     return _witnessed_partition(
         game,
-        [c.members for c in sets.maximal_losing],
-        [c.members for c in sets.minimal_winning],
+        [full ^ c.members for c in sets.maximal_losing],
+        [full ^ c.members for c in sets.minimal_winning],
         UNION,
     )
 

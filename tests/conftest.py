@@ -88,11 +88,50 @@ def exhaustive_dimension(game):
             memo[key] = gd.co_realizable(mwc, [targets[i] for i in block]) is not None
         return memo[key]
 
-    best = len(targets)
-    for partition in all_partitions(list(range(len(targets)))):
+    return _least_feasible_partition(len(targets), block_ok)
+
+
+def _least_feasible_partition(count, block_ok):
+    best = count
+    for partition in all_partitions(list(range(count))):
         if len(partition) < best and all(block_ok(b) for b in partition):
             best = len(partition)
     return best
+
+
+def _union_part_exists(n, losing, winning):
+    """Whether one weighted game [q; w] loses on every coalition of ``losing``
+    and wins on every one of ``winning``, decided by an LP built here in the
+    union orientation: w(L) - q <= -1, w(A) - q >= 0, q >= 1, w(N) - q >= 0."""
+
+    def row(coalition, relation, rhs):
+        coeffs = tuple(int(j in coalition) for j in range(1, n + 1)) + (-1,)
+        return gd.Constraint(coeffs, relation, rhs)
+
+    rows = [row(c, gd.LE, -1) for c in losing]
+    rows += [row(c, gd.GE, 0) for c in winning]
+    rows.append(gd.Constraint((0,) * n + (1,), gd.GE, 1))
+    rows.append(gd.Constraint((1,) * n + (-1,), gd.GE, 0))
+    program = gd.LinearProgram(n + 1, rows, frozenset(range(n + 1)))
+    return gd.solve_feasibility(program).feasible
+
+
+def exhaustive_codimension(game):
+    """Minimum over all partitions of the minimal winning antichain, each block
+    decided by :func:`_union_part_exists` rather than by the package's
+    separation oracle; only sensible for small antichains."""
+    sets = gd.extremal_sets(game)
+    targets = list(sets.minimal_winning)
+    mlc = list(sets.maximal_losing)
+    memo = {}
+
+    def block_ok(block):
+        key = frozenset(block)
+        if key not in memo:
+            memo[key] = _union_part_exists(game.n, mlc, [targets[i] for i in block])
+        return memo[key]
+
+    return _least_feasible_partition(len(targets), block_ok)
 
 
 @pytest.fixture(scope="session")

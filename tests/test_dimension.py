@@ -3,7 +3,7 @@
 import pytest
 
 import gamedim as gd
-from conftest import exhaustive_dimension, games_agree_by_hand
+from conftest import exhaustive_codimension, exhaustive_dimension, games_agree_by_hand
 from gamedim.generators import splitmix64
 
 
@@ -65,6 +65,15 @@ class TestRealizable:
         assert part is not None
         for c in mlc:
             assert part.weight(c) <= part.quota - 1
+
+    def test_rejects_empty_losing_family(self):
+        with pytest.raises(gd.InvalidGameError):
+            gd.realizable([], [])
+
+    def test_rejects_target_over_other_player_count(self, example1_2):
+        _, _, mlc = example1_2
+        with pytest.raises(gd.InvalidGameError):
+            gd.realizable(mlc, [players([1, 2], 5)])
 
     def test_oracle_monotonicity(self):
         # Feasibility of a target set carries over to all of its subsets.
@@ -135,6 +144,11 @@ class TestCodimension:
             witness = gd.codimension(game)
             assert games_agree_by_hand(witness.as_game(), game)
 
+    def test_matches_exhaustive_partition_search(self, small_corpus):
+        for game in small_corpus:
+            if len(gd.minimal_winning(game)) <= 6:
+                assert gd.codimension(game).value == exhaustive_codimension(game)
+
     def test_equals_dimension_of_dual(self, small_corpus):
         for game in small_corpus:
             assert gd.codimension(game).value == gd.dimension(gd.dual(game)).value
@@ -193,38 +207,36 @@ class TestSolverAgreement:
                 assert gd.dimension(game).value == gd.codimension(game).value
 
 
-def fixed_separation_rows(game, union):
+def fixed_separation_rows(game, codim):
     """The rows every oracle LP of one call shares, built from the definitions:
-    w(S) - q >= 0 on each minimal winning S (dimension) or <= -1 on each
-    maximal losing S (codimension), q >= 1, and for codimension w(N) - q >= 0."""
+    w(S) - q >= 0 on each minimal winning S (dimension) or on the complement
+    N - L of each maximal losing L (codimension, whose parts are the duals of
+    the games these LPs find), then q >= 1."""
     sets = gd.extremal_sets(game)
     n = game.n
-
-    def row(coalition, relation, rhs):
-        coeffs = tuple(int(j in coalition) for j in range(1, n + 1)) + (-1,)
-        return gd.Constraint(coeffs, relation, rhs)
-
-    if union:
-        rows = [row(c, gd.LE, -1) for c in sets.maximal_losing]
+    if codim:
+        wins = [c.complement() for c in sets.maximal_losing]
     else:
-        rows = [row(c, gd.GE, 0) for c in sets.minimal_winning]
+        wins = sets.minimal_winning
+    rows = [
+        gd.Constraint(tuple(int(j in c) for j in range(1, n + 1)) + (-1,), gd.GE, 0)
+        for c in wins
+    ]
     rows.append(gd.Constraint((0,) * n + (1,), gd.GE, 1))
-    if union:
-        rows.append(gd.Constraint((1,) * n + (-1,), gd.GE, 0))
     return tuple(rows)
 
 
 class TestSharedFixedRows:
     @pytest.mark.parametrize(
-        "solve, game, union, expected",
+        "solve, game, codim, expected",
         [
             (gd.dimension, gd.gen_example1(4), False, 4),
             (gd.codimension, gd.gen_ssp(gd.SSPInstance(3, (1, 2, 3), 2)), True, 2),
         ],
         ids=["dim-example1-4", "codim-ssp-yes-2"],
     )
-    def test_every_oracle_lp_begins_with_the_fixed_rows(self, solve, game, union, expected):
-        fixed = fixed_separation_rows(game, union)
+    def test_every_oracle_lp_begins_with_the_fixed_rows(self, solve, game, codim, expected):
+        fixed = fixed_separation_rows(game, codim)
         with gd.record_certificates() as log:
             witness = solve(game)
         assert witness.value == expected
