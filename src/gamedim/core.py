@@ -11,20 +11,23 @@ simple game stores one of four representations of a monotone winning family:
 
 Every constructible game is proper: the empty coalition loses and the grand
 coalition wins.  All types are immutable and the per-game truth table is
-cached.  An explicit game builds its table at construction, as the superset
-closure of its antichain, and is valid exactly when the minimal winning
-coalitions of that table are the given ones; the other forms build theirs on
-first use (recomputation is harmless, so concurrent sharing is safe).
+cached.  The table is one Python int of 2^n bits: bit S is set exactly when
+the compact coalition S wins, where S = members >> 1 drops the unused bit 0,
+so bit j-1 of S stands for player j.  An explicit game builds its table at
+construction, as the superset closure of its antichain, and is valid exactly
+when the minimal winning coalitions of that table are the given ones; the
+other forms build theirs on first use (recomputation is harmless, so
+concurrent sharing is safe).
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import index as as_int
 from typing import Iterable, Sequence
-
-import numpy as np
 
 N_MAX = 24
 
@@ -193,47 +196,89 @@ class WeightedGame:
         return f"[{self.quota}; {', '.join(map(str, self.weights))}]"
 
 
-def _subset_weight_table(weights: Sequence[int]) -> np.ndarray:
-    """Vector of coalition weights indexed by compact mask (bit j-1 = player j)."""
-    if sum(weights) < 2**62:
-        table = np.zeros(1, dtype=np.int64)
-        for wj in weights:
-            table = np.concatenate([table, table + np.int64(wj)])
-        return table
-    # Huge weights: fall back to exact Python integers.
-    values: list[int] = [0]
-    for wj in weights:
-        values.extend(v + wj for v in list(values))
-    return np.array(values, dtype=object)
+_NONZERO_RUN = re.compile(rb"[^\x00]+")
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 
 
-def superset_closure(masks: Sequence[int], n: int) -> np.ndarray:
-    """Boolean table over compact masks, true exactly on supersets of ``masks``.
+def set_bits(x: int) -> list[int]:
+    """Ascending positions of the set bits of ``x >= 0``.
 
-    One zeta-transform pass per player: each coalition with player j+1
-    inherits the value of the same coalition without it.
+    One scan over the runs of nonzero bytes of ``x``; clearing the lowest
+    bit in a loop would copy a 2 MiB table once per set bit.
     """
-    table = np.zeros(1 << n, dtype=bool)
-    table[np.asarray(masks, dtype=np.int64)] = True
+    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    runs = _NONZERO_RUN.finditer(data)
+    return [8 * k + j for r in runs for k, b in enumerate(r[0], r.start()) for j in _BYTE_BITS[b]]
+
+
+def _bit_clear(j: int, n: int) -> int:
+    """Table of the compact masks below 2^n whose bit j is clear."""
+    pattern, width = (1 << (1 << j)) - 1, 2 << j
+    while width < 1 << n:
+        pattern |= pattern << width
+        width <<= 1
+    return pattern
+
+
+def _subset_weights(weights: Sequence[int]) -> list[int]:
+    """Coalition weights indexed by compact mask (bit j-1 = player j)."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
+def _weighted_table(part: WeightedGame) -> int:
+    """Truth table of one weighted part, met in the middle of its players.
+
+    The players split at h = n // 2.  Row k of the table holds the low-half
+    subsets of weight at least quota - w(k), for high-half subset k.  Sorted
+    heaviest first those subsets form a prefix, so each row is one of the
+    2^h + 1 prefix ORs, found by bisection; the rows are then concatenated
+    pairwise, doubling the width each time.
+    """
+    h = part.n // 2
+    low = _subset_weights(part.weights[:h])
+    prefixes = [0]
+    for i in sorted(range(len(low)), key=low.__getitem__, reverse=True):
+        prefixes.append(prefixes[-1] | 1 << i)
+    negated = sorted(-w for w in low)
+    high = _subset_weights(part.weights[h:])
+    rows = [prefixes[bisect_right(negated, w - part.quota)] for w in high]
+    width = 1 << h
+    while len(rows) > 1:
+        rows = [lo | hi << width for lo, hi in zip(rows[::2], rows[1::2])]
+        width <<= 1
+    return rows[0]
+
+
+def superset_closure(masks: Sequence[int], n: int) -> int:
+    """Table over compact masks, set exactly on supersets of ``masks``.
+
+    The masks are seeded through a byte buffer, since OR-ing each bit into a
+    growing int copies it every time.  Then one zeta-transform pass per
+    player: each coalition with player j+1 inherits the bit of the same
+    coalition without it.
+    """
+    seed = bytearray(((1 << n) + 7) // 8)
+    for m in masks:
+        seed[m >> 3] |= 1 << (m & 7)
+    table = int.from_bytes(seed, "little")
     for j in range(n):
-        pairs = table.reshape(-1, 2, 1 << j)
-        pairs[:, 1] |= pairs[:, 0]
+        table |= (table & _bit_clear(j, n)) << (1 << j)
     return table
 
 
-def minimal_masks(table: np.ndarray) -> np.ndarray:
-    """Ascending compact masks of the minimal true entries of a monotone table.
+def minimal_masks(table: int, n: int) -> list[int]:
+    """Ascending compact masks of the minimal set bits of a monotone table.
 
-    Under monotonicity an entry is minimal exactly when dropping any single
-    member makes it false, which is one vectorised pass per player.
+    Under monotonicity a bit is minimal exactly when dropping any single
+    member clears it, which is one shift pass per player.
     """
-    is_min = table.copy()
-    loses = ~table
-    for j in range(table.size.bit_length() - 1):
-        # Axis views pairing each coalition with its bit-j neighbour.
-        shape = (-1, 2, 1 << j)
-        is_min.reshape(shape)[:, 1] &= loses.reshape(shape)[:, 0]
-    return np.flatnonzero(is_min)
+    is_min = table
+    for j in range(n):
+        is_min &= ~((table & _bit_clear(j, n)) << (1 << j))
+    return set_bits(is_min)
 
 
 def first_nested_pair(masks: Sequence[int]) -> tuple[int, int] | None:
@@ -242,12 +287,10 @@ def first_nested_pair(masks: Sequence[int]) -> tuple[int, int] | None:
     This is the error path of the antichain check: it only names the pair
     once :func:`minimal_masks` has shown that one exists.
     """
-    arr = np.asarray(masks, dtype=np.int64)
-    for j in range(1, arr.size):
-        earlier = arr[:j]
-        hits = np.flatnonzero((earlier & ~arr[j] == 0) | (arr[j] & ~earlier == 0))
-        if hits.size:
-            return int(hits[0]), j
+    for j, b in enumerate(masks):
+        for i, a in enumerate(masks[:j]):
+            if a & ~b == 0 or b & ~a == 0:
+                return i, j
     return None
 
 
@@ -303,7 +346,7 @@ class SimpleGame:
             if c.members == 0:
                 raise InvalidGameError("the empty coalition cannot be winning")
         masks = [c.members >> 1 for c in coalitions]
-        if not np.array_equal(minimal_masks(self.truth_table), masks):
+        if minimal_masks(self.truth_table, self.n) != masks:
             i, j = first_nested_pair(masks)
             raise InvalidGameError(
                 "winning coalitions must form an antichain "
@@ -317,36 +360,20 @@ class SimpleGame:
     def is_winning(self, coalition: Coalition) -> bool:
         if coalition.n != self.n:
             raise InvalidGameError(f"coalition over {coalition.n} players, game has {self.n}")
-        # Explicit games build their table at construction.
-        if "truth_table" in self.__dict__:
-            return bool(self.truth_table[coalition.members >> 1])
-        return self._eval_mask(coalition.members)
-
-    def _eval_mask(self, mask: int) -> bool:
-        if self.form == WEIGHTED:
-            part = self.parts[0]
-            return part._weight_of_mask(mask) >= part.quota
-        if self.form == INTERSECTION:
-            return all(p._weight_of_mask(mask) >= p.quota for p in self.parts)
-        return any(p._weight_of_mask(mask) >= p.quota for p in self.parts)
+        return bool(self.truth_table >> (coalition.members >> 1) & 1)
 
     @cached_property
-    def truth_table(self) -> np.ndarray:
-        """Boolean win/lose vector indexed by compact mask (members >> 1)."""
+    def truth_table(self) -> int:
+        """Bit S is set exactly when compact coalition S (members >> 1) wins.
+
+        Bit 0 is the empty coalition and bit 2^n - 1 the grand one.  Each part
+        is folded in as soon as it is built, so one part table is held at a
+        time, however many parts there are.
+        """
         if self.form == EXPLICIT:
-            table = superset_closure([c.members >> 1 for c in self.antichain], self.n)
-        else:
-            # Each part is folded in as soon as it is built, so one part
-            # table is held at a time, however many parts there are.
-            table = np.full(1 << self.n, self.form == INTERSECTION)
-            for p in self.parts:
-                part = _subset_weight_table(p.weights) >= p.quota
-                if self.form == INTERSECTION:
-                    table &= part
-                else:
-                    table |= part
-        table.setflags(write=False)
-        return table
+            return superset_closure([c.members >> 1 for c in self.antichain], self.n)
+        fold = int.__and__ if self.form == INTERSECTION else int.__or__
+        return reduce(fold, map(_weighted_table, self.parts))
 
 
 def make_weighted(quota: int, weights: Sequence[int]) -> WeightedGame:
@@ -375,8 +402,7 @@ def make_explicit(
         # The closure of the list is the closure of its minimal masks, so it
         # becomes the game's cached truth table; validation still checks it.
         table = superset_closure([c.members >> 1 for c in coalitions], n)
-        table.setflags(write=False)
-        antichain = tuple(Coalition(int(m) << 1, n) for m in minimal_masks(table))
+        antichain = tuple(Coalition(m << 1, n) for m in minimal_masks(table, n))
         game = object.__new__(SimpleGame)
         game.__dict__["truth_table"] = table
         game.__init__(n, EXPLICIT, antichain=antichain)

@@ -54,6 +54,7 @@ from .core import (
     WeightedGame,
     combine,
     full_mask,
+    set_bits,
 )
 from .structure import dual_weighted, equivalent, extremal_sets, maximal_losing, minimal_winning
 
@@ -221,13 +222,6 @@ def realizable(
     return None if part is None else dual_weighted(part)
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _greedy_clique(vertices: Sequence[int], adj: Sequence[int]) -> list[int]:
     clique: list[int] = []
     for v in vertices:
@@ -315,7 +309,7 @@ def _witnessed_partition(
     start = _lp.warm_start(_separation_lp(n, fixed))
 
     def solver(mask: int) -> tuple[int, WeightedGame] | None:
-        part = _solve_separation(n, fixed + tuple(rows[i] for i in _iter_bits(mask)), start)
+        part = _solve_separation(n, fixed + tuple(rows[i] for i in set_bits(mask)), start)
         return None if part is None else (_cover(part, target_masks), part)
 
     cache = SeparabilityOracleCache(solver)

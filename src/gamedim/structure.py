@@ -3,15 +3,14 @@
 The enumeration oracle walks all 2^n coalitions through the cached truth
 table with the one minimality routine, :func:`gamedim.core.minimal_masks`.
 A losing coalition S is maximal exactly when its complement is minimal
-winning in the dual, whose table is the reversed, negated table of the game
-(compact index 2^n - 1 - S is the complement of S).
+winning in the dual.  Compact mask 2^n - 1 - S is the complement of S, so
+the dual's table is the game's table with its 2^n bits reversed and then
+complemented.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     INTERSECTION,
@@ -26,6 +25,8 @@ from .core import (
     minimal_masks,
 )
 
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
 
 @dataclass(frozen=True)
 class ExtremalSets:
@@ -35,31 +36,35 @@ class ExtremalSets:
     maximal_losing: tuple[Coalition, ...]
 
 
-def _coalitions(masks: np.ndarray, n: int) -> tuple[Coalition, ...]:
-    return tuple(Coalition(int(m) << 1, n) for m in masks)
+def _coalitions(masks: list[int], n: int) -> tuple[Coalition, ...]:
+    return tuple(Coalition(m << 1, n) for m in masks)
 
 
-def _maximal_losing_masks(table: np.ndarray) -> np.ndarray:
-    # ~table[::-1] is the dual's table; complements of its minimal masks.
-    dual_mins = minimal_masks(~table[::-1])
-    return (table.size - 1 - dual_mins)[::-1]
+def _maximal_losing_masks(table: int, n: int) -> list[int]:
+    size = 1 << n
+    nbytes = (size + 7) // 8
+    flipped = table.to_bytes(nbytes, "big").translate(_REVERSED_BYTE)
+    reversal = int.from_bytes(flipped, "little") >> (8 * nbytes - size)
+    dual_table = reversal ^ ((1 << size) - 1)
+    # Complements of the dual's minimal masks, ascending.
+    return [size - 1 - m for m in reversed(minimal_masks(dual_table, n))]
 
 
 def minimal_winning(game: SimpleGame) -> tuple[Coalition, ...]:
     """Antichain of winning coalitions all of whose proper subsets lose."""
-    return _coalitions(minimal_masks(game.truth_table), game.n)
+    return _coalitions(minimal_masks(game.truth_table, game.n), game.n)
 
 
 def maximal_losing(game: SimpleGame) -> tuple[Coalition, ...]:
     """Antichain of losing coalitions all of whose proper supersets win."""
-    return _coalitions(_maximal_losing_masks(game.truth_table), game.n)
+    return _coalitions(_maximal_losing_masks(game.truth_table, game.n), game.n)
 
 
 def extremal_sets(game: SimpleGame) -> ExtremalSets:
     table = game.truth_table
     return ExtremalSets(
-        _coalitions(minimal_masks(table), game.n),
-        _coalitions(_maximal_losing_masks(table), game.n),
+        _coalitions(minimal_masks(table, game.n), game.n),
+        _coalitions(_maximal_losing_masks(table, game.n), game.n),
     )
 
 
@@ -88,9 +93,7 @@ def dual(game: SimpleGame) -> SimpleGame:
 
 def equivalent(g1: SimpleGame, g2: SimpleGame) -> bool:
     """True iff both games have the same players and the same winning family."""
-    if g1.n != g2.n:
-        return False
-    return bool(np.array_equal(g1.truth_table, g2.truth_table))
+    return g1.n == g2.n and g1.truth_table == g2.truth_table
 
 
 def is_self_dual(game: SimpleGame) -> bool:

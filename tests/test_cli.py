@@ -283,16 +283,29 @@ class TestExitCodes:
         assert "example1" in capsys.readouterr().out
 
 
-def test_python_dash_m_runs_the_cli():
+def fresh_python(*args):
+    """Run a new interpreter that imports this checkout's gamedim."""
     src = os.path.dirname(os.path.dirname(gd.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gamedim", "gen", "example1", "--n", "2"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = fresh_python("-m", "gamedim", "gen", "example1", "--n", "2")
     assert proc.returncode == 0, proc.stderr
     assert gd.equivalent(gd.parse_game(proc.stdout), gd.gen_example1(2))
+
+
+def test_import_loads_only_the_standard_library():
+    # Modules that site hooks load at start-up are not counted.
+    proc = fresh_python(
+        "-c",
+        "import sys; before = set(sys.modules); import gamedim, gamedim.cli; "
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - sys.stdlib_module_names - {'gamedim'}))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,8 @@
 """Core model: coalitions, weighted games, simple games in all four forms."""
 
-import numpy as np
+from functools import reduce
+from operator import and_
+
 import pytest
 
 import gamedim as gd
@@ -9,6 +11,11 @@ from conftest import all_coalitions, eval_by_hand, games_agree_by_hand, winning_
 
 def players(iterable, n):
     return gd.Coalition.from_players(iterable, n)
+
+
+def table_bits(table):
+    """Set bits of a truth table, i.e. the winning compact masks, by hand."""
+    return {s for s in range(table.bit_length()) if table >> s & 1}
 
 
 class TestCoalition:
@@ -144,9 +151,9 @@ class TestMakeExplicit:
             closures.append(closure(masks, n))
             return closures[-1]
 
-        def recording_minimal(table):
+        def recording_minimal(table, n):
             checked.append(table)
-            return minimal(table)
+            return minimal(table, n)
 
         monkeypatch.setattr(gd.core, "superset_closure", counting_closure)
         monkeypatch.setattr(gd.core, "minimal_masks", recording_minimal)
@@ -155,7 +162,7 @@ class TestMakeExplicit:
         assert checked[-1] is game.truth_table is closures[0]
         assert game.antichain == base.antichain
         wins = {m >> 1 for m in winning_masks_by_hand(base)}
-        assert set(np.flatnonzero(game.truth_table).tolist()) == wins
+        assert table_bits(game.truth_table) == wins
 
     @pytest.mark.parametrize(
         "n, m, seed", [(4, 3, 7), (6, 5, 8), (8, 9, 9), (10, 14, 10), (12, 20, 11)]
@@ -223,12 +230,12 @@ class TestCombine:
         assert games_agree_by_hand(single, gd.SimpleGame.from_weighted(wg))
 
     def test_truth_table_folds_one_part_at_a_time(self):
-        # 64 part tables of 2^16 entries held at once would peak near 5 MiB.
+        # 512 part tables of 2^16 bits held at once would peak above 4 MiB.
         import tracemalloc
 
         n = 16
         parts = [
-            gd.make_weighted(8 + k % 8, [1 + (j * k) % 5 for j in range(n)]) for k in range(64)
+            gd.make_weighted(8 + k % 8, [1 + (j * k) % 5 for j in range(n)]) for k in range(512)
         ]
         game = gd.combine(gd.INTERSECTION, parts)
         tracemalloc.start()
@@ -238,10 +245,8 @@ class TestCombine:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
-        expected = np.logical_and.reduce(
-            [gd.SimpleGame.from_weighted(p).truth_table for p in parts]
-        )
-        assert (table == expected).all()
+        expected = reduce(and_, [gd.SimpleGame.from_weighted(p).truth_table for p in parts])
+        assert table == expected
 
     def test_rejects_empty_and_mismatched_parts(self):
         with pytest.raises(gd.InvalidGameError):
@@ -252,17 +257,48 @@ class TestCombine:
             gd.combine("xor", [gd.make_weighted(1, [1])])
 
 
+class TestWeightedTable:
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    def test_matches_hand_evaluation(self, n):
+        # Weights 2, 0, 1, ... put many coalitions exactly on each quota; the
+        # scaled and random copies exceed 2^62 per player.
+        stream = gd.splitmix64(100 + n)
+        small = [(j + 2) % 3 for j in range(n)]
+        scaled = [w * (2**64 + 1) for w in small]
+        generic = [2**62 + next(stream) for _ in range(n)]
+        for weights in (small, scaled, generic):
+            total = sum(weights)
+            tie = sum(weights[n // 2 :])
+            for quota in {1, tie, total // 2, total // 2 + 1, total} - {0}:
+                game = gd.SimpleGame.from_weighted(gd.make_weighted(quota, weights))
+                wins = {s << 1 for s in table_bits(game.truth_table)}
+                assert wins == winning_masks_by_hand(game), (quota, weights)
+
+    def test_full_width_agrees_with_wins(self):
+        # Distinct 40-bit weights give about 2^24 distinct partial sums.
+        stream = gd.splitmix64(24)
+        weights = [next(stream) >> 24 for _ in range(gd.N_MAX)]
+        assert len(set(weights)) == gd.N_MAX
+        part = gd.make_weighted(sum(weights) // 2 + 1, weights)
+        table = gd.SimpleGame.from_weighted(part).truth_table
+        # Bytes give each sampled bit in O(1); shifting the int copies 2 MiB.
+        data = table.to_bytes(2 ** (gd.N_MAX - 3), "little")
+        for _ in range(2000):
+            s = next(stream) & (1 << gd.N_MAX) - 1
+            assert bool(data[s >> 3] >> (s & 7) & 1) == part.wins(gd.Coalition(s << 1, gd.N_MAX))
+
+
 class TestGameInvariants:
     def test_monotone_exhaustive(self, small_corpus):
         # All subset pairs S <= T via submask enumeration (3^n pairs).
         for game in small_corpus:
             table = game.truth_table
             for t in range(1 << game.n):
-                if table[t]:
+                if table >> t & 1:
                     continue
                 s = t
                 while True:  # T loses, so every subset must lose
-                    assert not table[s]
+                    assert not table >> s & 1
                     if s == 0:
                         break
                     s = (s - 1) & t
@@ -270,7 +306,7 @@ class TestGameInvariants:
     def test_form_agreement_with_truth_table(self, small_corpus):
         for game in small_corpus:
             table = game.truth_table
-            wins = [gd.Coalition(m << 1, game.n) for m in np.nonzero(table)[0]]
+            wins = [gd.Coalition(m << 1, game.n) for m in sorted(table_bits(table))]
             rebuilt = gd.make_explicit(game.n, wins, gd.ARBITRARY_WINNING)
             assert gd.equivalent(rebuilt, game)
 
@@ -286,13 +322,13 @@ class TestGameInvariants:
     def test_explicit_truth_table_is_upward_closure(self, random_corpus):
         for game in random_corpus:
             closure = {m >> 1 for m in winning_masks_by_hand(game)}
-            assert set(np.flatnonzero(game.truth_table).tolist()) == closure
+            assert table_bits(game.truth_table) == closure
 
     def test_truth_table_is_cached_and_frozen(self):
         game = gd.gen_example1(2)
         table = game.truth_table
         assert game.truth_table is table
-        assert not table.flags.writeable
+        assert type(table) is int  # ints are immutable
 
     def test_truth_table_concurrent_population(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -300,7 +336,7 @@ class TestGameInvariants:
         game = gd.gen_example1(5)
         with ThreadPoolExecutor(max_workers=8) as pool:
             tables = list(pool.map(lambda _: game.truth_table, range(16)))
-        assert all((t == tables[0]).all() for t in tables)
+        assert all(t == tables[0] for t in tables)
 
     def test_monotone_randomized_pairs_above_exhaustive_range(self):
         stream = gd.splitmix64(31)
@@ -316,7 +352,7 @@ class TestGameInvariants:
             assert not game.is_winning(s) or game.is_winning(t)
 
     def test_full_width_enumeration(self):
-        # The N_MAX oracle: 2^24 coalitions through the vectorised table.
+        # The N_MAX oracle: 2^24 coalitions through the one-int table.
         game = gd.SimpleGame.from_weighted(gd.make_weighted(gd.N_MAX, [1] * gd.N_MAX))
         assert gd.minimal_winning(game) == (gd.Coalition.grand(gd.N_MAX),)
         losing = gd.maximal_losing(game)
