@@ -360,7 +360,13 @@ class SimpleGame:
     def is_winning(self, coalition: Coalition) -> bool:
         if coalition.n != self.n:
             raise InvalidGameError(f"coalition over {coalition.n} players, game has {self.n}")
-        return bool(self.truth_table >> (coalition.members >> 1) & 1)
+        # Reading one bit of the table would copy it; the representation is
+        # enough, and a table not yet built stays unbuilt.
+        mask = coalition.members
+        if self.form == EXPLICIT:
+            return any(c.members & ~mask == 0 for c in self.antichain)
+        wins = (part._weight_of_mask(mask) >= part.quota for part in self.parts)
+        return any(wins) if self.form == UNION else all(wins)
 
     @cached_property
     def truth_table(self) -> int:

@@ -24,15 +24,30 @@ feasible entry by its witness's cover, the bitmask of every target that the
 witness separates, and each infeasible entry by the block solved; it answers
 every later subset of a cover or superset of an infeasible block from them.
 Pair blocks are queried before singletons, so a feasible pair's witness also
-answers both of its singletons.  One iterative-deepening partition
-search tries each block count from a clique bound of the pairwise-
-incompatibility graph up.  It places the targets one at a time, in the first
-block the oracle accepts or else a new one, and backtracks when an attempt
-runs out of blocks; the first-fit greedy partition is thus the first descent
-of every attempt it fits in, and no separate greedy pass runs.  By downward
-closure every partition into k feasible blocks stays feasible on each prefix
-of the targets, so an attempt at k finds one whenever one exists and a
-failed attempt proves that none does.
+answers both of its singletons.
+
+Most incompatible pairs need no LP: they are 2-trades (Taylor & Zwicker,
+Proc. AMS 115, 1992).  Let C = T1 & T2 and X = T1 ^ T2 for targets T1, T2.
+If some fixed mask M inside T1 | T2 leaves W2 = C | (X - M) a superset of a
+fixed mask M2, then W1 = C | (X & M) contains M, and W1 + W2 = T1 + T2 as
+multisets, so no game wins on W1 and W2 and loses on T1 and T2.  Its Farkas
+witness on the pair's LP puts 1 on rows T1, T2, M and M2 and one unit on the
+sign row w_j >= 0 per occurrence of j in W1 - M and W2 - M2: the weights and
+the quota cancel and the rhs is 2.  ``verify_certificate`` checks each one
+before its edge enters the pair graph.  Only the other pairs are queried,
+so the cache never holds a traded pair, and the full block is queried only
+when no pair is traded, since one incompatible pair already makes it
+infeasible.
+
+One iterative-deepening partition search tries each block count from a
+clique bound of the pairwise-incompatibility graph up.  It places the
+targets one at a time, in the first block the oracle accepts or else a new
+one, and backtracks when an attempt runs out of blocks; the first-fit greedy
+partition is thus the first descent of every attempt it fits in, and no
+separate greedy pass runs.  By downward closure every partition into k
+feasible blocks stays feasible on each prefix of the targets, so an attempt
+at k finds one whenever one exists and a failed attempt proves that none
+does.
 """
 
 from __future__ import annotations
@@ -230,23 +245,54 @@ def _greedy_clique(vertices: Sequence[int], adj: Sequence[int]) -> list[int]:
     return clique
 
 
-def _minimum_partition(count: int, cache: SeparabilityOracleCache) -> list[int]:
+def _trade_certificate(
+    n: int, fixed_masks: Sequence[int], t1: int, t2: int
+) -> _lp.FarkasWitness | None:
+    """Farkas witness of a 2-trade that keeps targets ``t1`` and ``t2`` apart.
+
+    The witness is on the pair's separation LP: the fixed rows, the quota
+    row, then rows ``t1`` and ``t2``.  None when no fixed mask M inside
+    ``t1 | t2`` leaves W2 = C | (X - M) a superset of a fixed mask (see the
+    module docstring).
+    """
+    common, split, outside = t1 & t2, t1 ^ t2, ~(t1 | t2)
+    inside = [m for m in fixed_masks if not m & outside]
+    for m in inside:
+        w2 = common | split & ~m
+        beyond = ~w2
+        for m2 in inside:
+            if not m2 & beyond:
+                rows = [0] * (len(fixed_masks) + 3)
+                rows[fixed_masks.index(m)] += 1
+                rows[fixed_masks.index(m2)] += 1
+                rows[-2] = rows[-1] = 1
+                signs = [0] * n
+                for p in set_bits((common | split & m) & ~m) + set_bits(w2 & ~m2):
+                    signs[p - 1] += 1
+                return _lp.FarkasWitness(
+                    tuple(rows), tuple((j, u) for j, u in enumerate(signs) if u)
+                )
+    return None
+
+
+def _minimum_partition(count: int, cache: SeparabilityOracleCache, adj: list[int]) -> list[int]:
     """Minimum-cardinality partition of target indices into feasible blocks.
 
-    Each attempt at a block count ``limit`` places the targets in ``order``
-    into an existing block the oracle accepts, or into a new block while
-    fewer than ``limit`` exist.  It prunes when the targets that fit no
-    current block contain a clique too large for the blocks still allowed.
-    The attempts run from the clique bound up, so the first that succeeds
-    is a minimum.
+    ``adj`` comes in holding, as neighbour bitmasks, the pairs that a checked
+    2-trade keeps apart; the oracle adds the other incompatible pairs.  Each
+    attempt at a block count ``limit`` places the targets in ``order`` into
+    an existing block the oracle accepts, or into a new block while fewer
+    than ``limit`` exist.  It prunes when the targets that fit no current
+    block contain a clique too large for the blocks still allowed.  The
+    attempts run from the clique bound up, so the first that succeeds is a
+    minimum.
     """
     full = (1 << count) - 1
-    if cache.query(full) is not None:
+    if not any(adj) and cache.query(full) is not None:
         return [full]
-    adj = [0] * count
     for i in range(count):
         for j in range(i + 1, count):
-            if cache.query((1 << i) | (1 << j)) is None:
+            if not adj[i] >> j & 1 and cache.query((1 << i) | (1 << j)) is None:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     for i in range(count):
@@ -312,8 +358,21 @@ def _witnessed_partition(
         part = _solve_separation(n, fixed + tuple(rows[i] for i in set_bits(mask)), start)
         return None if part is None else (_cover(part, target_masks), part)
 
+    count = len(target_masks)
+    adj = [0] * count
+    for i in range(count):
+        for j in range(i + 1, count):
+            witness = _trade_certificate(n, fixed_masks, target_masks[i], target_masks[j])
+            if witness is not None:
+                _lp.verify_certificate(
+                    _separation_lp(n, fixed + (rows[i], rows[j])),
+                    _lp.FeasibilityResult(_lp.INFEASIBLE, farkas=witness),
+                )
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+
     cache = SeparabilityOracleCache(solver)
-    partition = _minimum_partition(len(target_masks), cache)
+    partition = _minimum_partition(count, cache, adj)
     parts = tuple(cache.query(bm) for bm in partition)
     if kind == UNION:
         parts = tuple(map(dual_weighted, parts))

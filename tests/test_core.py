@@ -207,6 +207,15 @@ class TestIsWinning:
             for c in all_coalitions(game.n):
                 assert game.is_winning(c) == eval_by_hand(game, c)
 
+    def test_full_width_weighted_game_builds_no_table(self):
+        # A 24-player table is 2 MiB; one query must not build or copy it.
+        game = gd.SimpleGame.from_weighted(gd.make_weighted(13, [1] * gd.N_MAX))
+        stream = gd.splitmix64(13)
+        for _ in range(200):
+            c = gd.Coalition((next(stream) & (1 << gd.N_MAX) - 1) << 1, gd.N_MAX)
+            assert game.is_winning(c) == (c.size >= 13)
+        assert "truth_table" not in vars(game)
+
 
 class TestCombine:
     def test_example1_intersection(self):

@@ -4,6 +4,7 @@ import pytest
 
 import gamedim as gd
 from conftest import exhaustive_codimension, exhaustive_dimension, games_agree_by_hand
+from gamedim.dimsolver import _trade_certificate
 from gamedim.generators import splitmix64
 
 
@@ -207,17 +208,24 @@ class TestSolverAgreement:
                 assert gd.dimension(game).value == gd.codimension(game).value
 
 
+def separation_coalitions(game, codim):
+    """The fixed coalitions and the targets of one call, in the solver's order."""
+    sets = gd.extremal_sets(game)
+    if codim:
+        return (
+            [c.complement() for c in sets.maximal_losing],
+            [c.complement() for c in sets.minimal_winning],
+        )
+    return list(sets.minimal_winning), list(sets.maximal_losing)
+
+
 def fixed_separation_rows(game, codim):
     """The rows every oracle LP of one call shares, built from the definitions:
     w(S) - q >= 0 on each minimal winning S (dimension) or on the complement
     N - L of each maximal losing L (codimension, whose parts are the duals of
     the games these LPs find), then q >= 1."""
-    sets = gd.extremal_sets(game)
     n = game.n
-    if codim:
-        wins = [c.complement() for c in sets.maximal_losing]
-    else:
-        wins = sets.minimal_winning
+    wins, _ = separation_coalitions(game, codim)
     rows = [
         gd.Constraint(tuple(int(j in c) for j in range(1, n + 1)) + (-1,), gd.GE, 0)
         for c in wins
@@ -246,6 +254,91 @@ class TestSharedFixedRows:
             assert lp.constraints[: len(fixed)] == fixed
             assert len(lp.constraints) > len(fixed)
             gd.verify_certificate(lp, result)
+
+
+def traded_pairs(game, codim):
+    """(t1, t2, witness) for every target pair that the 2-trade test keeps apart."""
+    fixed, targets = separation_coalitions(game, codim)
+    fixed_masks = [c.members for c in fixed]
+    for i, t1 in enumerate(targets):
+        for t2 in targets[i + 1 :]:
+            witness = _trade_certificate(game.n, fixed_masks, t1.members, t2.members)
+            if witness is not None:
+                yield t1, t2, witness
+
+
+def pair_program(game, codim, t1, t2):
+    """The separation LP of one target pair: the fixed rows, then w(T) - q <= -1."""
+    rows = list(fixed_separation_rows(game, codim))
+    for t in (t1, t2):
+        coeffs = tuple(int(j in t) for j in range(1, game.n + 1)) + (-1,)
+        rows.append(gd.Constraint(coeffs, gd.LE, -1))
+    return gd.LinearProgram(game.n + 1, rows, range(game.n + 1))
+
+
+class TestTradeCertificates:
+    @pytest.mark.parametrize(
+        "game, codim",
+        [
+            (gd.gen_example1(2), False),
+            (gd.gen_ssp(gd.SSPInstance(3, (1, 2, 3), 2)), True),
+        ],
+        ids=["dim-example1-2", "codim-ssp-yes-2"],
+    )
+    def test_certificate_verifies_and_each_changed_multiplier_fails(self, game, codim):
+        t1, t2, witness = next(traded_pairs(game, codim))
+        program = pair_program(game, codim, t1, t2)
+        gd.verify_certificate(program, gd.FeasibilityResult("infeasible", farkas=witness))
+        rows, signs = witness.row_multipliers, witness.nonneg_multipliers
+        changed = [
+            gd.FarkasWitness(rows[:k] + (y + 1,) + rows[k + 1 :], signs)
+            for k, y in enumerate(rows)
+        ]
+        changed += [
+            gd.FarkasWitness(rows, signs[:k] + ((j, u - 1),) + signs[k + 1 :])
+            for k, (j, u) in enumerate(signs)
+        ]
+        for bad in changed:
+            with pytest.raises(gd.CertificateError):
+                gd.verify_certificate(program, gd.FeasibilityResult("infeasible", farkas=bad))
+
+    @pytest.mark.parametrize("codim", [False, True], ids=["dim", "codim"])
+    def test_every_traded_pair_is_infeasible(self, small_corpus, codim):
+        flagged = 0
+        for game in small_corpus:
+            fixed, _ = separation_coalitions(game, codim)
+            for t1, t2, _ in traded_pairs(game, codim):
+                assert gd.co_realizable(fixed, [t1, t2]) is None
+                flagged += 1
+        assert flagged > 0
+
+    def test_random_corpus_solves_no_infeasible_pair_lp(self, random_corpus):
+        # Every incompatible pair of this corpus is a 2-trade, so its edge
+        # needs no LP; an infeasible LP here always has three or more targets.
+        for game in random_corpus:
+            sets = gd.extremal_sets(game)
+            for solve, fixed_rows in (
+                (gd.dimension, len(sets.minimal_winning) + 1),
+                (gd.codimension, len(sets.maximal_losing) + 1),
+            ):
+                with gd.record_certificates() as log:
+                    solve(game)
+                for lp, result in log:
+                    assert result.feasible or len(lp.constraints) - fixed_rows != 2
+
+    @pytest.mark.parametrize("solve", [gd.dimension, gd.codimension], ids=["dim", "codim"])
+    def test_weighted_game_in_explicit_form_solves_only_the_full_block(self, solve):
+        # A weighted game has no 2-trade, so the full block is asked first,
+        # and its one feasible LP settles the value.
+        majority = gd.SimpleGame.from_weighted(gd.make_weighted(4, [3, 2, 1, 1, 1]))
+        game = gd.make_explicit(5, list(gd.minimal_winning(majority)))
+        sets = gd.extremal_sets(game)
+        with gd.record_certificates() as log:
+            witness = solve(game)
+        assert witness.value == 1
+        [(lp, result)] = log
+        assert result.feasible
+        assert len(lp.constraints) == len(sets.minimal_winning) + 1 + len(sets.maximal_losing)
 
 
 class TestIsWeighted:
