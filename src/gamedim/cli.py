@@ -9,8 +9,8 @@ subcommands compose in pipes::
 
 Exit codes: 0 reported an answer, 1 usage, parse or validation failure, 2
 size-limit refusal.  ``--json`` switches the report to one JSON object with
-stable keys (``value``, ``parts``, ``mwc``, ``mlc``, ``equivalent``,
-``weighted``, ``players``, ``form``, ``win``).
+stable keys (``value``, ``kind``, ``parts``, ``mwc``, ``mlc``,
+``equivalent``, ``weighted``, ``players``, ``form``, ``win``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .core import (
     SizeLimitError,
     WeightedGame,
 )
-from .gamefile import GameParseError, parse_game, serialize_game, wmg_line
+from .gamefile import GameParseError, decimal_integer, parse_game, serialize_game, wmg_line
 from .generators import (
     SSPInstance,
     gen_example1,
@@ -75,9 +75,17 @@ def _emit(text: str, output: str | None, stdout) -> None:
 
 def _parse_int_list(raw: str, what: str) -> list[int]:
     try:
-        return [int(tok) for tok in raw.split(",") if tok.strip() != ""]
+        return [decimal_integer(tok.strip()) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
         raise InvalidGameError(f"{what} must be a comma-separated integer list, got {raw!r}")
+
+
+def _int_option(raw: str) -> int:
+    """An integer option value: ASCII decimal digits only, as in ``wmg`` lines."""
+    try:
+        return decimal_integer(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
 
 
 class _UsageError(Exception):
@@ -132,12 +140,12 @@ def _build_parser() -> argparse.ArgumentParser:
         return cmd
 
     example1 = gen_command("example1", "pair-cover game: dimension n, codimension 2^(n-1)")
-    example1.add_argument("--n", type=int, required=True, help="number of player pairs")
+    example1.add_argument("--n", type=_int_option, required=True, help="number of player pairs")
 
     ssp = gen_command("ssp", "Subset Sum reduction game over n + 2d players")
-    ssp.add_argument("--b", type=int, required=True, help="subset-sum target")
+    ssp.add_argument("--b", type=_int_option, required=True, help="subset-sum target")
     ssp.add_argument("--a", required=True, help="comma-separated positive integers")
-    ssp.add_argument("--d", type=int, required=True, help="number of gadget pairs")
+    ssp.add_argument("--d", type=_int_option, required=True, help="number of gadget pairs")
 
     unanimity = gen_command("unanimity", "union of unanimity games on disjoint blocks")
     unanimity.add_argument(
@@ -145,9 +153,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     random_cmd = gen_command("random", "seeded random monotone game (explicit form)")
-    random_cmd.add_argument("--n", type=int, required=True, help="player count (1..12)")
-    random_cmd.add_argument("--m", type=int, required=True, help="seed coalition count")
-    random_cmd.add_argument("--seed", type=int, default=0, help="stream seed")
+    random_cmd.add_argument("--n", type=_int_option, required=True, help="player count (1..12)")
+    random_cmd.add_argument("--m", type=_int_option, required=True, help="seed coalition count")
+    random_cmd.add_argument("--seed", type=_int_option, default=0, help="stream seed")
 
     return parser
 

@@ -18,6 +18,12 @@ construction, as the superset closure of its antichain, and is valid exactly
 when the minimal winning coalitions of that table are the given ones; the
 other forms build theirs on first use (recomputation is harmless, so
 concurrent sharing is safe).
+
+Inside the package coalitions travel as compact masks, and families of them
+as tables of the same shape: :func:`minimal_table` keeps the minimal set bits
+of a monotone table, and :func:`complemented` maps every coalition to its
+complement.  ``Coalition`` objects are built only where a public function
+takes or returns them.
 """
 
 from __future__ import annotations
@@ -176,19 +182,19 @@ class WeightedGame:
     def weight(self, coalition: Coalition) -> int:
         if coalition.n != self.n:
             raise InvalidGameError(f"player counts differ: {coalition.n} vs {self.n}")
-        return self._weight_of_mask(coalition.members)
+        return self._weight_of_mask(coalition.members >> 1)
 
     def wins(self, coalition: Coalition) -> bool:
         return self.weight(coalition) >= self.quota
 
     def _weight_of_mask(self, mask: int) -> int:
+        """Total weight of the compact coalition ``mask`` (bit j-1 = player j)."""
         total = 0
-        m = mask >> 1
         j = 0
-        while m:
-            if m & 1:
+        while mask:
+            if mask & 1:
                 total += self.weights[j]
-            m >>= 1
+            mask >>= 1
             j += 1
         return total
 
@@ -269,8 +275,8 @@ def superset_closure(masks: Sequence[int], n: int) -> int:
     return table
 
 
-def minimal_masks(table: int, n: int) -> list[int]:
-    """Ascending compact masks of the minimal set bits of a monotone table.
+def minimal_table(table: int, n: int) -> int:
+    """Table of the minimal set bits of a monotone table over compact masks.
 
     Under monotonicity a bit is minimal exactly when dropping any single
     member clears it, which is one shift pass per player.
@@ -278,7 +284,26 @@ def minimal_masks(table: int, n: int) -> list[int]:
     is_min = table
     for j in range(n):
         is_min &= ~((table & _bit_clear(j, n)) << (1 << j))
-    return set_bits(is_min)
+    return is_min
+
+
+def minimal_masks(table: int, n: int) -> list[int]:
+    """Ascending compact masks of the minimal set bits of a monotone table."""
+    return set_bits(minimal_table(table, n))
+
+
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def complemented(table: int, n: int) -> int:
+    """The table with bit S moved to bit 2^n - 1 - S, the complement of S.
+
+    It reverses the 2^n bits: the bytes in reverse order, each byte reversed.
+    """
+    size = 1 << n
+    nbytes = (size + 7) // 8
+    flipped = table.to_bytes(nbytes, "big").translate(_REVERSED_BYTE)
+    return int.from_bytes(flipped, "little") >> (8 * nbytes - size)
 
 
 def first_nested_pair(masks: Sequence[int]) -> tuple[int, int] | None:
@@ -365,7 +390,7 @@ class SimpleGame:
         mask = coalition.members
         if self.form == EXPLICIT:
             return any(c.members & ~mask == 0 for c in self.antichain)
-        wins = (part._weight_of_mask(mask) >= part.quota for part in self.parts)
+        wins = (part._weight_of_mask(mask >> 1) >= part.quota for part in self.parts)
         return any(wins) if self.form == UNION else all(wins)
 
     @cached_property

@@ -14,6 +14,13 @@ wins on every fixed coalition and loses on all of B (``co_realizable``).
   loses on every L and wins on the block's A (``realizable`` has the proof),
   so each part is mapped back by ``dual_weighted``.
 
+The extremal families arrive as tables over compact masks (bit j-1 = player
+j; see :mod:`gamedim.structure`), and ``COVER_MAX`` is checked on the target
+table's bit count before any mask is listed, so an oversized game is refused
+in the time of its truth table.  No ``Coalition`` is built on the way to the
+separation rows; only ``co_realizable`` and ``realizable``, which take them,
+convert at the boundary.
+
 Block feasibility is an exact rational LP and is downward closed, so a
 minimum cover can be assumed to be a partition.  Every LP of one call begins
 with the same fixed rows: one winning row per fixed coalition and the quota
@@ -68,7 +75,7 @@ from .core import (
     SizeLimitError,
     WeightedGame,
     combine,
-    full_mask,
+    complemented,
     set_bits,
 )
 from .structure import dual_weighted, equivalent, extremal_sets, maximal_losing, minimal_winning
@@ -138,11 +145,11 @@ def _separation_rows(
 
     The fixed rows come first: w(S) - q >= 0 on each fixed coalition S, so
     the game wins on it, and the quota row q >= 1.  Then w(T) - q <= -1 on
-    each target T, so the game loses on it.
+    each target T, so the game loses on it.  Masks are compact.
     """
 
     def row(mask, relation, rhs):
-        coeffs = [1 if mask >> (j + 1) & 1 else 0 for j in range(n)]
+        coeffs = [mask >> j & 1 for j in range(n)]
         coeffs.append(-1)
         return _lp.Constraint(coeffs, relation, rhs)
 
@@ -189,12 +196,18 @@ def _cover(part: WeightedGame, target_masks: Sequence[int]) -> int:
 
 
 def _coalition_masks(coalitions: Iterable[Coalition], n: int) -> list[int]:
+    """Compact masks of API coalitions, each checked to be over ``n`` players."""
     masks = []
     for c in coalitions:
         if c.n != n:
             raise InvalidGameError(f"coalition over {c.n} players, expected {n}")
-        masks.append(c.members)
+        masks.append(c.members >> 1)
     return masks
+
+
+def _separate(n: int, fixed: Sequence[int], targets: Sequence[int]) -> WeightedGame | None:
+    fixed_rows, target_rows = _separation_rows(n, fixed, targets)
+    return _solve_separation(n, fixed_rows + tuple(target_rows))
 
 
 def co_realizable(
@@ -211,8 +224,7 @@ def co_realizable(
     if not mwc:
         raise InvalidGameError("need at least one minimal winning coalition")
     n = mwc[0].n
-    fixed, rows = _separation_rows(n, _coalition_masks(mwc, n), _coalition_masks(targets, n))
-    return _solve_separation(n, fixed + tuple(rows))
+    return _separate(n, _coalition_masks(mwc, n), _coalition_masks(targets, n))
 
 
 def realizable(
@@ -233,7 +245,10 @@ def realizable(
     mlc = tuple(mlc)
     if not mlc:
         raise InvalidGameError("need at least one maximal losing coalition")
-    part = co_realizable([c.complement() for c in mlc], [c.complement() for c in targets])
+    n = mlc[0].n
+    full = (1 << n) - 1
+    fixed = [full ^ m for m in _coalition_masks(mlc, n)]
+    part = _separate(n, fixed, [full ^ m for m in _coalition_masks(targets, n)])
     return None if part is None else dual_weighted(part)
 
 
@@ -267,8 +282,8 @@ def _trade_certificate(
                 rows[fixed_masks.index(m2)] += 1
                 rows[-2] = rows[-1] = 1
                 signs = [0] * n
-                for p in set_bits((common | split & m) & ~m) + set_bits(w2 & ~m2):
-                    signs[p - 1] += 1
+                for j in set_bits((common | split & m) & ~m) + set_bits(w2 & ~m2):
+                    signs[j] += 1
                 return _lp.FarkasWitness(
                     tuple(rows), tuple((j, u) for j, u in enumerate(signs) if u)
                 )
@@ -344,12 +359,20 @@ def _minimum_partition(count: int, cache: SeparabilityOracleCache, adj: list[int
 
 
 def _witnessed_partition(
-    game: SimpleGame, fixed_masks: Sequence[int], target_masks: Sequence[int], kind: str
+    game: SimpleGame, fixed_table: int, target_table: int, kind: str
 ) -> DimensionWitness:
-    if len(target_masks) > COVER_MAX:
-        raise SizeLimitError(
-            f"{len(target_masks)} separation targets exceed the solver cap of {COVER_MAX}"
-        )
+    """Minimum partition of the targets of ``target_table`` against ``fixed_table``.
+
+    The cap is checked on the table's bit count, before any mask is listed.
+    A codimension passes complemented tables; their masks are listed
+    descending, so that both lists keep the order of the game's own
+    ascending coalitions.
+    """
+    count = target_table.bit_count()
+    if count > COVER_MAX:
+        raise SizeLimitError(f"{count} separation targets exceed the solver cap of {COVER_MAX}")
+    order = -1 if kind == UNION else 1
+    fixed_masks, target_masks = set_bits(fixed_table)[::order], set_bits(target_table)[::order]
     n = game.n
     fixed, rows = _separation_rows(n, fixed_masks, target_masks)
     start = _lp.warm_start(_separation_lp(n, fixed))
@@ -358,7 +381,6 @@ def _witnessed_partition(
         part = _solve_separation(n, fixed + tuple(rows[i] for i in set_bits(mask)), start)
         return None if part is None else (_cover(part, target_masks), part)
 
-    count = len(target_masks)
     adj = [0] * count
     for i in range(count):
         for j in range(i + 1, count):
@@ -387,12 +409,7 @@ def dimension(game: SimpleGame) -> DimensionWitness:
     if game.form == WEIGHTED:
         return DimensionWitness(1, game.parts, INTERSECTION)
     sets = extremal_sets(game)
-    return _witnessed_partition(
-        game,
-        [c.members for c in sets.minimal_winning],
-        [c.members for c in sets.maximal_losing],
-        INTERSECTION,
-    )
+    return _witnessed_partition(game, sets.winning, sets.losing, INTERSECTION)
 
 
 def codimension(game: SimpleGame) -> DimensionWitness:
@@ -401,25 +418,22 @@ def codimension(game: SimpleGame) -> DimensionWitness:
     A part [q; w] loses on every maximal losing L and wins on a minimal
     winning A exactly when its dual [w(N) - q + 1; w] wins on N - L and loses
     on N - A (see :func:`realizable`).  So the dimension oracle runs on the
-    complemented masks of the game's own extremal sets, and each part found
+    complemented tables of the game's own extremal sets, and each part found
     is mapped back by ``dual_weighted``; no dual game is built.
     """
     if game.form == WEIGHTED:
         return DimensionWitness(1, game.parts, UNION)
     sets = extremal_sets(game)
-    full = full_mask(game.n)
+    n = game.n
     return _witnessed_partition(
-        game,
-        [full ^ c.members for c in sets.maximal_losing],
-        [full ^ c.members for c in sets.minimal_winning],
-        UNION,
+        game, complemented(sets.losing, n), complemented(sets.winning, n), UNION
     )
 
 
 def is_weighted(game: SimpleGame) -> WeightedGame | None:
     """An integer weighted representation of the game, or None if none exists."""
     sets = extremal_sets(game)
-    return co_realizable(sets.minimal_winning, sets.maximal_losing)
+    return _separate(game.n, set_bits(sets.winning), set_bits(sets.losing))
 
 
 def canonical_intersection(game: SimpleGame) -> list[WeightedGame]:

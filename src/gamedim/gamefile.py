@@ -70,6 +70,16 @@ def wmg_line(part: WeightedGame) -> str:
     return f"wmg {part.quota} : {' '.join(map(str, part.weights))}"
 
 
+def decimal_integer(token: str) -> int:
+    """``int(token)`` for an optionally signed run of ASCII digits only.
+
+    int() alone also reads "٣" and "２" as digits and "1_0" as 10.
+    """
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def _numbered_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -83,11 +93,10 @@ def _parse_wmg_line(lineno: int, line: str, n: int) -> WeightedGame:
     tokens = line.split()
     if len(tokens) < 3 or tokens[0] != "wmg" or tokens[2] != ":":
         raise GameParseError("bad-wmg", lineno, "expected 'wmg <quota> : <weights>'")
-    numbers = [tokens[1], *tokens[3:]]
-    # int() alone also reads "٣" and "２" as digits and "1_0" as 10.
-    if not all(re.fullmatch(r"[+-]?[0-9]+", t) for t in numbers):
-        raise GameParseError("bad-wmg", lineno, "quota and weights must be integers")
-    quota, *weights = map(int, numbers)
+    try:
+        quota, *weights = map(decimal_integer, [tokens[1], *tokens[3:]])
+    except ValueError:
+        raise GameParseError("bad-wmg", lineno, "quota and weights must be integers") from None
     if len(weights) != n:
         raise GameParseError(
             "bad-wmg", lineno, f"expected {n} weights, got {len(weights)}"

@@ -1,16 +1,18 @@
 """Extremal coalitions, dual games, and equivalence of simple games.
 
 The enumeration oracle walks all 2^n coalitions through the cached truth
-table with the one minimality routine, :func:`gamedim.core.minimal_masks`.
-A losing coalition S is maximal exactly when its complement is minimal
-winning in the dual.  Compact mask 2^n - 1 - S is the complement of S, so
-the dual's table is the game's table with its 2^n bits reversed and then
-complemented.
+table with the one minimality routine, :func:`gamedim.core.minimal_table`,
+and keeps each extremal family as a table over compact masks.  A losing
+coalition S is maximal exactly when its complement is minimal winning in the
+dual.  The dual's table is the game's table complemented coalition-wise (its
+2^n bits reversed) and then negated, so the maximal losing table is the
+complemented minimal table of the dual's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     INTERSECTION,
@@ -21,51 +23,60 @@ from .core import (
     SimpleGame,
     WeightedGame,
     combine,
+    complemented,
     make_explicit,
-    minimal_masks,
+    minimal_table,
+    set_bits,
 )
-
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 @dataclass(frozen=True)
 class ExtremalSets:
-    """Minimal winning and maximal losing antichains of one game."""
+    """Minimal winning and maximal losing antichains of one game, as tables.
 
-    minimal_winning: tuple[Coalition, ...]
-    maximal_losing: tuple[Coalition, ...]
+    Bit S of ``winning`` is set when the compact coalition S is minimal
+    winning, and bit S of ``losing`` when it is maximal losing.  The
+    ``Coalition`` views, ascending by mask, are built on first access.
+    """
+
+    n: int
+    winning: int
+    losing: int
+
+    @cached_property
+    def minimal_winning(self) -> tuple[Coalition, ...]:
+        return _coalitions(self.winning, self.n)
+
+    @cached_property
+    def maximal_losing(self) -> tuple[Coalition, ...]:
+        return _coalitions(self.losing, self.n)
 
 
-def _coalitions(masks: list[int], n: int) -> tuple[Coalition, ...]:
-    return tuple(Coalition(m << 1, n) for m in masks)
+def _coalitions(table: int, n: int) -> tuple[Coalition, ...]:
+    return tuple(Coalition(m << 1, n) for m in set_bits(table))
 
 
-def _maximal_losing_masks(table: int, n: int) -> list[int]:
-    size = 1 << n
-    nbytes = (size + 7) // 8
-    flipped = table.to_bytes(nbytes, "big").translate(_REVERSED_BYTE)
-    reversal = int.from_bytes(flipped, "little") >> (8 * nbytes - size)
-    dual_table = reversal ^ ((1 << size) - 1)
-    # Complements of the dual's minimal masks, ascending.
-    return [size - 1 - m for m in reversed(minimal_masks(dual_table, n))]
+def _dual_table(table: int, n: int) -> int:
+    return complemented(table, n) ^ ((1 << (1 << n)) - 1)
+
+
+def _losing_table(table: int, n: int) -> int:
+    return complemented(minimal_table(_dual_table(table, n), n), n)
 
 
 def minimal_winning(game: SimpleGame) -> tuple[Coalition, ...]:
     """Antichain of winning coalitions all of whose proper subsets lose."""
-    return _coalitions(minimal_masks(game.truth_table, game.n), game.n)
+    return _coalitions(minimal_table(game.truth_table, game.n), game.n)
 
 
 def maximal_losing(game: SimpleGame) -> tuple[Coalition, ...]:
     """Antichain of losing coalitions all of whose proper supersets win."""
-    return _coalitions(_maximal_losing_masks(game.truth_table, game.n), game.n)
+    return _coalitions(_losing_table(game.truth_table, game.n), game.n)
 
 
 def extremal_sets(game: SimpleGame) -> ExtremalSets:
     table = game.truth_table
-    return ExtremalSets(
-        _coalitions(minimal_masks(table, game.n), game.n),
-        _coalitions(_maximal_losing_masks(table, game.n), game.n),
-    )
+    return ExtremalSets(game.n, minimal_table(table, game.n), _losing_table(table, game.n))
 
 
 def dual_weighted(part: WeightedGame) -> WeightedGame:
@@ -78,8 +89,9 @@ def dual(game: SimpleGame) -> SimpleGame:
 
     The result keeps a form matched to the input: weighted parts dualise by
     the quota flip above in a single pass, intersections become unions of the
-    part duals (and vice versa), and an explicit game maps to the complements
-    of its maximal losing coalitions.
+    part duals (and vice versa), and an explicit game maps to the minimal
+    masks of the dual's table, the complements of its maximal losing
+    coalitions.
     """
     if game.form == WEIGHTED:
         return SimpleGame.from_weighted(dual_weighted(game.parts[0]))
@@ -87,8 +99,8 @@ def dual(game: SimpleGame) -> SimpleGame:
         return combine(UNION, [dual_weighted(p) for p in game.parts])
     if game.form == UNION:
         return combine(INTERSECTION, [dual_weighted(p) for p in game.parts])
-    losing = maximal_losing(game)
-    return make_explicit(game.n, [c.complement() for c in losing], MINIMAL_GIVEN)
+    winning = minimal_table(_dual_table(game.truth_table, game.n), game.n)
+    return make_explicit(game.n, _coalitions(winning, game.n), MINIMAL_GIVEN)
 
 
 def equivalent(g1: SimpleGame, g2: SimpleGame) -> bool:

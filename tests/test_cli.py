@@ -272,6 +272,18 @@ class TestExitCodes:
         assert err.startswith("usage: gamedim gen example1")
         assert "invalid int value: 'x'" in err
 
+    def test_integer_options_take_ascii_decimal_only(self):
+        # int() reads all of these, but wmg lines in game files reject them.
+        for argv in (
+            ["gen", "example1", "--n", "\uff13"],
+            ["gen", "ssp", "--b", "1_0", "--a", "5,7", "--d", "2"],
+            ["gen", "ssp", "--b", "2", "--a", "\u0663,4", "--d", "2"],
+            ["gen", "random", "--n", "4", "--m", "3", "--seed", "\uff17"],
+        ):
+            code, out, err = call(argv)
+            assert code == 1 and out == ""
+            assert err and "Traceback" not in err
+
     def test_missing_command_is_exit_one(self):
         code, _, err = call([])
         assert code == 1 and "usage: gamedim" in err

@@ -160,6 +160,33 @@ class TestCodimension:
             gd.codimension(game)
 
 
+class TestNoCoalitionsInside:
+    def test_solvers_and_refusals_build_no_coalition(self, small_corpus, monkeypatch):
+        # Extremal families stay tables on the solve path; Coalition objects
+        # are built only by the public views, and an oversized game is
+        # refused before any of its 350k extremal coalitions is listed.
+        built = []
+        check = gd.Coalition.__post_init__
+
+        def counting(self):
+            built.append(self.members)
+            check(self)
+
+        monkeypatch.setattr(gd.Coalition, "__post_init__", counting)
+        for game in small_corpus:
+            gd.dimension(game)
+            gd.codimension(game)
+            gd.is_weighted(game)
+        big = gd.combine(
+            gd.INTERSECTION, [gd.make_weighted(10, [1] * 20), gd.make_weighted(1, [1] * 20)]
+        )
+        for solve in (gd.dimension, gd.codimension):
+            with pytest.raises(gd.SizeLimitError):
+                solve(big)
+        assert built == []
+        assert gd.extremal_sets(gd.gen_example1(2)).minimal_winning and built
+
+
 class TestSolverAgreement:
     def test_ssp_yes_instance_codimensions_are_certified(self):
         # The proven values 2^(d-1) (see the docstring of acceptance criterion
@@ -259,10 +286,10 @@ class TestSharedFixedRows:
 def traded_pairs(game, codim):
     """(t1, t2, witness) for every target pair that the 2-trade test keeps apart."""
     fixed, targets = separation_coalitions(game, codim)
-    fixed_masks = [c.members for c in fixed]
+    fixed_masks = [c.members >> 1 for c in fixed]
     for i, t1 in enumerate(targets):
         for t2 in targets[i + 1 :]:
-            witness = _trade_certificate(game.n, fixed_masks, t1.members, t2.members)
+            witness = _trade_certificate(game.n, fixed_masks, t1.members >> 1, t2.members >> 1)
             if witness is not None:
                 yield t1, t2, witness
 

@@ -64,6 +64,8 @@ class TestExtremalSets:
         sets = gd.extremal_sets(game)
         assert sets.minimal_winning == gd.minimal_winning(game)
         assert sets.maximal_losing == gd.maximal_losing(game)
+        assert sets.winning.bit_count() == len(sets.minimal_winning)
+        assert sets.losing.bit_count() == len(sets.maximal_losing)
 
     def test_outputs_are_antichains(self, small_corpus):
         for game in small_corpus:
