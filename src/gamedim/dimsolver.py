@@ -30,8 +30,8 @@ is shared by every query and never changed.  The oracle cache keys each
 feasible entry by its witness's cover, the bitmask of every target that the
 witness separates, and each infeasible entry by the block solved; it answers
 every later subset of a cover or superset of an infeasible block from them.
-Pair blocks are queried before singletons, so a feasible pair's witness also
-answers both of its singletons.
+No pair or singleton is queried up front; the oracle sees only the blocks
+that the partition search tries.
 
 Most incompatible pairs need no LP: they are 2-trades (Taylor & Zwicker,
 Proc. AMS 115, 1992).  Let C = T1 & T2 and X = T1 ^ T2 for targets T1, T2.
@@ -41,20 +41,19 @@ multisets, so no game wins on W1 and W2 and loses on T1 and T2.  Its Farkas
 witness on the pair's LP puts 1 on rows T1, T2, M and M2 and one unit on the
 sign row w_j >= 0 per occurrence of j in W1 - M and W2 - M2: the weights and
 the quota cancel and the rhs is 2.  ``verify_certificate`` checks each one
-before its edge enters the pair graph.  Only the other pairs are queried,
-so the cache never holds a traded pair, and the full block is queried only
-when no pair is traded, since one incompatible pair already makes it
-infeasible.
+before its edge enters the pair graph.  The search never tries a block
+holding a traded pair, so the cache never holds one, and the full block is
+queried only when no pair is traded, since one incompatible pair already
+makes it infeasible.
 
 One iterative-deepening partition search tries each block count from a
-clique bound of the pairwise-incompatibility graph up.  It places the
-targets one at a time, in the first block the oracle accepts or else a new
-one, and backtracks when an attempt runs out of blocks; the first-fit greedy
-partition is thus the first descent of every attempt it fits in, and no
-separate greedy pass runs.  By downward closure every partition into k
-feasible blocks stays feasible on each prefix of the targets, so an attempt
-at k finds one whenever one exists and a failed attempt proves that none
-does.
+clique bound of the trade graph up.  It places the targets one at a time,
+in the first block the oracle accepts or else a new one, and backtracks
+when an attempt runs out of blocks; the first-fit greedy partition is thus
+the first descent of every attempt it fits in, and no separate greedy pass
+runs.  By downward closure every partition into k feasible blocks stays
+feasible on each prefix of the targets, so an attempt at k finds one
+whenever one exists and a failed attempt proves that none does.
 """
 
 from __future__ import annotations
@@ -293,8 +292,9 @@ def _trade_certificate(
 def _minimum_partition(count: int, cache: SeparabilityOracleCache, adj: list[int]) -> list[int]:
     """Minimum-cardinality partition of target indices into feasible blocks.
 
-    ``adj`` comes in holding, as neighbour bitmasks, the pairs that a checked
-    2-trade keeps apart; the oracle adds the other incompatible pairs.  Each
+    ``adj`` holds, as neighbour bitmasks, the pairs that a checked 2-trade
+    keeps apart; no other pair is queried up front, so an incompatible pair
+    that is not traded is found only when a block holding it fails.  Each
     attempt at a block count ``limit`` places the targets in ``order`` into
     an existing block the oracle accepts, or into a new block while fewer
     than ``limit`` exist.  It prunes when the targets that fit no current
@@ -305,15 +305,6 @@ def _minimum_partition(count: int, cache: SeparabilityOracleCache, adj: list[int
     full = (1 << count) - 1
     if not any(adj) and cache.query(full) is not None:
         return [full]
-    for i in range(count):
-        for j in range(i + 1, count):
-            if not adj[i] >> j & 1 and cache.query((1 << i) | (1 << j)) is None:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    for i in range(count):
-        if cache.query(1 << i) is None:
-            raise RuntimeError("internal error: a singleton target block is infeasible")
-
     by_degree = sorted(range(count), key=lambda v: (-adj[v].bit_count(), v))
     clique = _greedy_clique(by_degree, adj)
     in_clique = set(clique)
@@ -396,6 +387,8 @@ def _witnessed_partition(
     cache = SeparabilityOracleCache(solver)
     partition = _minimum_partition(count, cache, adj)
     parts = tuple(cache.query(bm) for bm in partition)
+    if None in parts:
+        raise RuntimeError("internal error: a block of the found partition is infeasible")
     if kind == UNION:
         parts = tuple(map(dual_weighted, parts))
     witness = DimensionWitness(len(parts), parts, kind)

@@ -4,6 +4,7 @@ import pytest
 
 import gamedim as gd
 from conftest import exhaustive_codimension, exhaustive_dimension, games_agree_by_hand
+from gamedim import dimsolver
 from gamedim.dimsolver import _trade_certificate
 from gamedim.generators import splitmix64
 
@@ -228,6 +229,59 @@ class TestSolverAgreement:
         assert len(log) <= 217
         assert witness.value == 3
         assert games_agree_by_hand(witness.as_game(), game)
+
+    @pytest.mark.parametrize(
+        "game, expected, lps",
+        [(gd.gen_example1(4), 8, 8), (gd.gen_example1(5), 16, 16)],
+        ids=["example1-4", "example1-5"],
+    )
+    def test_example1_codimension_solves_one_lp_per_part(self, game, expected, lps):
+        # Every incompatible pair is a 2-trade, so no pair is queried up front
+        # and first-fit placement meets the clique bound with one LP a part.
+        with gd.record_certificates() as log:
+            witness = gd.codimension(game)
+        assert witness.value == expected
+        assert len(log) == lps
+
+    def test_ssp_yes_instance_codimension_lp_count(self):
+        game = gd.gen_ssp(gd.SSPInstance(3, (1, 2, 3), 3))
+        with gd.record_certificates() as log:
+            witness = gd.codimension(game)
+        assert witness.value == 4
+        assert len(log) <= 10
+
+    def test_search_alone_rules_out_a_block_count_above_the_trade_clique(self):
+        # No three targets are pairwise traded, so the clique bound is 2 and
+        # only the search's own block queries can prove that 2 blocks fail.
+        game = gd.gen_random_monotone(7, 6, 1004)
+        edges = {(t1, t2) for t1, t2, _ in traded_pairs(game, False)}
+        edges |= {(t2, t1) for t1, t2 in edges}
+        targets = list(gd.maximal_losing(game))
+        assert edges and not any(
+            (a, b) in edges and (b, c) in edges and (a, c) in edges
+            for i, a in enumerate(targets)
+            for j, b in enumerate(targets[i + 1 :], i + 1)
+            for c in targets[j + 1 :]
+        )
+        with gd.record_certificates() as log:
+            value = gd.dimension(game).value
+        assert len(log) <= 7
+        assert value == exhaustive_dimension(game) == 3
+
+    def test_infeasible_block_in_the_found_partition_is_an_internal_error(self, monkeypatch):
+        # The search places a target alone without a query, so a one-target
+        # block is first asked for its part after the search; a refusal there
+        # must not reach ``combine`` as a missing part.
+        solve = dimsolver._solve_separation
+
+        def refuse_single_targets(n, rows, start=None):
+            if sum(row.relation == gd.LE for row in rows) == 1:
+                return None
+            return solve(n, rows, start)
+
+        monkeypatch.setattr(dimsolver, "_solve_separation", refuse_single_targets)
+        with pytest.raises(RuntimeError, match="internal error"):
+            gd.dimension(gd.gen_example1(2))
 
     def test_self_dual_games_have_equal_dimensions(self, small_corpus):
         for game in small_corpus:

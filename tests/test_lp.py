@@ -3,12 +3,14 @@
 import math
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 import gamedim as gd
 from gamedim.generators import splitmix64
+from gamedim.lp import common_denominator
 
 
 def lp_of(rows, num_vars, nonneg=None):
@@ -140,6 +142,16 @@ class TestCertificates:
         )
         with pytest.raises(gd.CertificateError, match="not an exact rational"):
             gd.verify_certificate(lp, inexact)
+
+    def test_common_denominator_takes_exact_rationals_only(self):
+        class SubFraction(Fraction):
+            pass
+
+        for inexact in (0.5, Decimal(1)):
+            with pytest.raises(gd.CertificateError, match="not an exact rational"):
+                common_denominator([1, Fraction(1, 3), inexact])
+        values = [SubFraction(1, 2), Fraction(1, 3), 2, True]
+        assert common_denominator(values) == ([3, 2, 12, 6], 6)
 
     def test_verifier_rejects_sign_row_on_wrong_variable(self):
         # -x_0 >= 1 with x_0, x_1 >= 0: 1 * (-x_0 >= 1) + 1 * (x_0 >= 0) gives 0 >= 1.
