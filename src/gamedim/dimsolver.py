@@ -22,29 +22,37 @@ separation rows; only ``co_realizable`` and ``realizable``, which take them,
 convert at the boundary.
 
 Block feasibility is an exact rational LP and is downward closed, so a
-minimum cover can be assumed to be a partition.  Every LP of one call begins
-with the same fixed rows: one winning row per fixed coalition and the quota
-row.  Phase one runs on those rows once per call, and each block's
-LP appends its target rows to that finished tableau and continues; the start
-is shared by every query and never changed.  The oracle cache keys each
-feasible entry by its witness's cover, the bitmask of every target that the
-witness separates, and each infeasible entry by the block solved; it answers
-every later subset of a cover or superset of an infeasible block from them.
-No pair or singleton is queried up front; the oracle sees only the blocks
-that the partition search tries.
+minimum cover can be assumed to be a partition.  A block of one target T
+needs no LP: the part [1; w_j = 0 on T, 1 elsewhere] loses exactly on the
+subsets of T, so it separates T as soon as every fixed mask has a player
+outside T, which is checked mask by mask.  Every LP of one call begins with
+the same fixed rows: one winning row per fixed coalition and the quota row.
+Phase one runs on those rows at most once per call, at the first LP.  The
+tableau of every feasible block solved is kept, and a new block's LP
+extends the largest solved block inside it (the fixed rows alone, the empty
+block, when there is none; the first one kept on a tie): its rows are the
+fixed rows, that block's rows, then the new target rows, so only the new
+rows are added to a finished phase one, and each certificate is still
+checked against the whole block program.  Kept tableaux are never changed.
+The oracle cache keys each feasible entry by its witness's cover, the
+bitmask of every target that the witness separates, and each infeasible
+entry by the block solved; it answers every later subset of a cover or
+superset of an infeasible block from them.  No pair or singleton is queried
+up front; the oracle sees only the blocks that the partition search tries.
 
 Most incompatible pairs need no LP: they are 2-trades (Taylor & Zwicker,
 Proc. AMS 115, 1992).  Let C = T1 & T2 and X = T1 ^ T2 for targets T1, T2.
 If some fixed mask M inside T1 | T2 leaves W2 = C | (X - M) a superset of a
 fixed mask M2, then W1 = C | (X & M) contains M, and W1 + W2 = T1 + T2 as
-multisets, so no game wins on W1 and W2 and loses on T1 and T2.  Its Farkas
-witness on the pair's LP puts 1 on rows T1, T2, M and M2 and one unit on the
-sign row w_j >= 0 per occurrence of j in W1 - M and W2 - M2: the weights and
-the quota cancel and the rhs is 2.  ``verify_certificate`` checks each one
-before its edge enters the pair graph.  The search never tries a block
-holding a traded pair, so the cache never holds one, and the full block is
-queried only when no pair is traded, since one incompatible pair already
-makes it infeasible.
+multisets, so no game wins on W1 and W2 and loses on T1 and T2.  The record
+(M, M2, W1, W2) is its own certificate, checked exactly on masks before its
+edge enters the pair graph: M and M2 are fixed masks, M lies in W1 and M2 in
+W2, W1 & W2 = T1 & T2 and W1 | W2 = T1 | T2.  Together these say
+w(W1) + w(W2) = w(T1) + w(T2) for every weight vector w, which is what the
+Farkas witness on the pair's LP says too; ``_trade_certificate`` builds that
+witness on demand.  The search never tries a block holding a traded pair,
+so the cache never holds one, and the full block is queried only when no
+pair is traded, since one incompatible pair already makes it infeasible.
 
 One iterative-deepening partition search tries each block count from a
 clique bound of the trade graph up.  It places the targets one at a time,
@@ -106,10 +114,13 @@ class SeparabilityOracleCache:
     The two lists only grow at the end, so they also answer repeats: a
     repeated query finds the same first match, or its own entry, and gets the
     same witness object.  Under concurrent use two threads may solve the same
-    mask; both outcomes are correct, so the duplicate only costs one LP.  The
-    solvers that :func:`dimension` and :func:`codimension` pass in extend one
-    phase-one start, which they share and only read, so concurrent queries
-    need no lock for it either.
+    mask; both outcomes are correct, so the duplicate only costs one LP.
+    ``lp_solves`` counts the calls to ``solver``; the solvers that
+    :func:`dimension` and :func:`codimension` pass in answer a one-target
+    block without an LP.  They also keep a map from each feasible block they
+    solved to its finished tableau, which later LPs extend.  That map only
+    grows and its entries are never changed, so concurrent queries need no
+    lock for it either.
     """
 
     def __init__(self, solver: Callable[[int], tuple[int, WeightedGame] | None]):
@@ -170,19 +181,32 @@ def _integer_game(assignment: Sequence, n: int) -> WeightedGame:
 
 
 def _solve_separation(
-    n: int, rows: Sequence[_lp.Constraint], start: _lp.Tableau | None = None
-) -> WeightedGame | None:
-    program = _separation_lp(n, rows)
+    program: _lp.LinearProgram, start: _lp.Tableau | None = None
+) -> tuple[WeightedGame, _lp.Tableau] | None:
+    """The integer game that separates ``program``, with its finished tableau."""
     result = _lp.solve_feasibility(program, start)
     if not result.feasible:
         return None
-    game = _integer_game(result.assignment, n)
+    game = _integer_game(result.assignment, program.num_vars - 1)
     values = (*game.weights, game.quota)
     for con in program.constraints:
         value = sum(map(mul, con.coeffs, values))
         if value < con.rhs if con.relation == _lp.GE else value > con.rhs:
             raise _lp.CertificateError("scaled weighted game misses a separation row")
-    return game
+    return game, result.tableau
+
+
+def _unit_part(n: int, fixed_masks: Sequence[int], target: int) -> WeightedGame | None:
+    """The part [1; w_j = 0 on ``target``, 1 elsewhere], checked on every fixed mask.
+
+    It loses exactly on the subsets of ``target``, and it wins on a fixed
+    mask exactly when the mask has a player outside ``target``.  None when
+    some fixed mask lies inside ``target``: then no weighted game wins on it
+    and loses on ``target``.
+    """
+    if any(not m & ~target for m in fixed_masks):
+        return None
+    return WeightedGame(1, [0 if target >> j & 1 else 1 for j in range(n)])
 
 
 def _cover(part: WeightedGame, target_masks: Sequence[int]) -> int:
@@ -206,7 +230,8 @@ def _coalition_masks(coalitions: Iterable[Coalition], n: int) -> list[int]:
 
 def _separate(n: int, fixed: Sequence[int], targets: Sequence[int]) -> WeightedGame | None:
     fixed_rows, target_rows = _separation_rows(n, fixed, targets)
-    return _solve_separation(n, fixed_rows + tuple(target_rows))
+    solved = _solve_separation(_separation_lp(n, fixed_rows + tuple(target_rows)))
+    return None if solved is None else solved[0]
 
 
 def co_realizable(
@@ -251,42 +276,78 @@ def realizable(
     return None if part is None else dual_weighted(part)
 
 
-def _greedy_clique(vertices: Sequence[int], adj: Sequence[int]) -> list[int]:
+def _greedy_clique(order: Sequence[int], cand: int, adj: Sequence[int]) -> list[int]:
+    """First-fit clique over the vertices of ``order`` that are in the mask ``cand``."""
     clique: list[int] = []
-    for v in vertices:
-        if all(adj[v] >> u & 1 for u in clique):
+    for v in order:
+        if cand >> v & 1:
             clique.append(v)
+            cand &= adj[v]
+            if not cand:
+                break
     return clique
+
+
+def _trade(fixed_masks: Sequence[int], t1: int, t2: int) -> tuple[int, int, int, int] | None:
+    """The 2-trade record (M, M2, W1, W2) that keeps targets ``t1`` and ``t2`` apart.
+
+    None when no fixed mask M inside ``t1 | t2`` leaves W2 = C | (X - M) a
+    superset of a fixed mask M2 (see the module docstring).  A fixed mask
+    inside ``t1 | t2`` lies in W2 exactly when it misses X & M.
+    """
+    common, split, outside = t1 & t2, t1 ^ t2, ~(t1 | t2)
+    inside = [m for m in fixed_masks if not m & outside]
+    for m in inside:
+        cut = m & split
+        for m2 in inside:
+            if not m2 & cut:
+                return m, m2, common | cut, common | split & ~m
+    return None
+
+
+def _check_trade(
+    fixed: frozenset[int], t1: int, t2: int, record: tuple[int, int, int, int]
+) -> None:
+    """Raise ``CertificateError`` unless ``record`` is a 2-trade of ``t1`` and ``t2``.
+
+    M and M2 are fixed masks, M lies in W1 and M2 in W2, and W1, W2 have the
+    intersection and the union of T1, T2, so w(W1) + w(W2) = w(T1) + w(T2)
+    for every weight vector w.
+    """
+    m, m2, w1, w2 = record
+    if not (
+        m in fixed
+        and m2 in fixed
+        and not m & ~w1
+        and not m2 & ~w2
+        and w1 & w2 == t1 & t2
+        and w1 | w2 == t1 | t2
+    ):
+        raise _lp.CertificateError("2-trade record does not keep its targets apart")
 
 
 def _trade_certificate(
     n: int, fixed_masks: Sequence[int], t1: int, t2: int
 ) -> _lp.FarkasWitness | None:
-    """Farkas witness of a 2-trade that keeps targets ``t1`` and ``t2`` apart.
+    """Farkas form of the 2-trade that keeps targets ``t1`` and ``t2`` apart.
 
     The witness is on the pair's separation LP: the fixed rows, the quota
-    row, then rows ``t1`` and ``t2``.  None when no fixed mask M inside
-    ``t1 | t2`` leaves W2 = C | (X - M) a superset of a fixed mask (see the
-    module docstring).
+    row, then rows ``t1`` and ``t2``.  It puts 1 on rows T1, T2, M and M2
+    and one unit on the sign row w_j >= 0 per occurrence of j in W1 - M and
+    W2 - M2.  None when there is no trade.
     """
-    common, split, outside = t1 & t2, t1 ^ t2, ~(t1 | t2)
-    inside = [m for m in fixed_masks if not m & outside]
-    for m in inside:
-        w2 = common | split & ~m
-        beyond = ~w2
-        for m2 in inside:
-            if not m2 & beyond:
-                rows = [0] * (len(fixed_masks) + 3)
-                rows[fixed_masks.index(m)] += 1
-                rows[fixed_masks.index(m2)] += 1
-                rows[-2] = rows[-1] = 1
-                signs = [0] * n
-                for j in set_bits((common | split & m) & ~m) + set_bits(w2 & ~m2):
-                    signs[j] += 1
-                return _lp.FarkasWitness(
-                    tuple(rows), tuple((j, u) for j, u in enumerate(signs) if u)
-                )
-    return None
+    record = _trade(fixed_masks, t1, t2)
+    if record is None:
+        return None
+    m, m2, w1, w2 = record
+    rows = [0] * (len(fixed_masks) + 3)
+    rows[fixed_masks.index(m)] += 1
+    rows[fixed_masks.index(m2)] += 1
+    rows[-2] = rows[-1] = 1
+    signs = [0] * n
+    for j in set_bits(w1 & ~m) + set_bits(w2 & ~m2):
+        signs[j] += 1
+    return _lp.FarkasWitness(tuple(rows), tuple((j, u) for j, u in enumerate(signs) if u))
 
 
 def _minimum_partition(count: int, cache: SeparabilityOracleCache, adj: list[int]) -> list[int]:
@@ -297,51 +358,68 @@ def _minimum_partition(count: int, cache: SeparabilityOracleCache, adj: list[int
     that is not traded is found only when a block holding it fails.  Each
     attempt at a block count ``limit`` places the targets in ``order`` into
     an existing block the oracle accepts, or into a new block while fewer
-    than ``limit`` exist.  It prunes when the targets that fit no current
-    block contain a clique too large for the blocks still allowed.  The
-    attempts run from the clique bound up, so the first that succeeds is a
-    minimum.
+    than ``limit`` exist.  Each block keeps the union of its members'
+    neighbourhoods, so the targets that fit no current block are one AND
+    per block, and the attempt backtracks when they contain a clique too
+    large for the blocks still allowed.  The placements live on an explicit
+    stack, so the depth is bounded by memory, not by the recursion limit.
+    The attempts run from the clique bound up, so the first that succeeds is
+    a minimum.
     """
     full = (1 << count) - 1
     if not any(adj) and cache.query(full) is not None:
         return [full]
     by_degree = sorted(range(count), key=lambda v: (-adj[v].bit_count(), v))
-    clique = _greedy_clique(by_degree, adj)
+    clique = _greedy_clique(by_degree, full, adj)
     in_clique = set(clique)
     order = clique + [v for v in by_degree if v not in in_clique]
+    unplaced = [0] * (count + 1)
+    for pos in range(count - 1, -1, -1):
+        unplaced[pos] = unplaced[pos + 1] | 1 << order[pos]
 
     def attempt(limit: int) -> list[int] | None:
-        blocks: list[int] = []
-
-        def extend(pos: int) -> bool:
-            if pos == count:
-                return True
-            # Every unplaced target must still have a compatible home.
-            stuck = [
-                w
-                for w in order[pos:]
-                if all(adj[w] & bm for bm in blocks)
-            ]
-            if stuck and len(blocks) + len(_greedy_clique(stuck, adj)) > limit:
-                return False
+        # Per block, its targets and the union of their neighbourhoods.
+        blocks: list[tuple[int, int]] = []
+        # Per placed position, its block index and that block before it.
+        placed: list[tuple[int, tuple[int, int] | None]] = []
+        pos, nxt = 0, 0  # nxt: the first block to try for order[pos]
+        while True:
+            if nxt == 0:
+                if pos == count:
+                    return [bm for bm, _ in blocks]
+                # Every unplaced target must still have a compatible home.
+                stuck = unplaced[pos]
+                for _, nb in blocks:
+                    stuck &= nb
+                if stuck and len(blocks) + len(_greedy_clique(order[pos:], stuck, adj)) > limit:
+                    nxt = limit + 1  # no block is left to try: backtrack
             v = order[pos]
             vbit = 1 << v
-            for i, bm in enumerate(blocks):
-                if adj[v] & bm:
-                    continue
-                if cache.query(bm | vbit) is not None:
-                    blocks[i] = bm | vbit
-                    if extend(pos + 1):
-                        return True
-                    blocks[i] = bm
-            if len(blocks) < limit:
-                blocks.append(vbit)
-                if extend(pos + 1):
-                    return True
-                blocks.pop()
-            return False
-
-        return list(blocks) if extend(0) else None
+            while nxt < len(blocks):
+                bm = blocks[nxt][0]
+                if not adj[v] & bm and cache.query(bm | vbit) is not None:
+                    break
+                nxt += 1
+            if nxt < len(blocks):
+                placed.append((nxt, blocks[nxt]))
+                bm, nb = blocks[nxt]
+                blocks[nxt] = (bm | vbit, nb | adj[v])
+            elif nxt == len(blocks) < limit:
+                placed.append((nxt, None))
+                blocks.append((vbit, adj[v]))
+            elif placed:
+                # Take the last placement back and try its next block.
+                pos -= 1
+                nxt, before = placed.pop()
+                if before is None:
+                    blocks.pop()
+                else:
+                    blocks[nxt] = before
+                nxt += 1
+                continue
+            else:
+                return None
+            pos, nxt = pos + 1, 0
 
     limit = max(1, len(clique))
     while (found := attempt(limit)) is None:
@@ -366,21 +444,36 @@ def _witnessed_partition(
     fixed_masks, target_masks = set_bits(fixed_table)[::order], set_bits(target_table)[::order]
     n = game.n
     fixed, rows = _separation_rows(n, fixed_masks, target_masks)
-    start = _lp.warm_start(_separation_lp(n, fixed))
+    # (block, finished tableau) of every feasible block solved by an LP; the
+    # empty block, whose tableau holds the fixed rows alone, goes first.
+    grown: list[tuple[int, _lp.Tableau]] = []
 
     def solver(mask: int) -> tuple[int, WeightedGame] | None:
-        part = _solve_separation(n, fixed + tuple(rows[i] for i in set_bits(mask)), start)
-        return None if part is None else (_cover(part, target_masks), part)
+        if not mask & (mask - 1):
+            part = _unit_part(n, fixed_masks, target_masks[mask.bit_length() - 1])
+            return None if part is None else (_cover(part, target_masks), part)
+        if not grown:
+            grown.append((0, _lp.warm_start(_separation_lp(n, fixed))))
+        # The largest solved block inside ``mask``; ``max`` keeps the first.
+        base, start = max(
+            ((b, tab) for b, tab in grown if not b & ~mask), key=lambda e: e[0].bit_count()
+        )
+        new_rows = tuple(rows[i] for i in set_bits(mask & ~base))
+        solved = _solve_separation(_separation_lp(n, start.lp.constraints + new_rows), start)
+        if solved is None:
+            return None
+        part, tableau = solved
+        grown.append((mask, tableau))
+        return _cover(part, target_masks), part
 
+    fixed_set = frozenset(fixed_masks)
     adj = [0] * count
     for i in range(count):
         for j in range(i + 1, count):
-            witness = _trade_certificate(n, fixed_masks, target_masks[i], target_masks[j])
-            if witness is not None:
-                _lp.verify_certificate(
-                    _separation_lp(n, fixed + (rows[i], rows[j])),
-                    _lp.FeasibilityResult(_lp.INFEASIBLE, farkas=witness),
-                )
+            t1, t2 = target_masks[i], target_masks[j]
+            record = _trade(fixed_masks, t1, t2)
+            if record is not None:
+                _check_trade(fixed_set, t1, t2, record)
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
 

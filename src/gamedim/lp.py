@@ -49,7 +49,10 @@ label of row i, ncols + i, moves with ncols, so structural, surplus and
 artificial labels keep the order they have in a solve with no start, and
 Bland's rule, its tie-break and the readouts mean the same.  A start is never
 changed: a solve copies its rows, and ``_pivot`` rebinds rows rather than
-editing them, so one start serves every program that extends it.
+editing them, so one start serves every program that extends it.  Every
+result of :func:`solve_feasibility` carries the tableau it finished on, and
+that tableau is a start like any other, so solves can be chained: each one
+appends rows to the phase one of the last.
 
 The tableau stores the structural and surplus columns only.  Each artificial
 is a basis label with no column, so an artificial that leaves the basis never
@@ -88,7 +91,7 @@ import math
 import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 GE = ">="
@@ -183,9 +186,18 @@ class FarkasWitness:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """An outcome and its certificate.
+
+    A result from :func:`solve_feasibility` also carries the finished phase
+    one as ``tableau``, which later solves can extend by appending rows.  It
+    takes no part in ``==`` or ``repr``: two results are equal when their
+    outcomes and certificates are.
+    """
+
     status: str
     assignment: tuple | None = None
     farkas: FarkasWitness | None = None
+    tableau: Tableau | None = field(default=None, compare=False, repr=False)
 
     @property
     def feasible(self) -> bool:
@@ -260,10 +272,11 @@ def verify_certificate(lp: LinearProgram, result: FeasibilityResult) -> None:
 def solve_feasibility(lp: LinearProgram, start: Tableau | None = None) -> FeasibilityResult:
     """Exact feasibility status plus a verified certificate of the outcome.
 
-    With ``start`` from :func:`warm_start` on a prefix of ``lp``'s rows, only
-    the remaining rows are appended to that finished phase one; without it,
-    every row is appended to the empty tableau.  Either way the certificate
-    is checked against all of ``lp``.
+    With ``start``, a finished phase one on a prefix of ``lp``'s rows (from
+    :func:`warm_start`, or the ``tableau`` of an earlier feasible result),
+    only the remaining rows are appended to it; without it, every row is
+    appended to the empty tableau.  Either way the certificate is checked
+    against all of ``lp``, and the result carries its own finished tableau.
     """
     result = _certificate(_phase_one(lp, start))
     verify_certificate(lp, result)
@@ -428,7 +441,7 @@ def _certificate(tab: Tableau) -> FeasibilityResult:
             Fraction(values[pos] - values[neg] if neg is not None else values[pos], d)
             for pos, neg in tab.columns
         )
-        return FeasibilityResult(FEASIBLE, assignment=assignment)
+        return FeasibilityResult(FEASIBLE, assignment=assignment, tableau=tab)
 
     # The Farkas multipliers are reduced costs: of each row's surplus column,
     # and of each nonnegative variable's column over the common factor.
@@ -440,7 +453,7 @@ def _certificate(tab: Tableau) -> FeasibilityResult:
             if neg is None and z[pos]
         ),
     )
-    return FeasibilityResult(INFEASIBLE, farkas=witness)
+    return FeasibilityResult(INFEASIBLE, farkas=witness, tableau=tab)
 
 
 def _pivot(tableau, d, leave, enter):

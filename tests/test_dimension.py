@@ -3,9 +3,15 @@
 import pytest
 
 import gamedim as gd
-from conftest import exhaustive_codimension, exhaustive_dimension, games_agree_by_hand
+from conftest import (
+    all_coalitions,
+    all_partitions,
+    exhaustive_codimension,
+    exhaustive_dimension,
+    games_agree_by_hand,
+)
 from gamedim import dimsolver
-from gamedim.dimsolver import _trade_certificate
+from gamedim.dimsolver import _check_trade, _trade, _trade_certificate
 from gamedim.generators import splitmix64
 
 
@@ -272,16 +278,82 @@ class TestSolverAgreement:
         # The search places a target alone without a query, so a one-target
         # block is first asked for its part after the search; a refusal there
         # must not reach ``combine`` as a missing part.
-        solve = dimsolver._solve_separation
-
-        def refuse_single_targets(n, rows, start=None):
-            if sum(row.relation == gd.LE for row in rows) == 1:
-                return None
-            return solve(n, rows, start)
-
-        monkeypatch.setattr(dimsolver, "_solve_separation", refuse_single_targets)
+        monkeypatch.setattr(dimsolver, "_unit_part", lambda n, fixed_masks, target: None)
         with pytest.raises(RuntimeError, match="internal error"):
             gd.dimension(gd.gen_example1(2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_example1_dimension_solves_no_lp(self, n):
+        # Every pair of maximal losing coalitions is traded, so each target is
+        # a block of its own and is answered by its canonical part.
+        game = gd.gen_example1(n)
+        with gd.record_certificates() as log:
+            witness = gd.dimension(game)
+        assert log == []
+        assert witness.value == n
+        canonical = gd.canonical_intersection(game)
+        assert len(witness.parts) == len(canonical) and set(witness.parts) == set(canonical)
+
+    def test_search_places_a_thousand_pairwise_traded_targets(self):
+        # A complete trade graph puts every target in a block of its own, one
+        # placement per level of the search, and asks the oracle nothing.
+        count = 1000
+        full = (1 << count) - 1
+        adj = [full ^ 1 << v for v in range(count)]
+
+        class NoOracle:
+            def query(self, mask):
+                raise AssertionError(f"queried block {mask:#x}")
+
+        blocks = dimsolver._minimum_partition(count, NoOracle(), adj)
+        assert len(blocks) == count
+        assert sorted(blocks) == [1 << v for v in range(count)]
+
+    def test_search_matches_brute_force_on_stub_oracles(self):
+        # Random trade graphs plus hidden infeasible triples that no pair of
+        # the triple explains: the search must find a least partition into
+        # blocks holding neither, and backtracking must restore every block.
+        stream = splitmix64(99)
+        backtracked = queries = 0
+        for _ in range(60):
+            count = 5 + next(stream) % 4
+            adj = [0] * count
+            for i in range(count):
+                for j in range(i + 1, count):
+                    if next(stream) % 5 < 2:
+                        adj[i] |= 1 << j
+                        adj[j] |= 1 << i
+            bad = [
+                m
+                for m in (sum(1 << (next(stream) % count) for _ in range(3)) for _ in range(3))
+                if m.bit_count() == 3 and not any(adj[v] & m for v in range(count) if m >> v & 1)
+            ]
+
+            def ok(block):
+                return not any(adj[v] & block for v in range(count) if block >> v & 1) and not any(
+                    b & ~block == 0 for b in bad
+                )
+
+            class StubOracle:
+                def query(self, mask):
+                    nonlocal queries
+                    queries += 1
+                    return mask if ok(mask) else None
+
+            blocks = dimsolver._minimum_partition(count, StubOracle(), adj)
+            assert sum(blocks) == (1 << count) - 1 and all(map(ok, blocks))
+            least = min(
+                len(p)
+                for p in all_partitions(list(range(count)))
+                if all(ok(sum(1 << v for v in block)) for block in p)
+            )
+            assert len(blocks) == least
+            clique = len(dimsolver._greedy_clique(range(count), (1 << count) - 1, adj))
+            backtracked += least > max(1, clique)
+        assert backtracked > 5
+        # Pruning on the targets that fit no block keeps the search to 242
+        # queries here; it takes 245 without.
+        assert queries <= 242
 
     def test_self_dual_games_have_equal_dimensions(self, small_corpus):
         for game in small_corpus:
@@ -319,10 +391,10 @@ class TestSharedFixedRows:
     @pytest.mark.parametrize(
         "solve, game, codim, expected",
         [
-            (gd.dimension, gd.gen_example1(4), False, 4),
+            (gd.dimension, gd.gen_random_monotone(7, 6, 1004), False, 3),
             (gd.codimension, gd.gen_ssp(gd.SSPInstance(3, (1, 2, 3), 2)), True, 2),
         ],
-        ids=["dim-example1-4", "codim-ssp-yes-2"],
+        ids=["dim-random-7-6-1004", "codim-ssp-yes-2"],
     )
     def test_every_oracle_lp_begins_with_the_fixed_rows(self, solve, game, codim, expected):
         fixed = fixed_separation_rows(game, codim)
@@ -337,6 +409,35 @@ class TestSharedFixedRows:
             gd.verify_certificate(lp, result)
 
 
+    @pytest.mark.parametrize(
+        "solve, game, codim",
+        [
+            (gd.dimension, gd.gen_random_monotone(7, 6, 1004), False),
+            (gd.dimension, gd.gen_random_monotone(9, 7, 5040), False),
+            (gd.codimension, gd.gen_ssp(gd.SSPInstance(3, (1, 2, 3), 3)), True),
+        ],
+        ids=["dim-random-7-6-1004", "dim-random-9-7-5040", "codim-ssp-yes-3"],
+    )
+    def test_each_block_lp_extends_the_largest_solved_block_inside_it(self, solve, game, codim):
+        # Rows past the fixed ones are the block's targets: those of the
+        # largest earlier feasible block inside it (the first on a tie), in
+        # that block's order, then the others.
+        fixed = fixed_separation_rows(game, codim)
+        with gd.record_certificates() as log:
+            solve(game)
+        solved = []
+        extended = 0
+        for lp, result in log:
+            block = set(lp.constraints[len(fixed) :])
+            inside = [rows for rows in solved if set(rows) <= block]
+            base = max(inside, key=len, default=())
+            assert lp.constraints[len(fixed) : len(fixed) + len(base)] == base
+            extended += bool(base)
+            if result.feasible:
+                solved.append(lp.constraints[len(fixed) :])
+        assert extended > 0
+
+
 def traded_pairs(game, codim):
     """(t1, t2, witness) for every target pair that the 2-trade test keeps apart."""
     fixed, targets = separation_coalitions(game, codim)
@@ -346,6 +447,17 @@ def traded_pairs(game, codim):
             witness = _trade_certificate(game.n, fixed_masks, t1.members >> 1, t2.members >> 1)
             if witness is not None:
                 yield t1, t2, witness
+
+
+def trade_records(game, codim):
+    """(fixed masks, t1, t2, record) for every target pair that a 2-trade keeps apart."""
+    fixed, targets = separation_coalitions(game, codim)
+    fixed_masks = [c.members >> 1 for c in fixed]
+    for i, t1 in enumerate(targets):
+        for t2 in targets[i + 1 :]:
+            record = _trade(fixed_masks, t1.members >> 1, t2.members >> 1)
+            if record is not None:
+                yield fixed_masks, t1, t2, record
 
 
 def pair_program(game, codim, t1, t2):
@@ -420,6 +532,69 @@ class TestTradeCertificates:
         [(lp, result)] = log
         assert result.feasible
         assert len(lp.constraints) == len(sets.minimal_winning) + 1 + len(sets.maximal_losing)
+
+
+class TestUnitPart:
+    def test_part_loses_exactly_inside_its_target(self):
+        game = gd.gen_random_monotone(6, 3, 12)
+        sets = gd.extremal_sets(game)
+        fixed = [c.members >> 1 for c in sets.minimal_winning]
+        for target in sets.maximal_losing:
+            part = dimsolver._unit_part(game.n, fixed, target.members >> 1)
+            assert part.quota == 1
+            for c in all_coalitions(game.n):
+                assert part.wins(c) == (c.members & ~target.members != 0)
+
+    def test_fixed_mask_inside_the_target_has_no_part(self):
+        assert dimsolver._unit_part(3, [0b011, 0b100], 0b011) is None
+        assert dimsolver._unit_part(3, [0b011, 0b100], 0b110) is None
+        assert dimsolver._unit_part(3, [0b011, 0b101], 0b110) == gd.make_weighted(1, [1, 0, 0])
+
+
+class TestTradeRecords:
+    @pytest.mark.parametrize("codim", [False, True], ids=["dim", "codim"])
+    def test_every_record_passes_the_mask_check(self, acceptance_corpus, codim):
+        records = 0
+        for game in acceptance_corpus:
+            for fixed_masks, t1, t2, record in trade_records(game, codim):
+                _check_trade(frozenset(fixed_masks), t1.members >> 1, t2.members >> 1, record)
+                records += 1
+        assert records > 0
+
+    @pytest.mark.parametrize("codim", [False, True], ids=["dim", "codim"])
+    def test_every_farkas_form_verifies(self, acceptance_corpus, codim):
+        for game in acceptance_corpus:
+            for fixed_masks, t1, t2, _ in trade_records(game, codim):
+                witness = _trade_certificate(game.n, fixed_masks, t1.members >> 1, t2.members >> 1)
+                gd.verify_certificate(
+                    pair_program(game, codim, t1, t2),
+                    gd.FeasibilityResult("infeasible", farkas=witness),
+                )
+
+    def test_broken_records_are_refused(self):
+        # A codim pair of example1 n=3 whose targets leave a player out, so
+        # W1 can grow past their union.
+        full = 0b111111
+        fixed_masks, t1, t2, record = next(
+            r for r in trade_records(gd.gen_example1(3), True)
+            if (r[1].members | r[2].members) >> 1 != full
+        )
+        fixed, m1, m2 = frozenset(fixed_masks), t1.members >> 1, t2.members >> 1
+        _check_trade(fixed, m1, m2, record)
+        m, m2_, w1, w2 = record
+        outside = full & ~(m1 | m2)
+        assert m & (m - 1) not in fixed and m2_ & (m2_ - 1) not in fixed
+        broken = [
+            (m & (m - 1), m2_, w1, w2),  # M is not a fixed mask
+            (m, m2_ & (m2_ - 1), w1, w2),  # M2 is not a fixed mask
+            (m2_, m2_, w1, w2),  # M = M2 is fixed but not inside W1
+            (m, m, w1, w2),  # M2 = M is fixed but not inside W2
+            (m, m2_, w1 | outside & -outside, w2),  # W1 | W2 is not T1 | T2
+            (m, m2_, w1 | w2, w2),  # W1 & W2 is not T1 & T2
+        ]
+        for bad in broken:
+            with pytest.raises(gd.CertificateError):
+                _check_trade(fixed, m1, m2, bad)
 
 
 class TestIsWeighted:

@@ -518,6 +518,40 @@ class TestWarmStart:
         assert len(results) == 12
         assert tableau_snapshot(start) == before
 
+    def test_chained_extensions_match_the_cold_solve(self):
+        # Each solve appends rows to the tableau that the last one returned.
+        stream = splitmix64(2718)
+        ends = {True: 0, False: 0}
+        for _ in range(150):
+            num_vars = 1 + next(stream) % 3
+            num_rows = 3 + next(stream) % 5
+            if next(stream) % 2:
+                nonneg = range(num_vars)
+            else:
+                nonneg = [j for j in range(num_vars) if next(stream) % 2]
+            lp = random_rational_lp(stream, num_vars, num_rows, nonneg)
+            rows = tuple(map(integral, lp.constraints))
+            cuts = sorted({1 + next(stream) % (num_rows - 1) for _ in range(2)}) + [num_rows]
+            result = gd.solve_feasibility(gd.LinearProgram(num_vars, rows[: cuts[0]], nonneg))
+            for cut in cuts[1:]:
+                program = gd.LinearProgram(num_vars, rows[:cut], nonneg)
+                before = tableau_snapshot(result.tableau)
+                extended = gd.solve_feasibility(program, result.tableau)
+                assert extended.feasible == gd.solve_feasibility(program).feasible
+                gd.verify_certificate(program, extended)
+                assert tableau_snapshot(result.tableau) == before
+                assert extended.tableau.lp is program
+                result = extended
+            ends[result.feasible] += 1
+        assert ends[True] > 20 and ends[False] > 20
+
+    def test_result_tableau_takes_no_part_in_equality_or_repr(self):
+        lp = lp_of([((1, 1), gd.GE, 2), ((1, -1), gd.LE, 0)], 2)
+        result = gd.solve_feasibility(lp)
+        assert result.tableau is not None and result.tableau.lp is lp
+        assert result == gd.FeasibilityResult(result.status, result.assignment)
+        assert "tableau" not in repr(result)
+
     def test_empty_extension_reads_the_start(self):
         lp = lp_of([((1, 1), gd.GE, 2), ((1, -1), gd.LE, 0)], 2)
         result = gd.solve_feasibility(lp, gd.warm_start(lp))
