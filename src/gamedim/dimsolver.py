@@ -27,12 +27,14 @@ needs no LP: the part [1; w_j = 0 on T, 1 elsewhere] loses exactly on the
 subsets of T, so it separates T as soon as every fixed mask has a player
 outside T, which is checked mask by mask.  Every LP of one call begins with
 the same fixed rows: one winning row per fixed coalition and the quota row.
-Phase one runs on those rows at most once per call, at the first LP.  The
-tableau of every feasible block solved is kept, and a new block's LP
-extends the largest solved block inside it (the fixed rows alone, the empty
-block, when there is none; the first one kept on a tie): its rows are the
-fixed rows, that block's rows, then the new target rows, so only the new
-rows are added to a finished phase one, and each certificate is still
+Phase one runs on those rows alone at most once per call, at the first LP,
+unless that LP is the full block: a feasible full block is the whole answer,
+so it is solved cold, and the fixed rows get their phase one at the next LP
+if it fails.  The tableau of every feasible block solved is kept, and a new
+block's LP extends the largest solved block inside it (the fixed rows alone,
+the empty block, when there is none; the first one kept on a tie): its rows
+are the fixed rows, that block's rows, then the new target rows, so only the
+new rows are added to a finished phase one, and each certificate is still
 checked against the whole block program.  Kept tableaux are never changed.
 The oracle cache keys each feasible entry by its witness's cover, the
 bitmask of every target that the witness separates, and each infeasible
@@ -53,6 +55,15 @@ Farkas witness on the pair's LP says too; ``_trade_certificate`` builds that
 witness on demand.  The search never tries a block holding a traded pair,
 so the cache never holds one, and the full block is queried only when no
 pair is traded, since one incompatible pair already makes it infeasible.
+
+A block of two or more targets is widened before its LP: in index order,
+each target that no checked trade keeps from the block, or from a target
+already added, joins it.  The widened block is solved first, and its
+witness's cover answers the blocks inside it that the search asks later;
+if it is infeasible, the block asked for is solved instead.  Only verified
+outcomes enter the cache, so every query gets the same answer as without
+widening and the search finds the same partition; only the witness part
+that answers a block may differ.
 
 One iterative-deepening partition search tries each block count from a
 clique bound of the trade graph up.  It places the targets one at a time,
@@ -115,12 +126,13 @@ class SeparabilityOracleCache:
     repeated query finds the same first match, or its own entry, and gets the
     same witness object.  Under concurrent use two threads may solve the same
     mask; both outcomes are correct, so the duplicate only costs one LP.
-    ``lp_solves`` counts the calls to ``solver``; the solvers that
+    ``lp_solves`` counts the calls to ``solver``, not LPs: the solvers that
     :func:`dimension` and :func:`codimension` pass in answer a one-target
-    block without an LP.  They also keep a map from each feasible block they
-    solved to its finished tableau, which later LPs extend.  That map only
-    grows and its entries are never changed, so concurrent queries need no
-    lock for it either.
+    block without an LP, and may run two LPs for a wider block, the widened
+    one and then, if it fails, the block asked for.  They also keep a map
+    from each feasible block they solved to its finished tableau, which later
+    LPs extend.  That map only grows and its entries are never changed, so
+    concurrent queries need no lock for it either.
     """
 
     def __init__(self, solver: Callable[[int], tuple[int, WeightedGame] | None]):
@@ -209,11 +221,16 @@ def _unit_part(n: int, fixed_masks: Sequence[int], target: int) -> WeightedGame 
     return WeightedGame(1, [0 if target >> j & 1 else 1 for j in range(n)])
 
 
-def _cover(part: WeightedGame, target_masks: Sequence[int]) -> int:
-    """Bitmask of the targets on which ``part`` loses."""
+def _cover(part: WeightedGame, target_players: Sequence[Sequence[int]]) -> int:
+    """Bitmask of the targets on which ``part`` loses.
+
+    ``target_players`` holds each target's player positions (``set_bits``
+    of its mask), listed once per call so that each part only sums weights.
+    """
+    weight, quota = part.weights.__getitem__, part.quota
     cover = 0
-    for i, m in enumerate(target_masks):
-        if part._weight_of_mask(m) < part.quota:
+    for i, players in enumerate(target_players):
+        if sum(map(weight, players)) < quota:
             cover |= 1 << i
     return cover
 
@@ -444,27 +461,55 @@ def _witnessed_partition(
     fixed_masks, target_masks = set_bits(fixed_table)[::order], set_bits(target_table)[::order]
     n = game.n
     fixed, rows = _separation_rows(n, fixed_masks, target_masks)
+    target_players = [set_bits(m) for m in target_masks]
+    full = (1 << count) - 1
+
     # (block, finished tableau) of every feasible block solved by an LP; the
-    # empty block, whose tableau holds the fixed rows alone, goes first.
+    # empty block, whose tableau holds the fixed rows alone, goes first
+    # unless a feasible full block, solved cold, already answers everything.
     grown: list[tuple[int, _lp.Tableau]] = []
 
-    def solver(mask: int) -> tuple[int, WeightedGame] | None:
-        if not mask & (mask - 1):
-            part = _unit_part(n, fixed_masks, target_masks[mask.bit_length() - 1])
-            return None if part is None else (_cover(part, target_masks), part)
-        if not grown:
+    def solve(mask: int) -> tuple[int, WeightedGame] | None:
+        """One LP for the block ``mask``, extending the largest solved block inside it."""
+        if not grown and mask != full:
             grown.append((0, _lp.warm_start(_separation_lp(n, fixed))))
-        # The largest solved block inside ``mask``; ``max`` keeps the first.
+        # ``max`` keeps the first of the largest; with nothing kept, the
+        # full block is solved cold.
         base, start = max(
-            ((b, tab) for b, tab in grown if not b & ~mask), key=lambda e: e[0].bit_count()
+            ((b, tab) for b, tab in grown if not b & ~mask),
+            key=lambda e: e[0].bit_count(),
+            default=(0, None),
         )
+        prefix = fixed if start is None else start.lp.constraints
         new_rows = tuple(rows[i] for i in set_bits(mask & ~base))
-        solved = _solve_separation(_separation_lp(n, start.lp.constraints + new_rows), start)
+        solved = _solve_separation(_separation_lp(n, prefix + new_rows), start)
         if solved is None:
             return None
         part, tableau = solved
         grown.append((mask, tableau))
-        return _cover(part, target_masks), part
+        return _cover(part, target_players), part
+
+    def widened(mask: int) -> int:
+        """``mask`` plus, in index order, each target that no trade keeps from it."""
+        near = 0
+        for i in set_bits(mask):
+            near |= adj[i]
+        for i in range(count):
+            if not (mask | near) >> i & 1:
+                mask |= 1 << i
+                near |= adj[i]
+        return mask
+
+    def solver(mask: int) -> tuple[int, WeightedGame] | None:
+        if not mask & (mask - 1):
+            part = _unit_part(n, fixed_masks, target_masks[mask.bit_length() - 1])
+            return None if part is None else (_cover(part, target_players), part)
+        wide = widened(mask)
+        if wide != mask:
+            outcome = solve(wide)
+            if outcome is not None:
+                return outcome
+        return solve(mask)
 
     fixed_set = frozenset(fixed_masks)
     adj = [0] * count

@@ -17,6 +17,12 @@ current basis.  Each pivot divides exactly by the old d.  The pivot element
 becomes the new d, and it is always positive, so signs of reduced costs and
 ratios compared by cross-multiplication are those of the rational tableau,
 and the pivot sequence is the one Bland's rule takes over the rationals.
+When the pivot element p equals d, as in most pivots of a separation LP
+(mostly with p = d = 1), the step (p * row - f * pivot_row) / d is
+row - f * pivot_row / d: a row with f = 0 is unchanged, and any other row
+changes only in the columns where the pivot row is nonzero.  Such a pivot
+updates only those entries, in place; any other pivot recomputes every
+entry.  Both give the same tableau.
 
 Phase one starts from slack columns where it can (Chvátal, *Linear
 Programming*, 1983; Maros, *Computational Techniques of the Simplex Method*,
@@ -48,10 +54,11 @@ earlier row gains a zero column for every new surplus, and the artificial
 label of row i, ncols + i, moves with ncols, so structural, surplus and
 artificial labels keep the order they have in a solve with no start, and
 Bland's rule, its tie-break and the readouts mean the same.  A start is never
-changed: a solve copies its rows, and ``_pivot`` rebinds rows rather than
-editing them, so one start serves every program that extends it.  Every
-result of :func:`solve_feasibility` carries the tableau it finished on, and
-that tableau is a start like any other, so solves can be chained: each one
+changed: a solve pads a copy of each of its rows, and ``_pivot`` edits only
+those copies and the rows the solve appends, so one start serves every
+program that extends it, concurrent solves included.  Every result of
+:func:`solve_feasibility` carries the tableau it finished on, and that
+tableau is a start like any other, so solves can be chained: each one
 appends rows to the phase one of the last.
 
 The tableau stores the structural and surplus columns only.  Each artificial
@@ -459,17 +466,30 @@ def _certificate(tab: Tableau) -> FeasibilityResult:
 def _pivot(tableau, d, leave, enter):
     """Fraction-free pivot on ``tableau[leave][enter]``; returns the new divisor.
 
-    Every row but the pivot row becomes (p * row - row[enter] * pivot_row) / d,
-    which divides exactly; the pivot row is kept as it is.
+    Every row but the pivot row becomes (p * row - f * pivot_row) / d with
+    f = row[enter], which divides exactly; the pivot row is kept as it is.
+    When p = d, that is row - f * pivot_row / d: a row with f = 0 is kept,
+    and any other changes only where the pivot row is nonzero, where
+    f * b / d is exact because p * a - f * b is a multiple of d.  Those rows
+    are edited in place; the rows are the solve's own (see the module
+    docstring).
     """
     pivot_row = tableau[leave]
     p = pivot_row[enter]
+    if p == d:
+        nonzero = [(j, b) for j, b in enumerate(pivot_row) if b]
+        for row in tableau:
+            f = row[enter]
+            if f and row is not pivot_row:
+                for j, b in nonzero:
+                    row[j] -= f * b // d
+        return p
     for i, row in enumerate(tableau):
         if i == leave:
             continue
         f = row[enter]
-        if f != 0:
+        if f:
             tableau[i] = [(p * a - f * b) // d for a, b in zip(row, pivot_row)]
-        elif p != d:
+        else:
             tableau[i] = [p * a // d for a in row]
     return p

@@ -11,6 +11,7 @@ from conftest import (
     games_agree_by_hand,
 )
 from gamedim import dimsolver
+from gamedim.core import set_bits
 from gamedim.dimsolver import _check_trade, _trade, _trade_certificate
 from gamedim.generators import splitmix64
 
@@ -355,6 +356,55 @@ class TestSolverAgreement:
         # queries here; it takes 245 without.
         assert queries <= 242
 
+    def test_infeasible_widened_block_falls_back_to_the_asked_block(self):
+        # A widened block that fails is followed by the LP of the block the
+        # search asked for, which lies strictly inside it.
+        game = gd.gen_random_monotone(6, 3, 1021)
+        with gd.record_certificates() as log:
+            value = gd.dimension(game).value
+        assert value == exhaustive_dimension(game) == 2
+        assert any(
+            not result.feasible and set(asked.constraints) < set(wide.constraints)
+            for (wide, result), (asked, _) in zip(log, log[1:])
+        )
+        for lp, result in log:
+            gd.verify_certificate(lp, result)
+
+    @pytest.mark.parametrize(
+        "solve, game, expected, max_lps",
+        [
+            (gd.codimension, gd.gen_ssp(gd.SSPInstance(3, (1, 2, 3), 3)), 4, 5),
+            (gd.dimension, gd.gen_ssp(gd.SSPInstance(3, (1, 2, 3), 3)), 3, 3),
+            (gd.dimension, gd.gen_random_monotone(7, 6, 1004), 3, 3),
+        ],
+        ids=["codim-ssp-yes-3", "dim-ssp-yes-3", "dim-random-7-6-1004"],
+    )
+    def test_widened_blocks_answer_later_queries(self, solve, game, expected, max_lps):
+        # Each block LP takes in every target that no trade keeps from it, so
+        # one witness answers blocks the search has not asked for yet.  The
+        # unwidened search solved 10, 5 and 6 LPs here.
+        with gd.record_certificates() as log:
+            witness = solve(game)
+        assert witness.value == expected
+        assert games_agree_by_hand(witness.as_game(), game)
+        assert len(log) <= max_lps
+
+    @pytest.mark.parametrize("solve", [gd.dimension, gd.codimension], ids=["dim", "codim"])
+    def test_feasible_full_block_needs_no_warm_start(self, solve, monkeypatch):
+        # The full block is the first LP of a game with no trade; it is solved
+        # cold, since a feasible full block is the whole answer.
+        majority = gd.SimpleGame.from_weighted(gd.make_weighted(4, [3, 2, 1, 1, 1]))
+        game = gd.make_explicit(5, list(gd.minimal_winning(majority)))
+
+        def no_start(lp):
+            raise AssertionError("warm start built")
+
+        monkeypatch.setattr(dimsolver._lp, "warm_start", no_start)
+        with gd.record_certificates() as log:
+            witness = solve(game)
+        assert witness.value == 1
+        assert len(log) == 1
+
     def test_self_dual_games_have_equal_dimensions(self, small_corpus):
         for game in small_corpus:
             if gd.is_self_dual(game):
@@ -412,11 +462,11 @@ class TestSharedFixedRows:
     @pytest.mark.parametrize(
         "solve, game, codim",
         [
-            (gd.dimension, gd.gen_random_monotone(7, 6, 1004), False),
+            (gd.dimension, gd.gen_random_monotone(7, 4, 1012), False),
             (gd.dimension, gd.gen_random_monotone(9, 7, 5040), False),
-            (gd.codimension, gd.gen_ssp(gd.SSPInstance(3, (1, 2, 3), 3)), True),
+            (gd.codimension, gd.dual(gd.gen_random_monotone(7, 5, 1043)), True),
         ],
-        ids=["dim-random-7-6-1004", "dim-random-9-7-5040", "codim-ssp-yes-3"],
+        ids=["dim-random-7-4-1012", "dim-random-9-7-5040", "codim-dual-random-7-5-1043"],
     )
     def test_each_block_lp_extends_the_largest_solved_block_inside_it(self, solve, game, codim):
         # Rows past the fixed ones are the block's targets: those of the
@@ -549,6 +599,20 @@ class TestUnitPart:
         assert dimsolver._unit_part(3, [0b011, 0b100], 0b011) is None
         assert dimsolver._unit_part(3, [0b011, 0b100], 0b110) is None
         assert dimsolver._unit_part(3, [0b011, 0b101], 0b110) == gd.make_weighted(1, [1, 0, 0])
+
+
+class TestCover:
+    def test_cover_agrees_with_wins_on_every_target(self):
+        stream = splitmix64(31)
+        for _ in range(200):
+            n = 1 + next(stream) % 8
+            weights = [1 + next(stream) % 5] + [next(stream) % 5 for _ in range(n - 1)]
+            part = gd.make_weighted(1 + next(stream) % sum(weights), weights)
+            masks = [next(stream) % (1 << n) for _ in range(1 + next(stream) % 12)]
+            cover = dimsolver._cover(part, [set_bits(m) for m in masks])
+            for i, m in enumerate(masks):
+                assert (cover >> i & 1) == (not part.wins(gd.Coalition(m << 1, n)))
+            assert cover < 1 << len(masks)
 
 
 class TestTradeRecords:

@@ -580,6 +580,94 @@ class TestWarmStart:
         assert gd.solve_feasibility(thirds).feasible
 
 
+def bareiss_pivot(tableau, d, leave, enter):
+    """Dense fraction-free pivot: (p * row - row[enter] * pivot_row) / d on every
+    entry of every row but the pivot row, each division checked to be exact."""
+    pivot_row = tableau[leave]
+    p = pivot_row[enter]
+    rows = []
+    for i, row in enumerate(tableau):
+        if i == leave:
+            rows.append(list(row))
+            continue
+        new = []
+        for a, b in zip(row, pivot_row):
+            quotient, remainder = divmod(p * a - row[enter] * b, d)
+            assert remainder == 0
+            new.append(quotient)
+        rows.append(new)
+    return rows, p
+
+
+class TestPivot:
+    def test_matches_dense_bareiss(self):
+        # Random pivot sequences from an integer tableau with d = 1; every
+        # tableau on the way is d times a rational tableau, as in a solve.
+        stream = splitmix64(1968)
+        kinds = {"p = d = 1": 0, "p = d > 1": 0, "p != d": 0}
+        for _ in range(150):
+            num_rows = 2 + next(stream) % 4
+            num_cols = 2 + next(stream) % 6
+            tableau = [[next(stream) % 9 - 4 for _ in range(num_cols)] for _ in range(num_rows)]
+            d = 1
+            for _ in range(5):
+                cells = [
+                    (i, j)
+                    for i in range(num_rows)
+                    for j in range(num_cols)
+                    if tableau[i][j] > 0
+                ]
+                if not cells:
+                    break
+                at_d = [(i, j) for i, j in cells if tableau[i][j] == d]
+                pool = at_d if at_d and next(stream) % 2 else cells
+                leave, enter = pool[next(stream) % len(pool)]
+                p = tableau[leave][enter]
+                kinds["p != d" if p != d else "p = d = 1" if d == 1 else "p = d > 1"] += 1
+                expected, expected_d = bareiss_pivot(tableau, d, leave, enter)
+                d = gd.lp._pivot(tableau, d, leave, enter)
+                assert d == expected_d
+                assert tableau == expected
+        assert all(count > 50 for count in kinds.values()), kinds
+
+    def test_chained_unit_pivots_leave_the_start_unchanged(self, monkeypatch):
+        # Unit pivots edit rows in place; the rows they edit must be the
+        # solve's own copies, never a start's.
+        pivots = []
+        pivot = gd.lp._pivot
+
+        def recording(tableau, d, leave, enter):
+            pivots.append((tableau[leave][enter], d))
+            return pivot(tableau, d, leave, enter)
+
+        monkeypatch.setattr(gd.lp, "_pivot", recording)
+        chains = [
+            [[((1, 0, 0), gd.GE, 1), ((0, 1, 0), gd.GE, 2)], [((1, 1, 0), gd.GE, 4)],
+             [((-1, 0, 1), gd.GE, 1), ((0, 1, 1), gd.LE, 9)]],
+            [[((1, 0, 0), gd.GE, 1), ((0, 1, 0), gd.GE, 2)],
+             [((1, 1, 0), gd.GE, 4), ((0, 0, 1), gd.GE, 1)],
+             [((-1, 0, 1), gd.GE, 1), ((1, 1, 1), gd.LE, 4)]],
+        ]
+        ends = []
+        for chain in chains:
+            rows = list(chain[0])
+            start = gd.warm_start(lp_of(rows, 3))
+            tableaux = [start]
+            snapshots = [tableau_snapshot(start)]
+            for new in chain[1:]:
+                rows += new
+                program = lp_of(rows, 3)
+                result = gd.solve_feasibility(program, tableaux[-1])
+                assert result.feasible == gd.solve_feasibility(program).feasible
+                gd.verify_certificate(program, result)
+                tableaux.append(result.tableau)
+                snapshots.append(tableau_snapshot(result.tableau))
+            assert [tableau_snapshot(t) for t in tableaux] == snapshots
+            ends.append(result.feasible)
+        assert ends == [True, False]
+        assert len(pivots) > 10 and all(p == d == 1 for p, d in pivots)
+
+
 class TestSolverContract:
     def test_scale_invariance_of_status(self):
         stream = splitmix64(99)
