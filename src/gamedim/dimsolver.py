@@ -25,22 +25,14 @@ Block feasibility is an exact rational LP and is downward closed, so a
 minimum cover can be assumed to be a partition.  A block of one target T
 needs no LP: the part [1; w_j = 0 on T, 1 elsewhere] loses exactly on the
 subsets of T, so it separates T as soon as every fixed mask has a player
-outside T, which is checked mask by mask.  Every LP of one call begins with
-the same fixed rows: one winning row per fixed coalition and the quota row.
-Phase one runs on those rows alone at most once per call, at the first LP,
-unless that LP is the full block: a feasible full block is the whole answer,
-so it is solved cold, and the fixed rows get their phase one at the next LP
-if it fails.  The tableau of every feasible block solved is kept, and a new
-block's LP extends the largest solved block inside it (the fixed rows alone,
-the empty block, when there is none; the first one kept on a tie): its rows
-are the fixed rows, that block's rows, then the new target rows, so only the
-new rows are added to a finished phase one, and each certificate is still
-checked against the whole block program.  Kept tableaux are never changed.
-The oracle cache keys each feasible entry by its witness's cover, the
-bitmask of every target that the witness separates, and each infeasible
-entry by the block solved; it answers every later subset of a cover or
-superset of an infeasible block from them.  No pair or singleton is queried
-up front; the oracle sees only the blocks that the partition search tries.
+outside T, which is checked mask by mask.  Every other block is one LP,
+solved cold: the fixed rows, one winning row per fixed coalition and the
+quota row, then the block's target rows in target order.  The oracle cache
+keys each feasible entry by its witness's cover, the bitmask of every target
+that the witness separates, and each infeasible entry by the block solved;
+it answers every later subset of a cover or superset of an infeasible block
+from them.  No pair or singleton is queried up front; the oracle sees only
+the blocks that the partition search tries.
 
 Most incompatible pairs need no LP: they are 2-trades (Taylor & Zwicker,
 Proc. AMS 115, 1992).  Let C = T1 & T2 and X = T1 ^ T2 for targets T1, T2.
@@ -96,7 +88,7 @@ from .core import (
     complemented,
     set_bits,
 )
-from .structure import dual_weighted, equivalent, extremal_sets, maximal_losing, minimal_winning
+from .structure import dual_weighted, equivalent, extremal_sets
 
 COVER_MAX = 32
 
@@ -129,10 +121,7 @@ class SeparabilityOracleCache:
     ``lp_solves`` counts the calls to ``solver``, not LPs: the solvers that
     :func:`dimension` and :func:`codimension` pass in answer a one-target
     block without an LP, and may run two LPs for a wider block, the widened
-    one and then, if it fails, the block asked for.  They also keep a map
-    from each feasible block they solved to its finished tableau, which later
-    LPs extend.  That map only grows and its entries are never changed, so
-    concurrent queries need no lock for it either.
+    one and then, if it fails, the block asked for.
     """
 
     def __init__(self, solver: Callable[[int], tuple[int, WeightedGame] | None]):
@@ -192,11 +181,9 @@ def _integer_game(assignment: Sequence, n: int) -> WeightedGame:
     return WeightedGame(values[n], values[:n])
 
 
-def _solve_separation(
-    program: _lp.LinearProgram, start: _lp.Tableau | None = None
-) -> tuple[WeightedGame, _lp.Tableau] | None:
-    """The integer game that separates ``program``, with its finished tableau."""
-    result = _lp.solve_feasibility(program, start)
+def _solve_separation(program: _lp.LinearProgram) -> WeightedGame | None:
+    """The integer game that separates ``program``, checked on every row."""
+    result = _lp.solve_feasibility(program)
     if not result.feasible:
         return None
     game = _integer_game(result.assignment, program.num_vars - 1)
@@ -205,7 +192,7 @@ def _solve_separation(
         value = sum(map(mul, con.coeffs, values))
         if value < con.rhs if con.relation == _lp.GE else value > con.rhs:
             raise _lp.CertificateError("scaled weighted game misses a separation row")
-    return game, result.tableau
+    return game
 
 
 def _unit_part(n: int, fixed_masks: Sequence[int], target: int) -> WeightedGame | None:
@@ -214,7 +201,8 @@ def _unit_part(n: int, fixed_masks: Sequence[int], target: int) -> WeightedGame 
     It loses exactly on the subsets of ``target``, and it wins on a fixed
     mask exactly when the mask has a player outside ``target``.  None when
     some fixed mask lies inside ``target``: then no weighted game wins on it
-    and loses on ``target``.
+    and loses on ``target``.  With no fixed masks it is the canonical
+    intersection part of a maximal losing ``target``.
     """
     if any(not m & ~target for m in fixed_masks):
         return None
@@ -247,8 +235,7 @@ def _coalition_masks(coalitions: Iterable[Coalition], n: int) -> list[int]:
 
 def _separate(n: int, fixed: Sequence[int], targets: Sequence[int]) -> WeightedGame | None:
     fixed_rows, target_rows = _separation_rows(n, fixed, targets)
-    solved = _solve_separation(_separation_lp(n, fixed_rows + tuple(target_rows)))
-    return None if solved is None else solved[0]
+    return _solve_separation(_separation_lp(n, fixed_rows + tuple(target_rows)))
 
 
 def co_realizable(
@@ -462,32 +449,11 @@ def _witnessed_partition(
     n = game.n
     fixed, rows = _separation_rows(n, fixed_masks, target_masks)
     target_players = [set_bits(m) for m in target_masks]
-    full = (1 << count) - 1
-
-    # (block, finished tableau) of every feasible block solved by an LP; the
-    # empty block, whose tableau holds the fixed rows alone, goes first
-    # unless a feasible full block, solved cold, already answers everything.
-    grown: list[tuple[int, _lp.Tableau]] = []
 
     def solve(mask: int) -> tuple[int, WeightedGame] | None:
-        """One LP for the block ``mask``, extending the largest solved block inside it."""
-        if not grown and mask != full:
-            grown.append((0, _lp.warm_start(_separation_lp(n, fixed))))
-        # ``max`` keeps the first of the largest; with nothing kept, the
-        # full block is solved cold.
-        base, start = max(
-            ((b, tab) for b, tab in grown if not b & ~mask),
-            key=lambda e: e[0].bit_count(),
-            default=(0, None),
-        )
-        prefix = fixed if start is None else start.lp.constraints
-        new_rows = tuple(rows[i] for i in set_bits(mask & ~base))
-        solved = _solve_separation(_separation_lp(n, prefix + new_rows), start)
-        if solved is None:
-            return None
-        part, tableau = solved
-        grown.append((mask, tableau))
-        return _cover(part, target_players), part
+        """One LP for the block ``mask``: the fixed rows, then its target rows."""
+        part = _solve_separation(_separation_lp(n, fixed + tuple(rows[i] for i in set_bits(mask))))
+        return None if part is None else (_cover(part, target_players), part)
 
     def widened(mask: int) -> int:
         """``mask`` plus, in index order, each target that no trade keeps from it."""
@@ -569,20 +535,16 @@ def is_weighted(game: SimpleGame) -> WeightedGame | None:
 
 def canonical_intersection(game: SimpleGame) -> list[WeightedGame]:
     """One quota-1 part per maximal losing coalition (zero weights inside it)."""
-    parts = []
-    for losing in maximal_losing(game):
-        weights = [0 if j in losing else 1 for j in range(1, game.n + 1)]
-        parts.append(WeightedGame(1, weights))
-    return parts
+    return [_unit_part(game.n, (), m) for m in set_bits(extremal_sets(game).losing)]
 
 
 def canonical_union(game: SimpleGame) -> list[WeightedGame]:
     """One unanimity-style part per minimal winning coalition."""
-    parts = []
-    for winning in minimal_winning(game):
-        weights = [1 if j in winning else 0 for j in range(1, game.n + 1)]
-        parts.append(WeightedGame(winning.size, weights))
-    return parts
+    n = game.n
+    return [
+        WeightedGame(m.bit_count(), [m >> j & 1 for j in range(n)])
+        for m in set_bits(extremal_sets(game).winning)
+    ]
 
 
 def convert(game: SimpleGame, to: str, mode: str = "canonical") -> list[WeightedGame]:

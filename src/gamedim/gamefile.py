@@ -82,7 +82,7 @@ def decimal_integer(token: str) -> int:
 
 def _numbered_lines(text: str) -> list[tuple[int, str]]:
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         stripped = raw.strip()
         if stripped:
             out.append((lineno, stripped))

@@ -33,56 +33,30 @@ an artificial, and only those rows enter the phase-one objective.  Every win
 row w.S - q >= 0 of a separation LP has rhs 0, so such an LP starts with
 nearly all of its rows basic in their surplus.
 
-Rows are appended to a finished tableau, and a solve with no start appends
-every row to the empty one.  Row k of the tableau, T_k, is d times row k of
-B^-1 [A | b] for the current basis B, so T_k holds d in the column of its
-basic variable b_k and 0 in every other basic column.  A new row r, oriented
-as >= and multiplied by the common factor, enters as d*r minus r[b_k]*T_k
-over the rows whose basic variable is structural; r is 0 in every other
-basic column, since it has no artificial column and no surplus but its own.
-That is d times r - r_B B^-1 [A | b], the new row of the extended basis's
-tableau: it is 0 in every basic column, and its rhs is d times the amount by
-which r is violated at the current point.  The extended basis is B bordered
-by the new row and one basic column, block triangular with a corner of +1
-once the row is oriented, so its determinant, and with it d, is unchanged.
-The slack-start rule then applies as it is: a violated row (rhs > 0) starts
-with its artificial basic and is subtracted from the reduced-cost row, and
-any other row is negated and starts with its surplus basic at the value
--rhs / d >= 0.  At x = 0 and d = 1 this is the start above, so a solve with
-no start takes the same pivots as one that builds every row at once.  Each
-earlier row gains a zero column for every new surplus, and the artificial
-label of row i, ncols + i, moves with ncols, so structural, surplus and
-artificial labels keep the order they have in a solve with no start, and
-Bland's rule, its tie-break and the readouts mean the same.  A start is never
-changed: a solve pads a copy of each of its rows, and ``_pivot`` edits only
-those copies and the rows the solve appends, so one start serves every
-program that extends it, concurrent solves included.  Every result of
-:func:`solve_feasibility` carries the tableau it finished on, and that
-tableau is a start like any other, so solves can be chained: each one
-appends rows to the phase one of the last.
+Every solve builds its tableau at once from the slack start, with d = 1 and
+an empty structural basis, and runs one phase one on it.  No tableau
+outlives its solve, so ``_pivot`` may edit rows in place: they are the
+solve's own, and concurrent solves share none of them.
 
 The tableau stores the structural and surplus columns only.  Each artificial
 is a basis label with no column, so an artificial that leaves the basis never
 re-enters (Chvátal 1983).  Its column would be a fixed multiple of its row's
 surplus column, so dropping it changes no other column, and the pivots are
 those of the full tableau up to the first point where Bland's rule would
-bring an artificial back.  The mixed basis of structural, surplus and
-artificial labels that a solve starts from, extended or not, has every basic
-value >= 0, so it is a feasible basis of the phase-one problem over the
-columns still present, and Bland's rule terminates between two departures
-(Bland, Math. Oper. Res. 1977); there are at most m departures.  Phase one
-stops as soon as the artificial sum is zero: every further pivot would be
-degenerate, so the feasible assignment is the one a longer run would give.
+bring an artificial back.  The start basis of surplus and artificial labels
+has every basic value >= 0, so it is a feasible basis of the phase-one
+problem over the columns still present, and Bland's rule terminates between
+two departures (Bland, Math. Oper. Res. 1977); there are at most m
+departures.  Phase one stops as soon as the artificial sum is zero: every
+further pivot would be degenerate, so the feasible assignment is the one a
+longer run would give.
 
 Both kinds of Farkas multiplier are reduced costs of the final tableau (LP
 duality; Schrijver, *Theory of Linear and Integer Programming*, 1986): the
 multiplier of a row is the reduced cost of its surplus column, and that of a
 sign row x_j >= 0 is the reduced cost of x_j's column over the common factor.
 Negating a row negates both its surplus column and its dual value, so that
-reading holds whether a row starts with its artificial or its surplus.  The
-reduced-cost row is the cost row minus c_B B^-1 [A | b] for whatever basis
-is current, and subtracting an appended row with an artificial keeps it so,
-so the reading holds after a warm start too.  An
+reading holds whether a row starts with its artificial or its surplus.  An
 infeasible phase one stops only when no stored column has a negative reduced
 cost, and a certificate needs nothing more than those signs, so the drop rule
 keeps every infeasible answer certified.
@@ -98,7 +72,7 @@ import math
 import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 GE = ">="
@@ -193,18 +167,11 @@ class FarkasWitness:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """An outcome and its certificate.
-
-    A result from :func:`solve_feasibility` also carries the finished phase
-    one as ``tableau``, which later solves can extend by appending rows.  It
-    takes no part in ``==`` or ``repr``: two results are equal when their
-    outcomes and certificates are.
-    """
+    """An outcome and its certificate."""
 
     status: str
     assignment: tuple | None = None
     farkas: FarkasWitness | None = None
-    tableau: Tableau | None = field(default=None, compare=False, repr=False)
 
     @property
     def feasible(self) -> bool:
@@ -276,16 +243,9 @@ def verify_certificate(lp: LinearProgram, result: FeasibilityResult) -> None:
         raise CertificateError("combined right-hand side is not positive")
 
 
-def solve_feasibility(lp: LinearProgram, start: Tableau | None = None) -> FeasibilityResult:
-    """Exact feasibility status plus a verified certificate of the outcome.
-
-    With ``start``, a finished phase one on a prefix of ``lp``'s rows (from
-    :func:`warm_start`, or the ``tableau`` of an earlier feasible result),
-    only the remaining rows are appended to it; without it, every row is
-    appended to the empty tableau.  Either way the certificate is checked
-    against all of ``lp``, and the result carries its own finished tableau.
-    """
-    result = _certificate(_phase_one(lp, start))
+def solve_feasibility(lp: LinearProgram) -> FeasibilityResult:
+    """Exact feasibility status plus a verified certificate of the outcome."""
+    result = _certificate(_phase_one(lp))
     verify_certificate(lp, result)
     log = _certificate_log.get()
     if log is not None:
@@ -295,92 +255,49 @@ def solve_feasibility(lp: LinearProgram, start: Tableau | None = None) -> Feasib
 
 @dataclass(frozen=True, eq=False)
 class Tableau:
-    """A finished phase one over ``lp``'s rows, to extend by appending rows.
+    """A finished phase one over ``lp``'s rows.
 
     Every row was multiplied by ``scale``, and ``columns`` holds each
     variable's column, or its +/- pair if the variable is free.  ``rows``
     holds d times the rational tableau, one row per constraint and the
-    reduced-cost row last, and ``basis`` the basic label of each row.  A
-    solve that extends a tableau copies its rows and never edits them, so one
-    tableau serves every later solve, concurrent ones included.
+    reduced-cost row last, and ``basis`` the basic label of each row.
     """
 
     lp: LinearProgram
     scale: int
-    columns: tuple
-    rows: tuple
-    basis: tuple
+    columns: list
+    rows: list
+    basis: list
     d: int
 
 
-def warm_start(lp: LinearProgram) -> Tableau:
-    """Phase one on ``lp``'s rows, as the start of solves that append rows to them.
-
-    No answer is read from this run, so it carries no certificate and is not
-    recorded by :func:`record_certificates`.
-    """
-    return _phase_one(lp, None)
-
-
-def _common_factor(constraints) -> int:
-    return math.lcm(*(v.denominator for con in constraints for v in (*con.coeffs, con.rhs)))
-
-
-def _phase_one(lp: LinearProgram, start: Tableau | None) -> Tableau:
-    """Append the rows of ``lp`` past ``start``'s to it and continue phase one.
-
-    With no start, every row is appended to the empty tableau: d = 1, no
-    rows, and a common factor that clears all of ``lp``'s rows.
-    """
+def _phase_one(lp: LinearProgram) -> Tableau:
+    """Phase one on ``lp``'s rows from the slack start, with d = 1."""
+    # Column layout: per variable one column (nonnegative) or a +/- pair
+    # (free), then one surplus column per row.  Row i's artificial is basis
+    # label ncols + i with no stored column, so once it leaves the basis it
+    # never re-enters.
+    columns: list[tuple[int, int | None]] = []
+    surplus0 = 0
+    for j in range(lp.num_vars):
+        if j in lp.nonneg_vars:
+            columns.append((surplus0, None))
+            surplus0 += 1
+        else:
+            columns.append((surplus0, surplus0 + 1))
+            surplus0 += 2
     m = len(lp.constraints)
-    if start is None:
-        # Column layout: per variable one column (nonnegative) or a +/- pair
-        # (free), then one surplus column per row.  Row i's artificial is
-        # basis label ncols + i with no stored column, so once it leaves the
-        # basis it never re-enters.
-        columns: list[tuple[int, int | None]] = []
-        surplus0 = 0
-        for j in range(lp.num_vars):
-            if j in lp.nonneg_vars:
-                columns.append((surplus0, None))
-                surplus0 += 1
-            else:
-                columns.append((surplus0, surplus0 + 1))
-                surplus0 += 2
-        m0, d, scale = 0, 1, _common_factor(lp.constraints)
-        tableau: list[list[int]] = [[0] * (surplus0 + m + 1)]
-        basis: list[int] = []
-    else:
-        prefix = start.lp
-        m0 = len(prefix.constraints)
-        if (
-            lp.num_vars != prefix.num_vars
-            or lp.nonneg_vars != prefix.nonneg_vars
-            or lp.constraints[:m0] != prefix.constraints
-        ):
-            raise ValueError("the program does not begin with the start's rows")
-        columns, d, scale = start.columns, start.d, start.scale
-        if scale % _common_factor(lp.constraints[m0:]):
-            raise ValueError("a new row has a denominator the common factor does not clear")
-        # The start's rows gain zero surplus columns for the new rows, and
-        # each artificial label ncols + i moves with ncols.
-        cut = len(start.rows[m0]) - 1  # the start's ncols
-        surplus0 = cut - m0
-        pad = [0] * (m - m0)
-        tableau = [row[:cut] + pad + row[cut:] for row in start.rows]
-        basis = [bv + m - m0 if bv >= cut else bv for bv in start.basis]
     ncols = surplus0 + m
+    scale = math.lcm(*(v.denominator for con in lp.constraints for v in (*con.coeffs, con.rhs)))
 
-    # A new row r, oriented as >= and multiplied by the common factor,
-    # enters as d*r minus r[b] times each row whose basic variable b is
-    # structural: d times r reduced against the basis, with 0 in every basic
-    # column.  If its rhs is > 0 it starts with its artificial basic and is
-    # subtracted from the reduced-cost row; otherwise it is negated, so its
-    # surplus column is +d, and starts with its surplus basic at the value
-    # -rhs / d >= 0.
-    z = tableau.pop()
-    reducers = [(bv, tableau[i]) for i, bv in enumerate(basis) if bv < surplus0]
-    for i, con in enumerate(lp.constraints[m0:], m0):
+    # Each row, oriented as >= and multiplied by the common factor, starts
+    # with its artificial basic and is subtracted from the reduced-cost row
+    # if its rhs is > 0; otherwise it is negated, so its surplus column is
+    # +1, and starts with its surplus basic at the value -rhs >= 0.
+    tableau: list[list[int]] = []
+    basis: list[int] = []
+    z = [0] * (ncols + 1)
+    for i, con in enumerate(lp.constraints):
         ge = 1 if con.relation == GE else -1
         row = [0] * (ncols + 1)
         for c, (pos, neg) in zip(con.coeffs, columns):
@@ -390,20 +307,16 @@ def _phase_one(lp: LinearProgram, start: Tableau | None) -> Tableau:
                     row[neg] = -c
         row[surplus0 + i] = -1
         row[ncols] = ge * con.rhs.numerator * (scale // con.rhs.denominator)
-        reduced = [d * a for a in row] if d != 1 else row
-        for bv, t in reducers:
-            f = row[bv]
-            if f:
-                reduced = [a - f * b for a, b in zip(reduced, t)]
-        if reduced[ncols] > 0:
+        if row[ncols] > 0:
             basis.append(ncols + i)
-            z = [a - b for a, b in zip(z, reduced)]
+            z = [a - b for a, b in zip(z, row)]
         else:
-            reduced = [-a for a in reduced]
+            row = [-a for a in row]
             basis.append(surplus0 + i)
-        tableau.append(reduced)
+        tableau.append(row)
     tableau.append(z)
 
+    d = 1
     while tableau[m][ncols]:  # stop once the artificial sum is zero
         z = tableau[m]
         enter = -1
@@ -430,7 +343,7 @@ def _phase_one(lp: LinearProgram, start: Tableau | None) -> Tableau:
             raise CertificateError("phase-one search became unbounded")
         d = _pivot(tableau, d, leave, enter)
         basis[leave] = enter
-    return Tableau(lp, scale, tuple(columns), tuple(tableau), tuple(basis), d)
+    return Tableau(lp, scale, columns, tableau, basis, d)
 
 
 def _certificate(tab: Tableau) -> FeasibilityResult:
@@ -448,7 +361,7 @@ def _certificate(tab: Tableau) -> FeasibilityResult:
             Fraction(values[pos] - values[neg] if neg is not None else values[pos], d)
             for pos, neg in tab.columns
         )
-        return FeasibilityResult(FEASIBLE, assignment=assignment, tableau=tab)
+        return FeasibilityResult(FEASIBLE, assignment=assignment)
 
     # The Farkas multipliers are reduced costs: of each row's surplus column,
     # and of each nonnegative variable's column over the common factor.
@@ -460,7 +373,7 @@ def _certificate(tab: Tableau) -> FeasibilityResult:
             if neg is None and z[pos]
         ),
     )
-    return FeasibilityResult(INFEASIBLE, farkas=witness, tableau=tab)
+    return FeasibilityResult(INFEASIBLE, farkas=witness)
 
 
 def _pivot(tableau, d, leave, enter):
@@ -471,8 +384,7 @@ def _pivot(tableau, d, leave, enter):
     When p = d, that is row - f * pivot_row / d: a row with f = 0 is kept,
     and any other changes only where the pivot row is nonzero, where
     f * b / d is exact because p * a - f * b is a multiple of d.  Those rows
-    are edited in place; the rows are the solve's own (see the module
-    docstring).
+    are edited in place; no other solve holds them.
     """
     pivot_row = tableau[leave]
     p = pivot_row[enter]

@@ -170,9 +170,10 @@ class TestCodimension:
 
 class TestNoCoalitionsInside:
     def test_solvers_and_refusals_build_no_coalition(self, small_corpus, monkeypatch):
-        # Extremal families stay tables on the solve path; Coalition objects
-        # are built only by the public views, and an oversized game is
-        # refused before any of its 350k extremal coalitions is listed.
+        # Extremal families stay tables on the solve and canonical-form
+        # paths; Coalition objects are built only by the public views, and
+        # an oversized game is refused before any of its 350k extremal
+        # coalitions is listed.
         built = []
         check = gd.Coalition.__post_init__
 
@@ -185,6 +186,8 @@ class TestNoCoalitionsInside:
             gd.dimension(game)
             gd.codimension(game)
             gd.is_weighted(game)
+            gd.canonical_intersection(game)
+            gd.canonical_union(game)
         big = gd.combine(
             gd.INTERSECTION, [gd.make_weighted(10, [1] * 20), gd.make_weighted(1, [1] * 20)]
         )
@@ -389,22 +392,6 @@ class TestSolverAgreement:
         assert games_agree_by_hand(witness.as_game(), game)
         assert len(log) <= max_lps
 
-    @pytest.mark.parametrize("solve", [gd.dimension, gd.codimension], ids=["dim", "codim"])
-    def test_feasible_full_block_needs_no_warm_start(self, solve, monkeypatch):
-        # The full block is the first LP of a game with no trade; it is solved
-        # cold, since a feasible full block is the whole answer.
-        majority = gd.SimpleGame.from_weighted(gd.make_weighted(4, [3, 2, 1, 1, 1]))
-        game = gd.make_explicit(5, list(gd.minimal_winning(majority)))
-
-        def no_start(lp):
-            raise AssertionError("warm start built")
-
-        monkeypatch.setattr(dimsolver._lp, "warm_start", no_start)
-        with gd.record_certificates() as log:
-            witness = solve(game)
-        assert witness.value == 1
-        assert len(log) == 1
-
     def test_self_dual_games_have_equal_dimensions(self, small_corpus):
         for game in small_corpus:
             if gd.is_self_dual(game):
@@ -437,17 +424,29 @@ def fixed_separation_rows(game, codim):
     return tuple(rows)
 
 
+def target_separation_row(n, target):
+    """The row w(T) - q <= -1 on which a block LP loses target T."""
+    return gd.Constraint(tuple(int(j in target) for j in range(1, n + 1)) + (-1,), gd.LE, -1)
+
+
 class TestSharedFixedRows:
     @pytest.mark.parametrize(
         "solve, game, codim, expected",
         [
             (gd.dimension, gd.gen_random_monotone(7, 6, 1004), False, 3),
             (gd.codimension, gd.gen_ssp(gd.SSPInstance(3, (1, 2, 3), 2)), True, 2),
+            (gd.dimension, gd.gen_random_monotone(9, 7, 5040), False, 3),
+            (gd.codimension, gd.dual(gd.gen_random_monotone(7, 5, 1043)), True, 2),
         ],
-        ids=["dim-random-7-6-1004", "codim-ssp-yes-2"],
+        ids=["dim-random-7-6-1004", "codim-ssp-yes-2", "dim-random-9-7-5040",
+             "codim-dual-random-7-5-1043"],
     )
     def test_every_oracle_lp_begins_with_the_fixed_rows(self, solve, game, codim, expected):
+        # The rows after the fixed ones are the block's target rows, in the
+        # solver's target order.
         fixed = fixed_separation_rows(game, codim)
+        _, targets = separation_coalitions(game, codim)
+        target_rows = [target_separation_row(game.n, t) for t in targets]
         with gd.record_certificates() as log:
             witness = solve(game)
         assert witness.value == expected
@@ -455,37 +454,10 @@ class TestSharedFixedRows:
         assert log
         for lp, result in log:
             assert lp.constraints[: len(fixed)] == fixed
-            assert len(lp.constraints) > len(fixed)
+            block = lp.constraints[len(fixed) :]
+            assert block
+            assert block == tuple(row for row in target_rows if row in block)
             gd.verify_certificate(lp, result)
-
-
-    @pytest.mark.parametrize(
-        "solve, game, codim",
-        [
-            (gd.dimension, gd.gen_random_monotone(7, 4, 1012), False),
-            (gd.dimension, gd.gen_random_monotone(9, 7, 5040), False),
-            (gd.codimension, gd.dual(gd.gen_random_monotone(7, 5, 1043)), True),
-        ],
-        ids=["dim-random-7-4-1012", "dim-random-9-7-5040", "codim-dual-random-7-5-1043"],
-    )
-    def test_each_block_lp_extends_the_largest_solved_block_inside_it(self, solve, game, codim):
-        # Rows past the fixed ones are the block's targets: those of the
-        # largest earlier feasible block inside it (the first on a tie), in
-        # that block's order, then the others.
-        fixed = fixed_separation_rows(game, codim)
-        with gd.record_certificates() as log:
-            solve(game)
-        solved = []
-        extended = 0
-        for lp, result in log:
-            block = set(lp.constraints[len(fixed) :])
-            inside = [rows for rows in solved if set(rows) <= block]
-            base = max(inside, key=len, default=())
-            assert lp.constraints[len(fixed) : len(fixed) + len(base)] == base
-            extended += bool(base)
-            if result.feasible:
-                solved.append(lp.constraints[len(fixed) :])
-        assert extended > 0
 
 
 def traded_pairs(game, codim):
@@ -513,9 +485,7 @@ def trade_records(game, codim):
 def pair_program(game, codim, t1, t2):
     """The separation LP of one target pair: the fixed rows, then w(T) - q <= -1."""
     rows = list(fixed_separation_rows(game, codim))
-    for t in (t1, t2):
-        coeffs = tuple(int(j in t) for j in range(1, game.n + 1)) + (-1,)
-        rows.append(gd.Constraint(coeffs, gd.LE, -1))
+    rows += [target_separation_row(game.n, t) for t in (t1, t2)]
     return gd.LinearProgram(game.n + 1, rows, range(game.n + 1))
 
 

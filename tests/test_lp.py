@@ -1,7 +1,5 @@
 """Exact feasibility solver: certificates, determinism, and brute-force agreement."""
 
-import math
-import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
@@ -423,163 +421,6 @@ class TestRandomCertificates:
         assert 50 < pointed < 150
 
 
-def integral(row):
-    """The row times the lcm of its denominators: the same constraint, integer entries."""
-    coeffs, relation, rhs = row.coeffs, row.relation, row.rhs
-    factor = math.lcm(*(v.denominator for v in (*coeffs, rhs)))
-    return gd.Constraint(tuple(c * factor for c in coeffs), relation, rhs * factor)
-
-
-def tableau_snapshot(start):
-    return [list(row) for row in start.rows], start.basis, start.d
-
-
-class TestWarmStart:
-    """Solves that append rows to a finished phase one on a prefix of them."""
-
-    def test_extension_matches_the_cold_solve(self):
-        stream = splitmix64(4711)
-        ends = {"infeasible": 0, "artificial basic at zero": 0}
-        for _ in range(200):
-            num_vars = 1 + next(stream) % 3
-            num_rows = 2 + next(stream) % 5
-            if next(stream) % 2:
-                nonneg = range(num_vars)
-            else:
-                nonneg = [j for j in range(num_vars) if next(stream) % 2]
-            lp = random_rational_lp(stream, num_vars, num_rows, nonneg)
-            cut = next(stream) % num_rows
-            # Rows past the cut are made integral, so that the prefix's
-            # common factor clears them whatever their denominators were.
-            rows = lp.constraints[:cut] + tuple(map(integral, lp.constraints[cut:]))
-            lp = gd.LinearProgram(num_vars, rows, lp.nonneg_vars)
-            start = gd.warm_start(gd.LinearProgram(num_vars, rows[:cut], lp.nonneg_vars))
-            before = tableau_snapshot(start)
-            ncols = len(start.rows[-1]) - 1
-            ends["infeasible"] += start.rows[-1][ncols] != 0
-            ends["artificial basic at zero"] += any(
-                bv >= ncols and row[ncols] == 0 for bv, row in zip(start.basis, start.rows)
-            )
-
-            warm = gd.solve_feasibility(lp, start)
-            assert warm.feasible == gd.solve_feasibility(lp).feasible
-            gd.verify_certificate(lp, warm)
-            assert gd.solve_feasibility(lp, start) == warm
-            assert tableau_snapshot(start) == before
-        # the prefixes must end in both of these ways to mean anything
-        assert ends["infeasible"] > 10 and ends["artificial basic at zero"] > 0
-
-    def test_extension_past_an_artificial_basic_at_zero(self):
-        # x_0 enters for both rows x_0 >= 1 in a tie; row 0's artificial
-        # leaves, and row 1's stays basic at zero when phase one stops.
-        prefix = lp_of([((1, 0), gd.GE, 1), ((1, 0), gd.GE, 1)], 2)
-        start = gd.warm_start(prefix)
-        ncols = len(start.rows[-1]) - 1
-        assert start.rows[-1][ncols] == 0
-        assert start.basis[1] >= ncols and start.rows[1][ncols] == 0
-        for extra, feasible in ((((1, 1), gd.GE, 3), True), (((1, 0), gd.LE, 0), False)):
-            lp = lp_of([((1, 0), gd.GE, 1), ((1, 0), gd.GE, 1), extra], 2)
-            result = gd.solve_feasibility(lp, start)
-            assert result.feasible == feasible == gd.solve_feasibility(lp).feasible
-
-    def test_concurrent_extensions_share_one_start(self):
-        stream = splitmix64(8)
-        prefix = random_rational_lp(stream, 3, 4, range(3))
-        start = gd.warm_start(prefix)
-        before = tableau_snapshot(start)
-        programs = []
-        for _ in range(6):
-            extra = random_rational_lp(stream, 3, 2, range(3)).constraints
-            rows = prefix.constraints + tuple(map(integral, extra))
-            programs.append(gd.LinearProgram(3, rows, prefix.nonneg_vars))
-        expected = [gd.solve_feasibility(lp) for lp in programs]
-        results = {}
-
-        def worker(k):
-            for _ in range(50):
-                results.setdefault(k, set()).add(gd.solve_feasibility(programs[k % 6], start))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(12)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for k, seen in results.items():
-            assert len(seen) == 1
-            (result,) = seen
-            assert result.feasible == expected[k % 6].feasible
-            gd.verify_certificate(programs[k % 6], result)
-        assert len(results) == 12
-        assert tableau_snapshot(start) == before
-
-    def test_chained_extensions_match_the_cold_solve(self):
-        # Each solve appends rows to the tableau that the last one returned.
-        stream = splitmix64(2718)
-        ends = {True: 0, False: 0}
-        for _ in range(150):
-            num_vars = 1 + next(stream) % 3
-            num_rows = 3 + next(stream) % 5
-            if next(stream) % 2:
-                nonneg = range(num_vars)
-            else:
-                nonneg = [j for j in range(num_vars) if next(stream) % 2]
-            lp = random_rational_lp(stream, num_vars, num_rows, nonneg)
-            rows = tuple(map(integral, lp.constraints))
-            cuts = sorted({1 + next(stream) % (num_rows - 1) for _ in range(2)}) + [num_rows]
-            result = gd.solve_feasibility(gd.LinearProgram(num_vars, rows[: cuts[0]], nonneg))
-            for cut in cuts[1:]:
-                program = gd.LinearProgram(num_vars, rows[:cut], nonneg)
-                before = tableau_snapshot(result.tableau)
-                extended = gd.solve_feasibility(program, result.tableau)
-                assert extended.feasible == gd.solve_feasibility(program).feasible
-                gd.verify_certificate(program, extended)
-                assert tableau_snapshot(result.tableau) == before
-                assert extended.tableau.lp is program
-                result = extended
-            ends[result.feasible] += 1
-        assert ends[True] > 20 and ends[False] > 20
-
-    def test_result_tableau_takes_no_part_in_equality_or_repr(self):
-        lp = lp_of([((1, 1), gd.GE, 2), ((1, -1), gd.LE, 0)], 2)
-        result = gd.solve_feasibility(lp)
-        assert result.tableau is not None and result.tableau.lp is lp
-        assert result == gd.FeasibilityResult(result.status, result.assignment)
-        assert "tableau" not in repr(result)
-
-    def test_empty_extension_reads_the_start(self):
-        lp = lp_of([((1, 1), gd.GE, 2), ((1, -1), gd.LE, 0)], 2)
-        result = gd.solve_feasibility(lp, gd.warm_start(lp))
-        assert result == gd.solve_feasibility(lp)
-
-    def test_program_must_begin_with_the_start_rows(self):
-        prefix = lp_of([((1, 1), gd.GE, 2)], 2)
-        start = gd.warm_start(prefix)
-        for lp in (
-            lp_of([((1, 2), gd.GE, 2), ((1, 0), gd.LE, 3)], 2),
-            lp_of([((1, 0), gd.LE, 3), ((1, 1), gd.GE, 2)], 2),
-            lp_of([((1, 1), gd.GE, 2), ((1, 0), gd.LE, 3)], 2, nonneg=(0,)),
-            lp_of([((1, 1, 0), gd.GE, 2), ((1, 0, 0), gd.LE, 3)], 3),
-        ):
-            with pytest.raises(ValueError, match="begin"):
-                gd.solve_feasibility(lp, start)
-
-    def test_new_row_denominators_must_clear(self):
-        prefix = lp_of([((Fraction(1, 2), 1), gd.GE, 2)], 2)
-        start = gd.warm_start(prefix)
-        halves = lp_of([((Fraction(1, 2), 1), gd.GE, 2), ((Fraction(3, 2), 0), gd.LE, 3)], 2)
-        assert gd.solve_feasibility(halves, start).feasible
-        thirds = lp_of([((Fraction(1, 2), 1), gd.GE, 2), ((1, 0), gd.LE, Fraction(1, 3))], 2)
-        with pytest.raises(ValueError, match="denominator"):
-            gd.solve_feasibility(thirds, start)
-        assert gd.solve_feasibility(thirds).feasible
-
-
 def bareiss_pivot(tableau, d, leave, enter):
     """Dense fraction-free pivot: (p * row - row[enter] * pivot_row) / d on every
     entry of every row but the pivot row, each division checked to be exact."""
@@ -629,43 +470,6 @@ class TestPivot:
                 assert d == expected_d
                 assert tableau == expected
         assert all(count > 50 for count in kinds.values()), kinds
-
-    def test_chained_unit_pivots_leave_the_start_unchanged(self, monkeypatch):
-        # Unit pivots edit rows in place; the rows they edit must be the
-        # solve's own copies, never a start's.
-        pivots = []
-        pivot = gd.lp._pivot
-
-        def recording(tableau, d, leave, enter):
-            pivots.append((tableau[leave][enter], d))
-            return pivot(tableau, d, leave, enter)
-
-        monkeypatch.setattr(gd.lp, "_pivot", recording)
-        chains = [
-            [[((1, 0, 0), gd.GE, 1), ((0, 1, 0), gd.GE, 2)], [((1, 1, 0), gd.GE, 4)],
-             [((-1, 0, 1), gd.GE, 1), ((0, 1, 1), gd.LE, 9)]],
-            [[((1, 0, 0), gd.GE, 1), ((0, 1, 0), gd.GE, 2)],
-             [((1, 1, 0), gd.GE, 4), ((0, 0, 1), gd.GE, 1)],
-             [((-1, 0, 1), gd.GE, 1), ((1, 1, 1), gd.LE, 4)]],
-        ]
-        ends = []
-        for chain in chains:
-            rows = list(chain[0])
-            start = gd.warm_start(lp_of(rows, 3))
-            tableaux = [start]
-            snapshots = [tableau_snapshot(start)]
-            for new in chain[1:]:
-                rows += new
-                program = lp_of(rows, 3)
-                result = gd.solve_feasibility(program, tableaux[-1])
-                assert result.feasible == gd.solve_feasibility(program).feasible
-                gd.verify_certificate(program, result)
-                tableaux.append(result.tableau)
-                snapshots.append(tableau_snapshot(result.tableau))
-            assert [tableau_snapshot(t) for t in tableaux] == snapshots
-            ends.append(result.feasible)
-        assert ends == [True, False]
-        assert len(pivots) > 10 and all(p == d == 1 for p, d in pivots)
 
 
 class TestSolverContract:
