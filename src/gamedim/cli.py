@@ -54,6 +54,11 @@ def _game_json(game: SimpleGame) -> dict:
     return doc
 
 
+def _game_text(game: SimpleGame, as_json: bool) -> str:
+    """The game as one JSON line or as a ``simplegame`` file."""
+    return json.dumps(_game_json(game)) + "\n" if as_json else serialize_game(game)
+
+
 def _load_game(path: str | None, stdin) -> SimpleGame:
     if path is None or path == "-":
         return parse_game(stdin.read())
@@ -198,8 +203,7 @@ def _run_command(args, stdin, stdout) -> int:
             game = gen_unanimity_composition(blocks)
         else:
             game = gen_random_monotone(args.n, args.m, args.seed)
-        text = json.dumps(_game_json(game)) + "\n" if args.json else serialize_game(game)
-        _emit(text, args.output, stdout)
+        _emit(_game_text(game, args.json), args.output, stdout)
         return 0
 
     if command == "equiv":
@@ -228,8 +232,7 @@ def _run_command(args, stdin, stdout) -> int:
             "maximal-losing", "mlc", structure.maximal_losing(game), args.json
         )
     elif command == "dual":
-        dual_game = structure.dual(game)
-        text = json.dumps(_game_json(dual_game)) + "\n" if args.json else serialize_game(dual_game)
+        text = _game_text(structure.dual(game), args.json)
     elif command == "weighted":
         part = dim_mod.is_weighted(game)
         if args.json:
@@ -245,8 +248,7 @@ def _run_command(args, stdin, stdout) -> int:
         text = _report_witness("codimension", dim_mod.codimension(game), args.json)
     elif command == "convert":
         parts = dim_mod.convert(game, args.to, args.mode)
-        converted = SimpleGame(game.n, args.to, parts=tuple(parts))
-        text = json.dumps(_game_json(converted)) + "\n" if args.json else serialize_game(converted)
+        text = _game_text(SimpleGame(game.n, args.to, parts=tuple(parts)), args.json)
     else:  # pragma: no cover - argparse restricts the choices
         raise InvalidGameError(f"unknown command {command!r}")
 

@@ -45,8 +45,9 @@ W2, W1 & W2 = T1 & T2 and W1 | W2 = T1 | T2.  Together these say
 w(W1) + w(W2) = w(T1) + w(T2) for every weight vector w, which is what the
 Farkas witness on the pair's LP says too; ``_trade_certificate`` builds that
 witness on demand.  The search never tries a block holding a traded pair,
-so the cache never holds one, and the full block is queried only when no
-pair is traded, since one incompatible pair already makes it infeasible.
+so the cache never holds one.  With no traded pair, the first block it asks
+is a pair, which widens (below) to the full block, so a separable target
+set still costs one LP.
 
 A block of two or more targets is widened before its LP: in index order,
 each target that no checked trade keeps from the block, or from a target
@@ -151,7 +152,7 @@ class SeparabilityOracleCache:
 
 def _separation_rows(
     n: int, fixed_masks: Sequence[int], target_masks: Sequence[int]
-) -> tuple[tuple[_lp.Constraint, ...], list[_lp.Constraint]]:
+) -> tuple[_lp.Constraint, ...]:
     """Rows of the separation LP for a weighted game [q; w] over w_1..w_n, q.
 
     The fixed rows come first: w(S) - q >= 0 on each fixed coalition S, so
@@ -164,35 +165,30 @@ def _separation_rows(
         coeffs.append(-1)
         return _lp.Constraint(coeffs, relation, rhs)
 
-    fixed = [row(m, _lp.GE, 0) for m in fixed_masks]
-    fixed.append(_lp.Constraint((0,) * n + (1,), _lp.GE, 1))
-    return tuple(fixed), [row(m, _lp.LE, -1) for m in target_masks]
+    return (
+        *(row(m, _lp.GE, 0) for m in fixed_masks),
+        _lp.Constraint((0,) * n + (1,), _lp.GE, 1),
+        *(row(m, _lp.LE, -1) for m in target_masks),
+    )
 
 
-def _separation_lp(n: int, rows: Sequence[_lp.Constraint]) -> _lp.LinearProgram:
-    return _lp.LinearProgram(n + 1, rows, frozenset(range(n + 1)))
+def _separate(n: int, rows: Sequence[_lp.Constraint]) -> WeightedGame | None:
+    """The integer game [q; w] that meets every separation row, or None.
 
-
-def _integer_game(assignment: Sequence, n: int) -> WeightedGame:
-    values, _ = _lp.common_denominator(assignment)
-    shrink = gcd(*values)
-    if shrink > 1:
-        values = [v // shrink for v in values]
-    return WeightedGame(values[n], values[:n])
-
-
-def _solve_separation(program: _lp.LinearProgram) -> WeightedGame | None:
-    """The integer game that separates ``program``, checked on every row."""
-    result = _lp.solve_feasibility(program)
+    The LP's assignment is put over one common denominator and divided by
+    the gcd of its numerators, and the game is re-checked on every row.
+    """
+    result = _lp.solve_feasibility(_lp.LinearProgram(n + 1, rows, frozenset(range(n + 1))))
     if not result.feasible:
         return None
-    game = _integer_game(result.assignment, program.num_vars - 1)
-    values = (*game.weights, game.quota)
-    for con in program.constraints:
+    values, _ = _lp.common_denominator(result.assignment)
+    shrink = gcd(*values)
+    values = [v // shrink for v in values]
+    for con in rows:
         value = sum(map(mul, con.coeffs, values))
         if value < con.rhs if con.relation == _lp.GE else value > con.rhs:
             raise _lp.CertificateError("scaled weighted game misses a separation row")
-    return game
+    return WeightedGame(values[n], values[:n])
 
 
 def _unit_part(n: int, fixed_masks: Sequence[int], target: int) -> WeightedGame | None:
@@ -233,11 +229,6 @@ def _coalition_masks(coalitions: Iterable[Coalition], n: int) -> list[int]:
     return masks
 
 
-def _separate(n: int, fixed: Sequence[int], targets: Sequence[int]) -> WeightedGame | None:
-    fixed_rows, target_rows = _separation_rows(n, fixed, targets)
-    return _solve_separation(_separation_lp(n, fixed_rows + tuple(target_rows)))
-
-
 def co_realizable(
     mwc: Sequence[Coalition], targets: Iterable[Coalition]
 ) -> WeightedGame | None:
@@ -252,7 +243,8 @@ def co_realizable(
     if not mwc:
         raise InvalidGameError("need at least one minimal winning coalition")
     n = mwc[0].n
-    return _separate(n, _coalition_masks(mwc, n), _coalition_masks(targets, n))
+    rows = _separation_rows(n, _coalition_masks(mwc, n), _coalition_masks(targets, n))
+    return _separate(n, rows)
 
 
 def realizable(
@@ -276,7 +268,8 @@ def realizable(
     n = mlc[0].n
     full = (1 << n) - 1
     fixed = [full ^ m for m in _coalition_masks(mlc, n)]
-    part = _separate(n, fixed, [full ^ m for m in _coalition_masks(targets, n)])
+    rows = _separation_rows(n, fixed, [full ^ m for m in _coalition_masks(targets, n)])
+    part = _separate(n, rows)
     return None if part is None else dual_weighted(part)
 
 
@@ -371,8 +364,6 @@ def _minimum_partition(count: int, cache: SeparabilityOracleCache, adj: list[int
     a minimum.
     """
     full = (1 << count) - 1
-    if not any(adj) and cache.query(full) is not None:
-        return [full]
     by_degree = sorted(range(count), key=lambda v: (-adj[v].bit_count(), v))
     clique = _greedy_clique(by_degree, full, adj)
     in_clique = set(clique)
@@ -447,12 +438,13 @@ def _witnessed_partition(
     order = -1 if kind == UNION else 1
     fixed_masks, target_masks = set_bits(fixed_table)[::order], set_bits(target_table)[::order]
     n = game.n
-    fixed, rows = _separation_rows(n, fixed_masks, target_masks)
+    rows = _separation_rows(n, fixed_masks, target_masks)
+    fixed, targets = rows[: len(fixed_masks) + 1], rows[len(fixed_masks) + 1 :]
     target_players = [set_bits(m) for m in target_masks]
 
     def solve(mask: int) -> tuple[int, WeightedGame] | None:
         """One LP for the block ``mask``: the fixed rows, then its target rows."""
-        part = _solve_separation(_separation_lp(n, fixed + tuple(rows[i] for i in set_bits(mask))))
+        part = _separate(n, fixed + tuple(targets[i] for i in set_bits(mask)))
         return None if part is None else (_cover(part, target_players), part)
 
     def widened(mask: int) -> int:
@@ -530,7 +522,8 @@ def codimension(game: SimpleGame) -> DimensionWitness:
 def is_weighted(game: SimpleGame) -> WeightedGame | None:
     """An integer weighted representation of the game, or None if none exists."""
     sets = extremal_sets(game)
-    return _separate(game.n, set_bits(sets.winning), set_bits(sets.losing))
+    n = game.n
+    return _separate(n, _separation_rows(n, set_bits(sets.winning), set_bits(sets.losing)))
 
 
 def canonical_intersection(game: SimpleGame) -> list[WeightedGame]:
@@ -539,11 +532,15 @@ def canonical_intersection(game: SimpleGame) -> list[WeightedGame]:
 
 
 def canonical_union(game: SimpleGame) -> list[WeightedGame]:
-    """One unanimity-style part per minimal winning coalition."""
+    """One unanimity part per minimal winning coalition A.
+
+    It is the dual of the canonical intersection part of N - A, as in
+    :func:`codimension`.
+    """
     n = game.n
+    full = (1 << n) - 1
     return [
-        WeightedGame(m.bit_count(), [m >> j & 1 for j in range(n)])
-        for m in set_bits(extremal_sets(game).winning)
+        dual_weighted(_unit_part(n, (), full ^ m)) for m in set_bits(extremal_sets(game).winning)
     ]
 
 

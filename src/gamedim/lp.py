@@ -34,9 +34,10 @@ row w.S - q >= 0 of a separation LP has rhs 0, so such an LP starts with
 nearly all of its rows basic in their surplus.
 
 Every solve builds its tableau at once from the slack start, with d = 1 and
-an empty structural basis, and runs one phase one on it.  No tableau
-outlives its solve, so ``_pivot`` may edit rows in place: they are the
-solve's own, and concurrent solves share none of them.
+an empty structural basis, runs one phase one on it, and reads the
+certificate off the final rows.  No tableau outlives its solve, so
+``_pivot`` may edit rows in place: they are the solve's own, and concurrent
+solves share none of them.
 
 The tableau stores the structural and surplus columns only.  Each artificial
 is a basis label with no column, so an artificial that leaves the basis never
@@ -244,8 +245,12 @@ def verify_certificate(lp: LinearProgram, result: FeasibilityResult) -> None:
 
 
 def solve_feasibility(lp: LinearProgram) -> FeasibilityResult:
-    """Exact feasibility status plus a verified certificate of the outcome."""
-    result = _certificate(_phase_one(lp))
+    """Exact feasibility status plus a verified certificate of the outcome.
+
+    Every result is re-checked by :func:`verify_certificate` and appended
+    to the active :func:`record_certificates` log, if any.
+    """
+    result = _phase_one(lp)
     verify_certificate(lp, result)
     log = _certificate_log.get()
     if log is not None:
@@ -253,26 +258,12 @@ def solve_feasibility(lp: LinearProgram) -> FeasibilityResult:
     return result
 
 
-@dataclass(frozen=True, eq=False)
-class Tableau:
-    """A finished phase one over ``lp``'s rows.
+def _phase_one(lp: LinearProgram) -> FeasibilityResult:
+    """Phase one on ``lp``'s rows from the slack start, with d = 1.
 
-    Every row was multiplied by ``scale``, and ``columns`` holds each
-    variable's column, or its +/- pair if the variable is free.  ``rows``
-    holds d times the rational tableau, one row per constraint and the
-    reduced-cost row last, and ``basis`` the basic label of each row.
+    The result is read off the final rows: the basic values over d, or the
+    reduced costs over d as Farkas multipliers.
     """
-
-    lp: LinearProgram
-    scale: int
-    columns: list
-    rows: list
-    basis: list
-    d: int
-
-
-def _phase_one(lp: LinearProgram) -> Tableau:
-    """Phase one on ``lp``'s rows from the slack start, with d = 1."""
     # Column layout: per variable one column (nonnegative) or a +/- pair
     # (free), then one surplus column per row.  Row i's artificial is basis
     # label ncols + i with no stored column, so once it leaves the basis it
@@ -343,23 +334,15 @@ def _phase_one(lp: LinearProgram) -> Tableau:
             raise CertificateError("phase-one search became unbounded")
         d = _pivot(tableau, d, leave, enter)
         basis[leave] = enter
-    return Tableau(lp, scale, columns, tableau, basis, d)
 
-
-def _certificate(tab: Tableau) -> FeasibilityResult:
-    """The assignment or Farkas multipliers that a finished phase one shows."""
-    m = len(tab.lp.constraints)
-    z = tab.rows[m]
-    ncols = len(z) - 1
-    surplus0 = ncols - m
-    d = tab.d
+    z = tableau[m]
     if z[ncols] == 0:
         values = [0] * (ncols + m)  # basic artificials are 0
-        for row, bv in zip(tab.rows, tab.basis):
+        for row, bv in zip(tableau, basis):
             values[bv] = row[ncols]
         assignment = tuple(
             Fraction(values[pos] - values[neg] if neg is not None else values[pos], d)
-            for pos, neg in tab.columns
+            for pos, neg in columns
         )
         return FeasibilityResult(FEASIBLE, assignment=assignment)
 
@@ -368,8 +351,8 @@ def _certificate(tab: Tableau) -> FeasibilityResult:
     witness = FarkasWitness(
         tuple(Fraction(y, d) for y in z[surplus0:ncols]),
         tuple(
-            (j, Fraction(z[pos], d * tab.scale))
-            for j, (pos, neg) in enumerate(tab.columns)
+            (j, Fraction(z[pos], d * scale))
+            for j, (pos, neg) in enumerate(columns)
             if neg is None and z[pos]
         ),
     )

@@ -140,6 +140,17 @@ class TestAnalysisPipes:
         assert code == 0
         assert gd.equivalent(gd.parse_game(out), gd.gen_example1(2))
 
+    def test_convert_canonical_union_lists_one_unanimity_part_per_winning_pair(self):
+        game_text = gen(["gen", "example1", "--n", "2"])
+        code, out, _ = call(
+            ["convert", "--to", "union", "--mode", "canonical"], stdin_text=game_text
+        )
+        assert code == 0
+        assert out == (
+            "simplegame 1\nplayers 4\nform union\n"
+            "wmg 2 : 1 0 1 0\nwmg 2 : 0 1 1 0\nwmg 2 : 1 0 0 1\nwmg 2 : 0 1 0 1\n"
+        )
+
 
 class TestEquiv:
     def test_same_file_twice(self, tmp_path):

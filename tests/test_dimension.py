@@ -1,5 +1,7 @@
 """Dimension/codimension solver, separation oracles, canonical conversions."""
 
+from math import gcd
+
 import pytest
 
 import gamedim as gd
@@ -652,6 +654,23 @@ class TestIsWeighted:
     def test_present_iff_dimension_one(self, small_corpus):
         for game in small_corpus:
             assert (gd.is_weighted(game) is not None) == (gd.dimension(game).value == 1)
+
+
+class TestPrimitiveSeparationGames:
+    # Every game read off a separation LP is divided by the gcd of its
+    # quota and weights.  A union part is the dual of such a game, and the
+    # dual itself may have a common factor, so codimension is checked on
+    # the duals of its parts.
+    def test_every_separation_game_is_primitive(self, acceptance_corpus):
+        for game in acceptance_corpus:
+            sets = gd.extremal_sets(game)
+            mwc = sets.minimal_winning
+            found = [gd.is_weighted(game), gd.co_realizable(mwc, ())]
+            found += [gd.co_realizable(mwc, [t]) for t in sets.maximal_losing]
+            found += gd.dimension(game).parts
+            found += map(gd.dual_weighted, gd.codimension(game).parts)
+            for part in found:
+                assert part is None or gcd(part.quota, *part.weights) == 1, (game, part)
 
 
 class TestCanonicalForms:
