@@ -28,11 +28,10 @@ subsets of T, so it separates T as soon as every fixed mask has a player
 outside T, which is checked mask by mask.  Every other block is one LP,
 solved cold: the fixed rows, one winning row per fixed coalition and the
 quota row, then the block's target rows in target order.  The oracle cache
-keys each feasible entry by its witness's cover, the bitmask of every target
-that the witness separates, and each infeasible entry by the block solved;
-it answers every later subset of a cover or superset of an infeasible block
-from them.  No pair or singleton is queried up front; the oracle sees only
-the blocks that the partition search tries.
+keys each entry by the block solved: a feasible entry answers every later
+subset of its block, an infeasible one every superset.  No pair or
+singleton is queried up front; the oracle sees only the blocks that the
+partition search tries.
 
 Most incompatible pairs need no LP: they are 2-trades (Taylor & Zwicker,
 Proc. AMS 115, 1992).  Let C = T1 & T2 and X = T1 ^ T2 for targets T1, T2.
@@ -51,12 +50,12 @@ set still costs one LP.
 
 A block of two or more targets is widened before its LP: in index order,
 each target that no checked trade keeps from the block, or from a target
-already added, joins it.  The widened block is solved first, and its
-witness's cover answers the blocks inside it that the search asks later;
-if it is infeasible, the block asked for is solved instead.  Only verified
-outcomes enter the cache, so every query gets the same answer as without
-widening and the search finds the same partition; only the witness part
-that answers a block may differ.
+already added, joins it.  The widened block is solved first and keys its
+cache entry, so its witness answers the blocks inside it that the search
+asks later; if it is infeasible, the block asked for is solved instead.
+Only verified outcomes enter the cache, so every query gets the same answer
+as without widening and the search finds the same partition; only the
+witness part that answers a block may differ.
 
 One iterative-deepening partition search tries each block count from a
 clique bound of the trade graph up.  It places the targets one at a time,
@@ -110,11 +109,11 @@ class SeparabilityOracleCache:
     """Block-feasibility oracle keyed by target-subset bitmasks.
 
     ``solver(mask)`` returns None for an infeasible block, or a pair
-    ``(cover, witness)`` where ``cover`` is the bitmask of every target the
+    ``(block, witness)`` where ``block`` is a bitmask of targets that the
     witness separates; it must contain ``mask``, or ``query`` raises
-    ``CertificateError``.  A feasible entry is keyed by its cover, so its
-    witness answers every block inside the cover, not only subsets of the
-    block that was solved; a cached infeasible block settles every superset.
+    ``CertificateError``.  A feasible entry is keyed by that block, so its
+    witness answers every subset of the block, which may be wider than the
+    mask asked; a cached infeasible block settles every superset.
     The two lists only grow at the end, so they also answer repeats: a
     repeated query finds the same first match, or its own entry, and gets the
     same witness object.  Under concurrent use two threads may solve the same
@@ -205,20 +204,6 @@ def _unit_part(n: int, fixed_masks: Sequence[int], target: int) -> WeightedGame 
     return WeightedGame(1, [0 if target >> j & 1 else 1 for j in range(n)])
 
 
-def _cover(part: WeightedGame, target_players: Sequence[Sequence[int]]) -> int:
-    """Bitmask of the targets on which ``part`` loses.
-
-    ``target_players`` holds each target's player positions (``set_bits``
-    of its mask), listed once per call so that each part only sums weights.
-    """
-    weight, quota = part.weights.__getitem__, part.quota
-    cover = 0
-    for i, players in enumerate(target_players):
-        if sum(map(weight, players)) < quota:
-            cover |= 1 << i
-    return cover
-
-
 def _coalition_masks(coalitions: Iterable[Coalition], n: int) -> list[int]:
     """Compact masks of API coalitions, each checked to be over ``n`` players."""
     masks = []
@@ -265,11 +250,7 @@ def realizable(
     mlc = tuple(mlc)
     if not mlc:
         raise InvalidGameError("need at least one maximal losing coalition")
-    n = mlc[0].n
-    full = (1 << n) - 1
-    fixed = [full ^ m for m in _coalition_masks(mlc, n)]
-    rows = _separation_rows(n, fixed, [full ^ m for m in _coalition_masks(targets, n)])
-    part = _separate(n, rows)
+    part = co_realizable([c.complement() for c in mlc], [t.complement() for t in targets])
     return None if part is None else dual_weighted(part)
 
 
@@ -440,12 +421,6 @@ def _witnessed_partition(
     n = game.n
     rows = _separation_rows(n, fixed_masks, target_masks)
     fixed, targets = rows[: len(fixed_masks) + 1], rows[len(fixed_masks) + 1 :]
-    target_players = [set_bits(m) for m in target_masks]
-
-    def solve(mask: int) -> tuple[int, WeightedGame] | None:
-        """One LP for the block ``mask``: the fixed rows, then its target rows."""
-        part = _separate(n, fixed + tuple(targets[i] for i in set_bits(mask)))
-        return None if part is None else (_cover(part, target_players), part)
 
     def widened(mask: int) -> int:
         """``mask`` plus, in index order, each target that no trade keeps from it."""
@@ -459,15 +434,20 @@ def _witnessed_partition(
         return mask
 
     def solver(mask: int) -> tuple[int, WeightedGame] | None:
+        """The block solved for ``mask`` and its part, or None if none separates.
+
+        One target is answered by its unit part.  A wider block tries its
+        widened block first, then the block itself, each one LP.
+        """
         if not mask & (mask - 1):
             part = _unit_part(n, fixed_masks, target_masks[mask.bit_length() - 1])
-            return None if part is None else (_cover(part, target_players), part)
+            return None if part is None else (mask, part)
         wide = widened(mask)
-        if wide != mask:
-            outcome = solve(wide)
-            if outcome is not None:
-                return outcome
-        return solve(mask)
+        for block in (wide, mask) if wide != mask else (mask,):
+            part = _separate(n, fixed + tuple(targets[i] for i in set_bits(block)))
+            if part is not None:
+                return block, part
+        return None
 
     fixed_set = frozenset(fixed_masks)
     adj = [0] * count
@@ -521,6 +501,8 @@ def codimension(game: SimpleGame) -> DimensionWitness:
 
 def is_weighted(game: SimpleGame) -> WeightedGame | None:
     """An integer weighted representation of the game, or None if none exists."""
+    if game.form == WEIGHTED:
+        return game.parts[0]
     sets = extremal_sets(game)
     n = game.n
     return _separate(n, _separation_rows(n, set_bits(sets.winning), set_bits(sets.losing)))

@@ -55,6 +55,17 @@ class TestGen:
             ],
         }
 
+    def test_random_json_win_matches_text_win_lines(self):
+        text = gen(["gen", "random", "--n", "7", "--m", "5", "--seed", "11"])
+        doc = json.loads(gen(["gen", "random", "--n", "7", "--m", "5", "--seed", "11", "--json"]))
+        win_lines = [line.split()[1] for line in text.splitlines() if line.startswith("win ")]
+        assert doc["form"] == "explicit" and len(win_lines) > 1
+        assert doc["win"] == win_lines
+
+    def test_unanimity_blocks_with_no_bitstring_is_exit_one(self):
+        code, out, err = call(["gen", "unanimity", "--blocks", ","])
+        assert code == 1 and out == "" and "at least one bitstring" in err
+
     def test_output_file(self, tmp_path):
         target = tmp_path / "game.sg"
         code, out, _ = call(["gen", "example1", "--n", "2", "-o", str(target)])
@@ -304,6 +315,45 @@ class TestExitCodes:
             call(["gen", "-h"])
         assert info.value.code == 0
         assert "example1" in capsys.readouterr().out
+
+
+def readme_pipelines():
+    """The README's shell pipelines, each with the ``# `` lines that follow it."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        blocks = f.read().split("```sh\n")[1:]
+    block = next(b.split("```")[0] for b in blocks if "gamedim gen" in b)
+    pipelines = []
+    for line in block.splitlines():
+        if line.startswith("gamedim "):
+            pipelines.append((line, []))
+        elif line.startswith("# "):
+            pipelines[-1][1].append(line[2:])
+    return [(line, expected) for line, expected in pipelines if " | " in line]
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    [pytest.param(line, expected, id=line.split(" | ")[-1]) for line, expected in readme_pipelines()],
+)
+def test_readme_cli_example(line, expected):
+    out = ""
+    for command in line.split(" | "):
+        argv = command.split()
+        assert argv[0] == "gamedim"
+        code, out, err = call(argv[1:], stdin_text=out)
+        assert code == 0, err
+    if "--json" in line:
+        doc, shown = json.loads(out), json.loads(expected[0].replace("[...]", "[]"))
+        assert (doc["value"], doc["kind"]) == (shown["value"], shown["kind"])
+        assert len(doc["parts"]) == shown["value"]
+    else:
+        assert out == "".join(e + "\n" for e in expected)
+
+
+def test_readme_cli_examples_are_found():
+    commands = [line.split(" | ")[-1] for line, _ in readme_pipelines()]
+    assert commands == ["gamedim dim", "gamedim weighted", "gamedim codim --json"]
 
 
 def fresh_python(*args):

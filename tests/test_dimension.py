@@ -13,7 +13,6 @@ from conftest import (
     games_agree_by_hand,
 )
 from gamedim import dimsolver
-from gamedim.core import set_bits
 from gamedim.dimsolver import _check_trade, _trade, _trade_certificate
 from gamedim.generators import splitmix64
 
@@ -573,20 +572,6 @@ class TestUnitPart:
         assert dimsolver._unit_part(3, [0b011, 0b101], 0b110) == gd.make_weighted(1, [1, 0, 0])
 
 
-class TestCover:
-    def test_cover_agrees_with_wins_on_every_target(self):
-        stream = splitmix64(31)
-        for _ in range(200):
-            n = 1 + next(stream) % 8
-            weights = [1 + next(stream) % 5] + [next(stream) % 5 for _ in range(n - 1)]
-            part = gd.make_weighted(1 + next(stream) % sum(weights), weights)
-            masks = [next(stream) % (1 << n) for _ in range(1 + next(stream) % 12)]
-            cover = dimsolver._cover(part, [set_bits(m) for m in masks])
-            for i, m in enumerate(masks):
-                assert (cover >> i & 1) == (not part.wins(gd.Coalition(m << 1, n)))
-            assert cover < 1 << len(masks)
-
-
 class TestTradeRecords:
     @pytest.mark.parametrize("codim", [False, True], ids=["dim", "codim"])
     def test_every_record_passes_the_mask_check(self, acceptance_corpus, codim):
@@ -640,6 +625,12 @@ class TestIsWeighted:
         part = gd.is_weighted(explicit)
         assert part is not None
         assert gd.equivalent(gd.SimpleGame.from_weighted(part), majority)
+
+    def test_weighted_form_returns_its_part_without_an_lp(self):
+        part = gd.make_weighted(5, [1] * 10)
+        with gd.record_certificates() as log:
+            assert gd.is_weighted(gd.SimpleGame.from_weighted(part)) is part
+        assert log == []
 
     def test_example1_is_not_weighted(self):
         assert gd.is_weighted(gd.gen_example1(2)) is None

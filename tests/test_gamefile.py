@@ -95,7 +95,8 @@ class TestParseErrors:
 
     def test_bad_players(self):
         # Only ASCII digits count: "²" passes str.isdigit and "٣" is int 3.
-        for count in ("two", "\u00b2", "\u0663"):
+        # A game needs at least one player.
+        for count in ("two", "\u00b2", "\u0663", "0"):
             err = parse_error(f"simplegame 1\nplayers {count}\nform weighted\nwmg 1 : 1\n")
             assert err.code == "bad-players" and err.line == 2
 
