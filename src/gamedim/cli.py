@@ -16,7 +16,6 @@ stable keys (``value``, ``kind``, ``parts``, ``mwc``, ``mlc``,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import dimsolver as dim_mod
@@ -54,9 +53,18 @@ def _game_json(game: SimpleGame) -> dict:
     return doc
 
 
+def _json_line(doc) -> str:
+    """``doc`` as one line of JSON."""
+    # Imported on first use: only --json reports need it, and at module level
+    # it cost every CLI process about 2 ms.
+    import json
+
+    return json.dumps(doc) + "\n"
+
+
 def _game_text(game: SimpleGame, as_json: bool) -> str:
     """The game as one JSON line or as a ``simplegame`` file."""
-    return json.dumps(_game_json(game)) + "\n" if as_json else serialize_game(game)
+    return _json_line(_game_json(game)) if as_json else serialize_game(game)
 
 
 def _load_game(path: str | None, stdin) -> SimpleGame:
@@ -167,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _report_coalitions(label: str, key: str, coalitions, as_json: bool) -> str:
     if as_json:
-        return json.dumps({key: [c.bitstring() for c in coalitions]}) + "\n"
+        return _json_line({key: [c.bitstring() for c in coalitions]})
     lines = [f"{label} {len(coalitions)}"]
     lines.extend(f"win {c.bitstring()}" for c in coalitions)
     return "\n".join(lines) + "\n"
@@ -180,7 +188,7 @@ def _report_witness(label: str, witness, as_json: bool) -> str:
             "kind": witness.kind,
             "parts": [_part_json(p) for p in witness.parts],
         }
-        return json.dumps(doc) + "\n"
+        return _json_line(doc)
     lines = [f"{label} {witness.value}"]
     lines.extend(wmg_line(p) for p in witness.parts)
     return "\n".join(lines) + "\n"
@@ -215,7 +223,7 @@ def _run_command(args, stdin, stdout) -> int:
         second = _load_game(args.game2, stdin)
         same = structure.equivalent(first, second)
         if args.json:
-            text = json.dumps({"equivalent": same}) + "\n"
+            text = _json_line({"equivalent": same})
         else:
             text = ("equivalent" if same else "different") + "\n"
         _emit(text, args.output, stdout)
@@ -237,7 +245,7 @@ def _run_command(args, stdin, stdout) -> int:
         part = dim_mod.is_weighted(game)
         if args.json:
             doc = {"weighted": part is not None, "parts": [] if part is None else [_part_json(part)]}
-            text = json.dumps(doc) + "\n"
+            text = _json_line(doc)
         elif part is None:
             text = "not weighted\n"
         else:

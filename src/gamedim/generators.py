@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index as as_int
 from typing import Sequence
 
@@ -13,6 +12,7 @@ from .core import (
     N_MAX,
     UNION,
     Coalition,
+    Immutable,
     InvalidGameError,
     SimpleGame,
     SizeLimitError,
@@ -44,13 +44,19 @@ def gen_example1(n: int) -> SimpleGame:
     return combine(INTERSECTION, parts)
 
 
-@dataclass(frozen=True)
-class SSPInstance:
+class SSPInstance(Immutable):
     """A Subset Sum instance (target b, positive integers a) with d gadget pairs."""
 
+    _fields = ("b", "a", "d")
     b: int
     a: tuple[int, ...]
     d: int
+
+    def __init__(self, b: int, a: tuple[int, ...], d: int) -> None:
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "d", d)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "b", as_int(self.b))

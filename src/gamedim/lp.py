@@ -73,8 +73,9 @@ import math
 import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .core import Immutable
 
 GE = ">="
 LE = "<="
@@ -106,17 +107,23 @@ def common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Immutable):
     """One row  coeffs . x  (>=|<=)  rhs  over rational coefficients.
 
     An ``int`` coefficient or rhs is kept as it is; any other value becomes a
     ``Fraction`` (``Fraction("1/2")``, ``Fraction(0.5)``).
     """
 
+    _fields = ("coeffs", "relation", "rhs")
     coeffs: tuple
     relation: str
     rhs: object
+
+    def __init__(self, coeffs: tuple, relation: str, rhs: object) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "rhs", rhs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.relation not in (GE, LE):
@@ -131,13 +138,21 @@ class Constraint:
         return tuple(-c for c in self.coeffs), -self.rhs
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(Immutable):
     """A pure feasibility system: rows plus a set of sign-constrained variables."""
 
+    _fields = ("num_vars", "constraints", "nonneg_vars")
     num_vars: int
     constraints: tuple[Constraint, ...]
     nonneg_vars: frozenset[int]
+
+    def __init__(
+        self, num_vars: int, constraints: tuple[Constraint, ...], nonneg_vars: frozenset[int]
+    ) -> None:
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "nonneg_vars", nonneg_vars)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "constraints", tuple(self.constraints))
@@ -152,8 +167,7 @@ class LinearProgram:
                 raise ValueError(f"nonnegative variable index {j} out of range")
 
 
-@dataclass(frozen=True)
-class FarkasWitness:
+class FarkasWitness(Immutable):
     """Nonnegative multipliers recombining the system into 0 >= positive.
 
     ``row_multipliers[i]`` applies to constraint i oriented as >= (a <= row is
@@ -162,17 +176,29 @@ class FarkasWitness:
     variable exactly and leaves a positive right-hand side.
     """
 
+    _fields = ("row_multipliers", "nonneg_multipliers")
     row_multipliers: tuple
     nonneg_multipliers: tuple
 
+    def __init__(self, row_multipliers: tuple, nonneg_multipliers: tuple) -> None:
+        object.__setattr__(self, "row_multipliers", row_multipliers)
+        object.__setattr__(self, "nonneg_multipliers", nonneg_multipliers)
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+
+class FeasibilityResult(Immutable):
     """An outcome and its certificate."""
 
+    _fields = ("status", "assignment", "farkas")
     status: str
-    assignment: tuple | None = None
-    farkas: FarkasWitness | None = None
+    assignment: tuple | None
+    farkas: FarkasWitness | None
+
+    def __init__(
+        self, status: str, assignment: tuple | None = None, farkas: FarkasWitness | None = None
+    ) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "farkas", farkas)
 
     @property
     def feasible(self) -> bool:

@@ -11,7 +11,6 @@ complemented minimal table of the dual's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (
@@ -20,6 +19,7 @@ from .core import (
     UNION,
     WEIGHTED,
     Coalition,
+    Immutable,
     SimpleGame,
     WeightedGame,
     combine,
@@ -30,8 +30,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class ExtremalSets:
+class ExtremalSets(Immutable):
     """Minimal winning and maximal losing antichains of one game, as tables.
 
     Bit S of ``winning`` is set when the compact coalition S is minimal
@@ -39,9 +38,15 @@ class ExtremalSets:
     ``Coalition`` views, ascending by mask, are built on first access.
     """
 
+    _fields = ("n", "winning", "losing")
     n: int
     winning: int
     losing: int
+
+    def __init__(self, n: int, winning: int, losing: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "winning", winning)
+        object.__setattr__(self, "losing", losing)
 
     @cached_property
     def minimal_winning(self) -> tuple[Coalition, ...]:

@@ -356,13 +356,18 @@ def test_readme_cli_examples_are_found():
     assert commands == ["gamedim dim", "gamedim weighted", "gamedim codim --json"]
 
 
-def fresh_python(*args):
+def fresh_python(*args, stdin_text=None):
     """Run a new interpreter that imports this checkout's gamedim."""
     src = os.path.dirname(os.path.dirname(gd.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *args],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
     )
 
 
@@ -382,3 +387,23 @@ def test_import_loads_only_the_standard_library():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_leaves_json_unloaded():
+    # Only --json reports need json; every CLI process pays for an import.
+    proc = fresh_python(
+        "-c",
+        "import sys; before = set(sys.modules); import gamedim, gamedim.cli; "
+        "print(sorted(m for m in set(sys.modules) - before if m.partition('.')[0] == 'json'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_python_dash_m_writes_a_json_report():
+    text = gd.serialize_game(gd.gen_example1(2))
+    proc = fresh_python("-m", "gamedim", "codim", "--json", stdin_text=text)
+    assert proc.returncode == 0, proc.stderr
+    assert '"value": 2' in proc.stdout
+    doc = json.loads(proc.stdout)
+    assert doc["kind"] == gd.UNION and len(doc["parts"]) == 2

@@ -1,5 +1,7 @@
 """Core model: coalitions, weighted games, simple games in all four forms."""
 
+import copy
+import pickle
 from functools import reduce
 from operator import and_
 
@@ -392,3 +394,96 @@ class TestSimpleGameValidation:
     def test_part_player_count_must_match(self):
         with pytest.raises(gd.InvalidGameError):
             gd.SimpleGame(3, gd.INTERSECTION, parts=(gd.make_weighted(1, [1, 1]),))
+
+    def test_members_of_the_wrong_type_rejected(self):
+        with pytest.raises(gd.InvalidGameError):
+            gd.SimpleGame(2, gd.UNION, parts=((1, (1, 1)),))
+        with pytest.raises(gd.InvalidGameError):
+            gd.SimpleGame(2, gd.EXPLICIT, antichain=(0b110,))
+        with pytest.raises(gd.InvalidGameError):
+            gd.combine(gd.INTERSECTION, [[1, [1, 1]]])
+        with pytest.raises(gd.InvalidGameError):
+            gd.make_explicit(2, [0b110])
+
+
+# One instance of each public value type, built by keyword and leaving any
+# defaulted field out, with the frozen-dataclass repr it must keep;
+# Coalition and WeightedGame have reprs of their own.
+VALUE_TYPES = [
+    (lambda: gd.Coalition(members=0b110, n=3), "Coalition({1, 2}, n=3)"),
+    (lambda: gd.WeightedGame(quota=2, weights=(1, 1, 1)), "[2; 1, 1, 1]"),
+    (
+        lambda: gd.SimpleGame(n=2, form=gd.UNION, parts=(gd.WeightedGame(1, (1, 1)),)),
+        "SimpleGame(n=2, form='union', antichain=(), parts=([1; 1, 1],))",
+    ),
+    (
+        lambda: gd.ExtremalSets(n=2, winning=0b1010, losing=0b0001),
+        "ExtremalSets(n=2, winning=10, losing=1)",
+    ),
+    (lambda: gd.SSPInstance(b=2, a=(5, 7), d=2), "SSPInstance(b=2, a=(5, 7), d=2)"),
+    (
+        lambda: gd.Constraint(coeffs=(1, gd.rational(1, 2)), relation=gd.GE, rhs=1),
+        "Constraint(coeffs=(1, Fraction(1, 2)), relation='>=', rhs=1)",
+    ),
+    (
+        lambda: gd.LinearProgram(
+            num_vars=1, constraints=(gd.Constraint((1,), gd.LE, 3),), nonneg_vars=frozenset({0})
+        ),
+        "LinearProgram(num_vars=1, constraints=(Constraint(coeffs=(1,), relation='<=', "
+        "rhs=3),), nonneg_vars=frozenset({0}))",
+    ),
+    (
+        lambda: gd.FarkasWitness(row_multipliers=(1,), nonneg_multipliers=()),
+        "FarkasWitness(row_multipliers=(1,), nonneg_multipliers=())",
+    ),
+    (
+        lambda: gd.FeasibilityResult(status="infeasible", farkas=gd.FarkasWitness((1,), ())),
+        "FeasibilityResult(status='infeasible', assignment=None, "
+        "farkas=FarkasWitness(row_multipliers=(1,), nonneg_multipliers=()))",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, text", VALUE_TYPES, ids=[text.partition("(")[0] for _, text in VALUE_TYPES]
+)
+class TestValueTypes:
+    def test_fields_are_frozen(self, build, text):
+        value = build()
+        name = next(iter(vars(value)))
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_equal_fields_compare_and_hash_equal(self, build, text):
+        first, second = build(), build()
+        assert first is not second
+        assert first == second and not first != second
+        assert hash(first) == hash(second)
+
+    def test_other_types_compare_unequal(self, build, text):
+        value = build()
+        others = [b() for b, _ in VALUE_TYPES if b is not build]
+        assert all(value != other and other != value for other in others)
+        assert value != tuple(vars(value).values())
+
+    def test_copies_and_pickles_are_equal(self, build, text):
+        value = build()
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+
+    def test_repr(self, build, text):
+        assert repr(build()) == text
+
+
+def test_copy_keeps_a_built_truth_table():
+    game = gd.gen_example1(2)
+    table = game.truth_table
+    fresh = copy.copy(game)
+    assert vars(fresh)["truth_table"] == table
+    vars(fresh).pop("truth_table")
+    assert "truth_table" in vars(game) and fresh.truth_table == table
