@@ -1,5 +1,6 @@
-"""Command-line driver: reports, JSON mode, pipes, exit codes."""
+"""Command-line driver: reports, JSON mode, pipes, exit codes, lazy imports."""
 
+import ast
 import io
 import json
 import os
@@ -377,27 +378,138 @@ def test_python_dash_m_runs_the_cli():
     assert gd.equivalent(gd.parse_game(proc.stdout), gd.gen_example1(2))
 
 
-def test_import_loads_only_the_standard_library():
-    # Modules that site hooks load at start-up are not counted.
-    proc = fresh_python(
-        "-c",
-        "import sys; before = set(sys.modules); import gamedim, gamedim.cli; "
-        "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
-        "print(sorted(new - sys.stdlib_module_names - {'gamedim'}))",
-    )
+def fresh_eval(code, expr, stdin_text=None):
+    """``expr`` after running ``code`` in a new interpreter, read back as a literal."""
+    proc = fresh_python("-c", f"{code}\nprint(repr({expr}))", stdin_text=stdin_text)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def modules_loaded_by(code, stdin_text=None):
+    """The modules ``code`` loads in a new interpreter; site hooks' are not counted."""
+    before = "import sys; before = set(sys.modules)"
+    return set(fresh_eval(f"{before}\n{code}", "sorted(set(sys.modules) - before)", stdin_text))
+
+
+# A bare import loads no submodule; the first exported-name lookup loads them all.
+IMPORT_EVERYTHING = "import gamedim, gamedim.cli; gamedim.dimension"
+
+
+def test_import_loads_only_the_standard_library():
+    loaded = modules_loaded_by(IMPORT_EVERYTHING)
+    assert {"gamedim.dimsolver", "gamedim.lp", "gamedim.structure"} <= loaded
+    assert {m.partition(".")[0] for m in loaded} - sys.stdlib_module_names == {"gamedim"}
 
 
 def test_import_leaves_json_unloaded():
     # Only --json reports need json; every CLI process pays for an import.
-    proc = fresh_python(
-        "-c",
-        "import sys; before = set(sys.modules); import gamedim, gamedim.cli; "
-        "print(sorted(m for m in set(sys.modules) - before if m.partition('.')[0] == 'json'))",
+    loaded = modules_loaded_by(IMPORT_EVERYTHING)
+    assert "gamedim.dimsolver" in loaded
+    assert sorted(m for m in loaded if m.partition(".")[0] == "json") == []
+
+
+SOLVER = {"gamedim.dimsolver", "gamedim.lp", "dataclasses", "fractions"}
+STRUCTURE_ONLY = ({"gamedim.structure"}, {"gamedim.dimsolver", "dataclasses"})
+DIMSOLVER = ({"gamedim.dimsolver"}, set())
+
+
+SUBCOMMAND_LOADS = [
+    (["gen", "example1", "--n", "2"], set(), SOLVER | {"gamedim.structure"}),
+    (["dual"], *STRUCTURE_ONLY),
+    (["mwc"], *STRUCTURE_ONLY),
+    (["mlc"], *STRUCTURE_ONLY),
+    (["equiv", "{game}"], *STRUCTURE_ONLY),
+    (["dim"], *DIMSOLVER),
+    (["codim"], *DIMSOLVER),
+    (["weighted"], *DIMSOLVER),
+    (["convert", "--to", "union"], *DIMSOLVER),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, loads, leaves", [pytest.param(*case, id=case[0][0]) for case in SUBCOMMAND_LOADS]
+)
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, loads, leaves):
+    text = gd.serialize_game(gd.gen_example1(2))
+    path = tmp_path / "game.txt"
+    path.write_text(text, encoding="utf-8")
+    argv = [arg.format(game=path) for arg in argv]
+    loaded = modules_loaded_by(
+        "import io\n"
+        "from gamedim.cli import run\n"
+        "out = io.StringIO()\n"
+        f"assert run({argv!r}, stdout=out) == 0 and out.getvalue()",
+        stdin_text=text,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert loads <= loaded
+    assert not leaves & loaded
+
+
+SUBMODULES = ("core", "dimsolver", "gamefile", "generators", "lp", "structure")
+
+
+class TestLazyNamespace:
+    def test_bare_import_loads_no_submodule(self):
+        # Probing an attribute the package lacks loads nothing either.
+        loaded = modules_loaded_by("import gamedim; hasattr(gamedim, '__wrapped__')")
+        assert sorted(m for m in loaded if m.startswith("gamedim")) == ["gamedim"]
+
+    def test_exports_are_the_defining_modules_objects(self):
+        assert gd.dimension is gd.dimsolver.dimension
+        assert gd.rational is gd.lp.rational and gd.N_MAX is gd.core.N_MAX
+        assert len(set(gd.__all__)) == len(gd.__all__)
+        for name in gd.__all__:
+            owners = [vars(getattr(gd, m)) for m in SUBMODULES if name in vars(getattr(gd, m))]
+            assert owners, name
+            assert all(owner[name] is getattr(gd, name) for owner in owners), name
+
+    def test_submodules_resolve_after_a_bare_import(self):
+        expr = f"[getattr(gamedim, m) is sys.modules['gamedim.' + m] for m in {SUBMODULES!r}]"
+        assert fresh_eval("import gamedim, sys", expr) == [True] * len(SUBMODULES)
+
+    @pytest.mark.parametrize(
+        "lookup",
+        [
+            "gamedim.splitmix64",
+            "gamedim.lp",
+            "from gamedim import dimension",
+            "import gamedim.dimsolver; gamedim.dimension",
+        ],
+    )
+    def test_one_lookup_binds_every_exported_name(self, lookup):
+        # A tracer that patches vars(gamedim) needs every name bound.
+        code = f"import gamedim\n{lookup}"
+        assert fresh_eval(code, "set(gamedim.__all__) - set(vars(gamedim))") == set()
+
+    def test_star_import_binds_every_name(self):
+        code = "from gamedim import *\nimport gamedim"
+        assert fresh_eval(code, "set(gamedim.__all__) - set(globals())") == set()
+
+    def test_dir_lists_exports_and_submodules(self):
+        assert set(gd.__all__) | set(SUBMODULES) <= set(dir(gd))
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            gd.no_such_name
+        with pytest.raises(ImportError):
+            from gamedim import no_such_name  # noqa: F401
+
+    def test_a_submodule_import_looks_up_no_name_in_vain(self):
+        # dimsolver's ``from . import lp`` asks the package for lp while
+        # dimsolver itself is still importing.
+        code = (
+            "import gamedim\n"
+            "inner, failed = gamedim.__getattr__, []\n"
+            "def spy(name):\n"
+            "    try:\n"
+            "        return inner(name)\n"
+            "    except AttributeError:\n"
+            "        failed.append(name)\n"
+            "        raise\n"
+            "gamedim.__getattr__ = spy\n"
+            "import gamedim.dimsolver"
+        )
+        assert fresh_eval(code, "failed") == []
 
 
 def test_python_dash_m_writes_a_json_report():
