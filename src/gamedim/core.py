@@ -335,6 +335,15 @@ def minimal_table(table: int, n: int) -> int:
     return is_min
 
 
+def swing_counts(table: int, n: int) -> list[int]:
+    """Per player, the winning compact masks that lose once the player leaves.
+
+    Entry j counts the set bits S with bit j set whose S - 2^j bit is clear:
+    Banzhaf's swings of player j+1, one AND-NOT pass per player.
+    """
+    return [(table & ~_bit_clear(j, n) & ~(table << (1 << j))).bit_count() for j in range(n)]
+
+
 def minimal_masks(table: int, n: int) -> list[int]:
     """Ascending compact masks of the minimal set bits of a monotone table."""
     return set_bits(minimal_table(table, n))

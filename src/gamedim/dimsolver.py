@@ -44,7 +44,20 @@ W2, W1 & W2 = T1 & T2 and W1 | W2 = T1 | T2.  Together these say
 w(W1) + w(W2) = w(T1) + w(T2) for every weight vector w, which is what the
 Farkas witness on the pair's LP says too; ``_trade_certificate`` builds that
 witness on demand.  The search never tries a block holding a traded pair,
-so the cache never holds one.  With no traded pair, the first block it asks
+so the cache never holds one.
+
+With no traded pair, one part is tried before any LP: the Banzhaf part
+(Banzhaf, Rutgers Law Review 19, 1965).  Player j's swing count is the
+number of winning S holding j for which S - j loses, and the counts over
+their gcd are weights w that represent most weighted games.  The part
+[q; w], q one above the heaviest target, loses on every target and is kept
+only if every fixed mask reaches q: a complete check on masks, like the row
+re-check of an LP's game.  Then it is the one-part partition, and no LP or
+search runs.  A traded pair already proves that one part cannot do, so the
+trade scan decides whether the part is tried.  S is a swing of j in the game
+exactly when (N - S) + j is one in its dual, so both have the same counts,
+and the complemented orientation of a codimension reads the game's own
+table too.  When the part misses, the search runs: the first block it asks
 is a pair, which widens (below) to the full block, so a separable target
 set still costs one LP.
 
@@ -84,9 +97,11 @@ from .core import (
     SimpleGame,
     SizeLimitError,
     WeightedGame,
+    _subset_weights,
     combine,
     complemented,
     set_bits,
+    swing_counts,
 )
 from .structure import dual_weighted, equivalent, extremal_sets
 
@@ -205,6 +220,31 @@ def _unit_part(n: int, fixed_masks: Sequence[int], target: int) -> WeightedGame 
     if any(not m & ~target for m in fixed_masks):
         return None
     return WeightedGame(1, [0 if target >> j & 1 else 1 for j in range(n)])
+
+
+def _banzhaf_part(
+    game: SimpleGame, fixed_masks: Sequence[int], target_masks: Sequence[int]
+) -> WeightedGame | None:
+    """The part [q; w] with w the game's swing counts over their gcd, or None.
+
+    The quota is one above the heaviest target, so the part loses on every
+    target; it is returned only when every fixed mask reaches the quota.  A
+    mask's weight is the sum of two lookups, one per half of the players.
+    """
+    n = game.n
+    swings = swing_counts(game.truth_table, n)
+    shrink = gcd(*swings)
+    weights = [s // shrink for s in swings]
+    h = n // 2
+    low, high, cut = _subset_weights(weights[:h]), _subset_weights(weights[h:]), (1 << h) - 1
+
+    def weight(mask: int) -> int:
+        return low[mask & cut] + high[mask >> h]
+
+    quota = 1 + max(map(weight, target_masks))
+    if any(weight(m) < quota for m in fixed_masks):
+        return None
+    return WeightedGame(quota, weights)
 
 
 def _coalition_masks(coalitions: Iterable[Coalition], n: int) -> list[int]:
@@ -463,11 +503,14 @@ def _witnessed_partition(
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
 
-    cache = SeparabilityOracleCache(solver)
-    partition = _minimum_partition(count, cache, adj)
-    parts = tuple(cache.query(bm) for bm in partition)
-    if None in parts:
-        raise RuntimeError("internal error: a block of the found partition is infeasible")
+    part = None if any(adj) else _banzhaf_part(game, fixed_masks, target_masks)
+    if part is not None:
+        parts = (part,)
+    else:
+        cache = SeparabilityOracleCache(solver)
+        parts = tuple(cache.query(bm) for bm in _minimum_partition(count, cache, adj))
+        if None in parts:
+            raise RuntimeError("internal error: a block of the found partition is infeasible")
     if kind == UNION:
         parts = tuple(map(dual_weighted, parts))
     witness = DimensionWitness(len(parts), parts, kind)
@@ -503,12 +546,20 @@ def codimension(game: SimpleGame) -> DimensionWitness:
 
 
 def is_weighted(game: SimpleGame) -> WeightedGame | None:
-    """An integer weighted representation of the game, or None if none exists."""
+    """An integer weighted representation of the game, or None if none exists.
+
+    The Banzhaf part (see the module docstring) is tried first on the minimal
+    winning and maximal losing masks; it is a representation exactly when
+    every minimal winning mask reaches its quota.  When it misses, the
+    separation LP over both families decides.
+    """
     if game.form == WEIGHTED:
         return game.parts[0]
     sets = extremal_sets(game)
     n = game.n
-    return _separate(n, _separation_rows(n, set_bits(sets.winning), set_bits(sets.losing)))
+    winning, losing = set_bits(sets.winning), set_bits(sets.losing)
+    part = _banzhaf_part(game, winning, losing)
+    return part if part is not None else _separate(n, _separation_rows(n, winning, losing))
 
 
 def canonical_intersection(game: SimpleGame) -> list[WeightedGame]:

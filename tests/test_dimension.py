@@ -1,5 +1,6 @@
 """Dimension/codimension solver, separation oracles, canonical conversions."""
 
+import itertools
 from math import gcd
 
 import pytest
@@ -11,8 +12,10 @@ from conftest import (
     exhaustive_codimension,
     exhaustive_dimension,
     games_agree_by_hand,
+    winning_masks_by_hand,
 )
 from gamedim import dimsolver
+from gamedim.core import swing_counts
 from gamedim.dimsolver import _check_trade, _trade, _trade_certificate
 from gamedim.generators import splitmix64
 
@@ -645,6 +648,103 @@ class TestIsWeighted:
     def test_present_iff_dimension_one(self, small_corpus):
         for game in small_corpus:
             assert (gd.is_weighted(game) is not None) == (gd.dimension(game).value == 1)
+
+    def test_sixteen_player_two_part_majority_needs_no_lp(self):
+        # The 8-of-16 majority as an intersection: its extremal families
+        # give a separation LP of 24,310 rows, but its swing counts are
+        # equal, so the part [8; 1, ..., 1] is read off them and checked.
+        ones = [1] * 16
+        game = gd.combine(gd.INTERSECTION, [gd.make_weighted(8, ones), gd.make_weighted(1, ones)])
+        with gd.record_certificates() as log:
+            part = gd.is_weighted(game)
+        assert part == gd.make_weighted(8, ones)
+        assert log == []
+
+
+def majority(k, n):
+    """The k-of-n majority in explicit form, listed by its minimal winning coalitions."""
+    return gd.make_explicit(
+        n, [players(c, n) for c in itertools.combinations(range(1, n + 1), k)]
+    )
+
+
+class TestBanzhafPart:
+    def test_weighted_games_solve_no_lp(self, acceptance_corpus):
+        # 35 of the corpus's 36 weighted games are answered by their swing
+        # counts.  The other is weighted by [11; 1, 7, 1, 4, 0, 1, 4], while
+        # its counts over their gcd, (1, 23, 1, 9, 0, 1, 9), give the minimal
+        # winning {1, 3, 4, 6, 7} weight 21 and the maximal losing
+        # {1, 2, 3, 5, 6} weight 26; it costs one LP a call.
+        missed = gd.gen_random_monotone(7, 5, 1028)
+        weighted = [g for g in acceptance_corpus if gd.is_weighted(g) is not None]
+        assert len(weighted) == 36 and missed in weighted
+        for game in weighted:
+            lps = int(game == missed)
+            for solve in (gd.dimension, gd.codimension):
+                with gd.record_certificates() as log:
+                    witness = solve(game)
+                assert len(log) == lps and witness.value == 1
+                assert gd.equivalent(witness.as_game(), game)
+            with gd.record_certificates() as log:
+                part = gd.is_weighted(game)
+            assert len(log) == lps
+            assert gd.equivalent(gd.SimpleGame.from_weighted(part), game)
+
+    def test_explicit_six_of_eleven_majority_needs_no_lp(self):
+        # Its 462 maximal losing coalitions exceed the cap of dim and codim,
+        # so only is_weighted is asked.
+        game = majority(6, 11)
+        with gd.record_certificates() as log:
+            part = gd.is_weighted(game)
+        assert log == [] and part == gd.make_weighted(6, [1] * 11)
+
+    def test_a_missed_part_falls_back_to_one_lp(self):
+        # Weighted by [3; 1, 1, 1, 2], but the swing counts (2, 2, 2, 6)
+        # give w = (1, 1, 1, 3), under which {1, 2, 3} weighs 3 and the
+        # maximal losing {4} weighs 3 too.
+        game = gd.gen_random_monotone(4, 7, 1039)
+        sets = gd.extremal_sets(game)
+        assert swing_counts(game.truth_table, 4) == [2, 2, 2, 6]
+        fixed = [c.members >> 1 for c in sets.minimal_winning]
+        targets = [c.members >> 1 for c in sets.maximal_losing]
+        assert dimsolver._banzhaf_part(game, fixed, targets) is None
+        reference = gd.SimpleGame.from_weighted(gd.make_weighted(3, [1, 1, 1, 2]))
+        assert gd.equivalent(game, reference)
+        for solve in (gd.dimension, gd.codimension, gd.is_weighted):
+            with gd.record_certificates() as log:
+                solve(game)
+            [(lp, result)] = log
+            assert result.feasible
+            gd.verify_certificate(lp, result)
+
+    def test_a_fixed_mask_below_the_quota_refuses_the_part(self):
+        game = majority(2, 3)
+        wins, losses = [0b011, 0b101, 0b110], [0b001, 0b010, 0b100]
+        assert dimsolver._banzhaf_part(game, wins, losses) == gd.make_weighted(2, [1, 1, 1])
+        assert dimsolver._banzhaf_part(game, wins + [0b001], losses) is None
+
+    def test_every_game_has_the_swing_counts_of_its_dual(self, acceptance_corpus):
+        for game in acceptance_corpus:
+            swings = swing_counts(game.truth_table, game.n)
+            assert swings == swing_counts(gd.dual(game).truth_table, game.n)
+
+    def test_swing_counts_match_a_count_by_hand(self, small_corpus):
+        for game in small_corpus:
+            wins = winning_masks_by_hand(game)
+            expected = [
+                sum(1 for m in wins if m >> j & 1 and m ^ 1 << j not in wins)
+                for j in range(1, game.n + 1)
+            ]
+            assert swing_counts(game.truth_table, game.n) == expected
+
+    def test_a_traded_pair_skips_the_part(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Banzhaf part built for a game with a traded pair")
+
+        monkeypatch.setattr(dimsolver, "_banzhaf_part", refuse)
+        game = gd.gen_example1(3)
+        assert gd.dimension(game).value == 3
+        assert gd.codimension(game).value == 4
 
 
 class TestPrimitiveSeparationGames:
