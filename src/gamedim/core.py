@@ -113,17 +113,14 @@ class Coalition(Immutable):
     n: int
 
     def __init__(self, members: int, n: int) -> None:
+        if not 1 <= n <= N_MAX:
+            raise _bad_player_count(n)
+        if members & 1:
+            raise InvalidGameError("bit 0 is unused; players are numbered from 1")
+        if members & ~full_mask(n):
+            raise InvalidGameError(f"coalition has members outside players 1..{n}")
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "n", n)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= N_MAX:
-            raise _bad_player_count(self.n)
-        if self.members & 1:
-            raise InvalidGameError("bit 0 is unused; players are numbered from 1")
-        if self.members & ~full_mask(self.n):
-            raise InvalidGameError(f"coalition has members outside players 1..{self.n}")
 
     @classmethod
     def from_players(cls, players: Iterable[int], n: int) -> "Coalition":
@@ -207,21 +204,17 @@ class WeightedGame(Immutable):
     weights: tuple[int, ...]
 
     def __init__(self, quota: int, weights: tuple[int, ...]) -> None:
+        quota, weights = as_int(quota), tuple(as_int(w) for w in weights)
+        if not 1 <= len(weights) <= N_MAX:
+            raise _bad_player_count(len(weights))
+        if quota < 1:
+            raise InvalidGameError("quota must be at least 1 (the empty coalition loses)")
+        if any(w < 0 for w in weights):
+            raise InvalidGameError("weights must be nonnegative")
+        if sum(weights) < quota:
+            raise InvalidGameError("total weight below quota (the grand coalition must win)")
         object.__setattr__(self, "quota", quota)
         object.__setattr__(self, "weights", weights)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "quota", as_int(self.quota))
-        object.__setattr__(self, "weights", tuple(as_int(w) for w in self.weights))
-        if not 1 <= len(self.weights) <= N_MAX:
-            raise _bad_player_count(len(self.weights))
-        if self.quota < 1:
-            raise InvalidGameError("quota must be at least 1 (the empty coalition loses)")
-        if any(w < 0 for w in self.weights):
-            raise InvalidGameError("weights must be nonnegative")
-        if sum(self.weights) < self.quota:
-            raise InvalidGameError("total weight below quota (the grand coalition must win)")
 
     @property
     def n(self) -> int:
@@ -405,6 +398,7 @@ class SimpleGame(Immutable):
         object.__setattr__(self, "parts", parts)
         self.__post_init__()
 
+    # Kept apart from __init__: bench/tracer.py patches it to time construction.
     def __post_init__(self) -> None:
         if not 1 <= self.n <= N_MAX:
             raise _bad_player_count(self.n)

@@ -34,17 +34,16 @@ singleton is queried up front; the oracle sees only the blocks that the
 partition search tries.
 
 Most incompatible pairs need no LP: they are 2-trades (Taylor & Zwicker,
-Proc. AMS 115, 1992).  Let C = T1 & T2 and X = T1 ^ T2 for targets T1, T2.
-If some fixed mask M inside T1 | T2 leaves W2 = C | (X - M) a superset of a
-fixed mask M2, then W1 = C | (X & M) contains M, and W1 + W2 = T1 + T2 as
-multisets, so no game wins on W1 and W2 and loses on T1 and T2.  The record
-(M, M2, W1, W2) is its own certificate, checked exactly on masks before its
-edge enters the pair graph: M and M2 are fixed masks, M lies in W1 and M2 in
-W2, W1 & W2 = T1 & T2 and W1 | W2 = T1 | T2.  Together these say
-w(W1) + w(W2) = w(T1) + w(T2) for every weight vector w, which is what the
-Farkas witness on the pair's LP says too; ``_trade_certificate`` builds that
-witness on demand.  The search never tries a block holding a traded pair,
-so the cache never holds one.
+Proc. AMS 115, 1992).  Targets T1, T2 are traded by two fixed masks M, M2
+(possibly equal) with M | M2 inside T1 | T2 and M & M2 inside T1 & T2.
+Then every player is in T1 and T2 at least as often as in M and M2, so
+w(M) + w(M2) <= w(T1) + w(T2) for every weight vector w >= 0, and no game
+[q; w] wins on M and M2 (a sum of at least 2q) and loses on T1 and T2 (at
+most 2q - 2).  The pair (M, M2) is its own certificate, checked by those
+four mask facts before its edge enters the pair graph; the Farkas witness
+on the pair's LP says the same count, and ``_trade_certificate`` writes it
+down in closed form on demand.  The search never tries a block holding a
+traded pair, so the cache never holds one.
 
 With no traded pair, one part is tried before any LP: the Banzhaf part
 (Banzhaf, Rutgers Law Review 19, 1965).  Player j's swing count is the
@@ -136,17 +135,12 @@ class SeparabilityOracleCache:
     repeated query finds the same first match, or its own entry, and gets the
     same witness object.  Under concurrent use two threads may solve the same
     mask; both outcomes are correct, so the duplicate only costs one LP.
-    ``lp_solves`` counts the calls to ``solver``, not LPs: the solvers that
-    :func:`dimension` and :func:`codimension` pass in answer a one-target
-    block without an LP, and may run two LPs for a wider block, the widened
-    one and then, if it fails, the block asked for.
     """
 
     def __init__(self, solver: Callable[[int], tuple[int, WeightedGame] | None]):
         self._solver = solver
         self._feasible: list[tuple[int, WeightedGame]] = []
         self._infeasible: list[int] = []
-        self.lp_solves = 0
 
     def query(self, mask: int) -> WeightedGame | None:
         for cover, witness in self._feasible:
@@ -156,7 +150,6 @@ class SeparabilityOracleCache:
             if imask & ~mask == 0:
                 return None
         outcome = self._solver(mask)
-        self.lp_solves += 1
         if outcome is None:
             self._infeasible.append(mask)
             return None
@@ -309,40 +302,32 @@ def _greedy_clique(order: Sequence[int], cand: int, adj: Sequence[int]) -> list[
     return clique
 
 
-def _trade(fixed_masks: Sequence[int], t1: int, t2: int) -> tuple[int, int, int, int] | None:
-    """The 2-trade record (M, M2, W1, W2) that keeps targets ``t1`` and ``t2`` apart.
+def _trade(fixed_masks: Sequence[int], t1: int, t2: int) -> tuple[int, int] | None:
+    """The 2-trade (M, M2) that keeps targets ``t1`` and ``t2`` apart, or None.
 
-    None when no fixed mask M inside ``t1 | t2`` leaves W2 = C | (X - M) a
-    superset of a fixed mask M2 (see the module docstring).  A fixed mask
-    inside ``t1 | t2`` lies in W2 exactly when it misses X & M.
+    M and M2 are fixed masks inside ``t1 | t2`` whose intersection lies in
+    ``t1 & t2`` (see the module docstring): the first such M in list order,
+    with the first M2 that misses M's players in ``t1 ^ t2``.
     """
-    common, split, outside = t1 & t2, t1 ^ t2, ~(t1 | t2)
+    split, outside = t1 ^ t2, ~(t1 | t2)
     inside = [m for m in fixed_masks if not m & outside]
     for m in inside:
         cut = m & split
         for m2 in inside:
             if not m2 & cut:
-                return m, m2, common | cut, common | split & ~m
+                return m, m2
     return None
 
 
-def _check_trade(
-    fixed: frozenset[int], t1: int, t2: int, record: tuple[int, int, int, int]
-) -> None:
+def _check_trade(fixed: frozenset[int], t1: int, t2: int, record: tuple[int, int]) -> None:
     """Raise ``CertificateError`` unless ``record`` is a 2-trade of ``t1`` and ``t2``.
 
-    M and M2 are fixed masks, M lies in W1 and M2 in W2, and W1, W2 have the
-    intersection and the union of T1, T2, so w(W1) + w(W2) = w(T1) + w(T2)
-    for every weight vector w.
+    M and M2 are fixed masks, M | M2 lies in T1 | T2 and M & M2 in T1 & T2,
+    so every player is in T1 and T2 at least as often as in M and M2.
     """
-    m, m2, w1, w2 = record
+    m, m2 = record
     if not (
-        m in fixed
-        and m2 in fixed
-        and not m & ~w1
-        and not m2 & ~w2
-        and w1 & w2 == t1 & t2
-        and w1 | w2 == t1 | t2
+        m in fixed and m2 in fixed and not (m | m2) & ~(t1 | t2) and not m & m2 & ~(t1 & t2)
     ):
         raise _lp.CertificateError("2-trade record does not keep its targets apart")
 
@@ -353,22 +338,21 @@ def _trade_certificate(
     """Farkas form of the 2-trade that keeps targets ``t1`` and ``t2`` apart.
 
     The witness is on the pair's separation LP: the fixed rows, the quota
-    row, then rows ``t1`` and ``t2``.  It puts 1 on rows T1, T2, M and M2
-    and one unit on the sign row w_j >= 0 per occurrence of j in W1 - M and
-    W2 - M2.  None when there is no trade.
+    row, then rows ``t1`` and ``t2``.  It puts 1 on rows M, M2, T1 and T2,
+    0 on the quota row (two won rows less two lost ones), and on the sign
+    row w_j >= 0 the count [j in T1] + [j in T2] - [j in M] - [j in M2].
+    None when there is no trade.
     """
     record = _trade(fixed_masks, t1, t2)
     if record is None:
         return None
-    m, m2, w1, w2 = record
+    m, m2 = record
     rows = [0] * (len(fixed_masks) + 3)
     rows[fixed_masks.index(m)] += 1
     rows[fixed_masks.index(m2)] += 1
     rows[-2] = rows[-1] = 1
-    signs = [0] * n
-    for j in set_bits(w1 & ~m) + set_bits(w2 & ~m2):
-        signs[j] += 1
-    return _lp.FarkasWitness(tuple(rows), tuple((j, u) for j, u in enumerate(signs) if u))
+    counts = [(t1 >> j & 1) + (t2 >> j & 1) - (m >> j & 1) - (m2 >> j & 1) for j in range(n)]
+    return _lp.FarkasWitness(tuple(rows), tuple((j, u) for j, u in enumerate(counts) if u))
 
 
 def _minimum_partition(count: int, cache: SeparabilityOracleCache, adj: list[int]) -> list[int]:

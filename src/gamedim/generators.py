@@ -53,21 +53,16 @@ class SSPInstance(Immutable):
     d: int
 
     def __init__(self, b: int, a: tuple[int, ...], d: int) -> None:
+        b, a, d = as_int(b), tuple(as_int(v) for v in a), as_int(d)
+        if b < 1:
+            raise InvalidGameError("target must be positive")
+        if not a or any(v < 1 for v in a):
+            raise InvalidGameError("need a nonempty list of positive integers")
+        if d < 2:
+            raise InvalidGameError("need at least two gadget pairs")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "d", d)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "b", as_int(self.b))
-        object.__setattr__(self, "a", tuple(as_int(v) for v in self.a))
-        object.__setattr__(self, "d", as_int(self.d))
-        if self.b < 1:
-            raise InvalidGameError("target must be positive")
-        if not self.a or any(v < 1 for v in self.a):
-            raise InvalidGameError("need a nonempty list of positive integers")
-        if self.d < 2:
-            raise InvalidGameError("need at least two gadget pairs")
 
     def is_yes_instance(self) -> bool:
         """Exhaustive check whether some subset of a sums exactly to b."""

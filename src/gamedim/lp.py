@@ -120,16 +120,11 @@ class Constraint(Immutable):
     rhs: object
 
     def __init__(self, coeffs: tuple, relation: str, rhs: object) -> None:
-        object.__setattr__(self, "coeffs", coeffs)
+        if relation not in (GE, LE):
+            raise ValueError(f"relation must be {GE!r} or {LE!r}, got {relation!r}")
+        object.__setattr__(self, "coeffs", tuple(map(_exact, coeffs)))
         object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "rhs", rhs)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.relation not in (GE, LE):
-            raise ValueError(f"relation must be {GE!r} or {LE!r}, got {self.relation!r}")
-        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
-        object.__setattr__(self, "rhs", _exact(self.rhs))
+        object.__setattr__(self, "rhs", _exact(rhs))
 
     def ge_form(self) -> tuple[tuple, object]:
         """Coefficients and rhs with the row oriented as >=."""
@@ -149,22 +144,16 @@ class LinearProgram(Immutable):
     def __init__(
         self, num_vars: int, constraints: tuple[Constraint, ...], nonneg_vars: frozenset[int]
     ) -> None:
+        constraints, nonneg_vars = tuple(constraints), frozenset(nonneg_vars)
+        for con in constraints:
+            if len(con.coeffs) != num_vars:
+                raise ValueError(f"row has {len(con.coeffs)} coefficients, expected {num_vars}")
+        for j in nonneg_vars:
+            if not 0 <= j < num_vars:
+                raise ValueError(f"nonnegative variable index {j} out of range")
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "nonneg_vars", nonneg_vars)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        object.__setattr__(self, "nonneg_vars", frozenset(self.nonneg_vars))
-        for con in self.constraints:
-            if len(con.coeffs) != self.num_vars:
-                raise ValueError(
-                    f"row has {len(con.coeffs)} coefficients, expected {self.num_vars}"
-                )
-        for j in self.nonneg_vars:
-            if not 0 <= j < self.num_vars:
-                raise ValueError(f"nonnegative variable index {j} out of range")
 
 
 class FarkasWitness(Immutable):

@@ -179,13 +179,13 @@ class TestNoCoalitionsInside:
         # an oversized game is refused before any of its 350k extremal
         # coalitions is listed.
         built = []
-        check = gd.Coalition.__post_init__
+        init = gd.Coalition.__init__
 
-        def counting(self):
-            built.append(self.members)
-            check(self)
+        def counting(self, members, n):
+            built.append(members)
+            init(self, members, n)
 
-        monkeypatch.setattr(gd.Coalition, "__post_init__", counting)
+        monkeypatch.setattr(gd.Coalition, "__init__", counting)
         for game in small_corpus:
             gd.dimension(game)
             gd.codimension(game)
@@ -597,28 +597,48 @@ class TestTradeRecords:
 
     def test_broken_records_are_refused(self):
         # A codim pair of example1 n=3 whose targets leave a player out, so
-        # W1 can grow past their union.
+        # some fixed mask (a pair of players) is not inside their union.
         full = 0b111111
         fixed_masks, t1, t2, record = next(
             r for r in trade_records(gd.gen_example1(3), True)
             if (r[1].members | r[2].members) >> 1 != full
         )
         fixed, m1, m2 = frozenset(fixed_masks), t1.members >> 1, t2.members >> 1
+        union, common = m1 | m2, m1 & m2
         _check_trade(fixed, m1, m2, record)
-        m, m2_, w1, w2 = record
-        outside = full & ~(m1 | m2)
-        assert m & (m - 1) not in fixed and m2_ & (m2_ - 1) not in fixed
+        m, m2_ = record
+        leaving = next(f for f in fixed_masks if f & ~union and not m & f & ~common)
+        overlapping = next(f for f in fixed_masks if not f & ~union and m & f & ~common)
         broken = [
-            (m & (m - 1), m2_, w1, w2),  # M is not a fixed mask
-            (m, m2_ & (m2_ - 1), w1, w2),  # M2 is not a fixed mask
-            (m2_, m2_, w1, w2),  # M = M2 is fixed but not inside W1
-            (m, m, w1, w2),  # M2 = M is fixed but not inside W2
-            (m, m2_, w1 | outside & -outside, w2),  # W1 | W2 is not T1 | T2
-            (m, m2_, w1 | w2, w2),  # W1 & W2 is not T1 & T2
+            (m & (m - 1), m2_),  # M is not a fixed mask
+            (m, m2_ & (m2_ - 1)),  # M2 is not a fixed mask
+            (m, leaving),  # M | M2 is not inside T1 | T2
+            (m, overlapping),  # M & M2 is not inside T1 & T2
         ]
-        for bad in broken:
+        for a, b in broken:
+            facts = [a in fixed, b in fixed, not (a | b) & ~union, not a & b & ~common]
+            assert facts.count(False) == 1
             with pytest.raises(gd.CertificateError):
-                _check_trade(fixed, m1, m2, bad)
+                _check_trade(fixed, m1, m2, (a, b))
+
+    @pytest.mark.parametrize("codim", [False, True], ids=["dim", "codim"])
+    def test_a_record_is_found_exactly_when_one_exists(self, acceptance_corpus, codim):
+        traded = untraded = 0
+        for game in acceptance_corpus:
+            fixed, targets = separation_coalitions(game, codim)
+            fixed_masks = [c.members >> 1 for c in fixed]
+            target_masks = [t.members >> 1 for t in targets]
+            for i, t1 in enumerate(target_masks):
+                for t2 in target_masks[i + 1 :]:
+                    exists = any(
+                        not (a | b) & ~(t1 | t2) and not a & b & ~(t1 & t2)
+                        for a in fixed_masks
+                        for b in fixed_masks
+                    )
+                    assert (_trade(fixed_masks, t1, t2) is not None) == exists
+                    traded += exists
+                    untraded += not exists
+        assert traded and untraded
 
 
 class TestIsWeighted:
@@ -844,10 +864,13 @@ class TestConvert:
 class TestOracleCache:
     @staticmethod
     def _dimension_cache(game):
+        """A cache over the game's dimension targets, and the masks its solver was asked."""
         sets = gd.extremal_sets(game)
         targets = list(sets.maximal_losing)
+        calls = []
 
         def solver(mask):
+            calls.append(mask)
             chosen = [targets[i] for i in range(len(targets)) if mask >> i & 1]
             part = gd.co_realizable(sets.minimal_winning, chosen)
             if part is None:
@@ -855,38 +878,33 @@ class TestOracleCache:
             cover = sum(1 << i for i, t in enumerate(targets) if not part.wins(t))
             return cover, part
 
-        return gd.SeparabilityOracleCache(solver)
+        return gd.SeparabilityOracleCache(solver), calls
 
     def test_witness_reuse_and_downward_closure(self):
-        cache = self._dimension_cache(gd.gen_example1(2))
+        cache, calls = self._dimension_cache(gd.gen_example1(2))
         first = cache.query(0b01)
         assert first is not None
-        solves = cache.lp_solves
         assert cache.query(0b01) is first  # its own feasible entry
-        assert cache.lp_solves == solves
         assert cache.query(0b11) is None
-        solves = cache.lp_solves
         assert cache.query(0b11) is None  # its own infeasible entry
-        assert cache.lp_solves == solves
+        assert calls == [0b01, 0b11]
 
     def test_subset_of_feasible_mask_reuses_its_witness(self):
         # Of the seven maximal losing targets, {0, 2} is separable.
-        cache = self._dimension_cache(gd.gen_random_monotone(7, 3, 1016))
+        cache, calls = self._dimension_cache(gd.gen_random_monotone(7, 3, 1016))
         witness = cache.query(0b101)
         assert witness is not None
-        solves = cache.lp_solves
         assert cache.query(0b001) is witness
         assert cache.query(0b100) is witness
-        assert cache.lp_solves == solves
+        assert calls == [0b101]
 
     def test_superset_of_infeasible_mask_is_infeasible(self):
         # Of the seven maximal losing targets, {1, 2} is not separable.
-        cache = self._dimension_cache(gd.gen_random_monotone(7, 3, 1016))
+        cache, calls = self._dimension_cache(gd.gen_random_monotone(7, 3, 1016))
         assert cache.query(0b110) is None
-        solves = cache.lp_solves
         assert cache.query(0b111) is None
         assert cache.query(0b1110) is None
-        assert cache.lp_solves == solves
+        assert calls == [0b110]
 
     def test_witness_answers_every_block_inside_its_cover(self):
         # Of the four maximal losing targets, the witness found for {0, 1}
@@ -894,14 +912,13 @@ class TestOracleCache:
         game = gd.gen_random_monotone(4, 4, 1003)
         targets = list(gd.extremal_sets(game).maximal_losing)
         assert len(targets) == 4
-        cache = self._dimension_cache(game)
+        cache, calls = self._dimension_cache(game)
         witness = cache.query(0b0011)
         assert witness is not None
         cover = sum(1 << i for i, t in enumerate(targets) if not witness.wins(t))
         assert cover & 0b0011 == 0b0011 and cover != 0b0011
-        solves = cache.lp_solves
         assert cache.query(0b0110) is witness
-        assert cache.lp_solves == solves
+        assert calls == [0b0011]
 
     def test_cover_missing_the_block_is_refused(self):
         cache = gd.SeparabilityOracleCache(lambda mask: (0b01, gd.make_weighted(1, [1])))
