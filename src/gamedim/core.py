@@ -29,7 +29,7 @@ takes or returns them.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cached_property, reduce
 from operator import index as as_int
 from typing import Iterable, Sequence
@@ -69,12 +69,13 @@ def _bad_player_count(n: int) -> InvalidGameError:
 class Immutable:
     """Base of the value types: fixed fields, compared and hashed by value.
 
-    A subclass names its fields in ``_fields`` and sets them in its own
-    ``__init__`` with ``object.__setattr__``.  Equality, hashing and the
-    ``Name(field=value, ...)`` repr are those of a frozen dataclass.  The
-    dataclass decorator generates and execs six methods per class at import,
-    about 0.5-0.9 ms a class on a shared 2-core host, and every CLI process
-    would pay it.  There are no ``__slots__``: cached properties and
+    A subclass names its fields once, as class annotations, which set
+    ``_fields`` in order; its own ``__init__`` sets them all with one
+    ``_set`` call, which assigns through ``object.__setattr__``.  Equality,
+    hashing and the ``Name(field=value, ...)`` repr are those of a frozen
+    dataclass.  The dataclass decorator generates and execs six methods per
+    class at import, about 0.5-0.9 ms a class on a shared 2-core host, and
+    every CLI process would pay it.  There are no ``__slots__``: cached properties and
     ``copy.copy`` need the per-instance ``__dict__``.  Fields are neither
     read nor written through ``self.__dict__``: touching it turns the
     compact attribute storage into a full dict, about twice the memory per
@@ -82,6 +83,14 @@ class Immutable:
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -108,7 +117,6 @@ class Immutable:
 class Coalition(Immutable):
     """A subset of the players 1..n, encoded as a bitmask (bit j = player j)."""
 
-    _fields = ("members", "n")
     members: int
     n: int
 
@@ -119,8 +127,7 @@ class Coalition(Immutable):
             raise InvalidGameError("bit 0 is unused; players are numbered from 1")
         if members & ~full_mask(n):
             raise InvalidGameError(f"coalition has members outside players 1..{n}")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "n", n)
+        self._set(members, n)
 
     @classmethod
     def from_players(cls, players: Iterable[int], n: int) -> "Coalition":
@@ -199,7 +206,6 @@ class WeightedGame(Immutable):
     empty coalition loses and the grand coalition wins.
     """
 
-    _fields = ("quota", "weights")
     quota: int
     weights: tuple[int, ...]
 
@@ -213,8 +219,7 @@ class WeightedGame(Immutable):
             raise InvalidGameError("weights must be nonnegative")
         if sum(weights) < quota:
             raise InvalidGameError("total weight below quota (the grand coalition must win)")
-        object.__setattr__(self, "quota", quota)
-        object.__setattr__(self, "weights", weights)
+        self._set(quota, weights)
 
     @property
     def n(self) -> int:
@@ -356,17 +361,26 @@ def complemented(table: int, n: int) -> int:
     return int.from_bytes(flipped, "little") >> (8 * nbytes - size)
 
 
-def first_nested_pair(masks: Sequence[int]) -> tuple[int, int] | None:
+def first_nested_pair(masks: Sequence[int], n: int) -> tuple[int, int] | None:
     """Indices i < j of the first equal or nested pair, by the later index j.
 
-    This is the error path of the antichain check: it only names the pair
-    once :func:`minimal_masks` has shown that one exists.
+    A prefix of ``masks`` (compact, below 2^n) is an antichain exactly when
+    its superset closure has as many minimal masks as the prefix has masks,
+    and every longer prefix of a nested one is nested.  So the first bad j is
+    found by bisection, each step one closure and one minimality pass, and
+    its first partner i by one scan.  This is the error path of the antichain
+    check: it names the pair once :func:`minimal_masks` has shown that one
+    exists.
     """
-    for j, b in enumerate(masks):
-        for i, a in enumerate(masks[:j]):
-            if a & ~b == 0 or b & ~a == 0:
-                return i, j
-    return None
+
+    def nested(k: int) -> bool:
+        return len(minimal_masks(superset_closure(masks[:k], n), n)) < k
+
+    j = bisect_left(range(len(masks) + 1), True, key=nested) - 1
+    if j == len(masks):
+        return None
+    b = masks[j]
+    return next(i for i, a in enumerate(masks[:j]) if a & ~b == 0 or b & ~a == 0), j
 
 
 class SimpleGame(Immutable):
@@ -379,7 +393,6 @@ class SimpleGame(Immutable):
     equivalent` to compare winning families across forms.
     """
 
-    _fields = ("n", "form", "antichain", "parts")
     n: int
     form: str
     antichain: tuple[Coalition, ...]
@@ -392,10 +405,7 @@ class SimpleGame(Immutable):
         antichain: tuple[Coalition, ...] = (),
         parts: tuple[WeightedGame, ...] = (),
     ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "antichain", antichain)
-        object.__setattr__(self, "parts", parts)
+        self._set(n, form, antichain, parts)
         self.__post_init__()
 
     # Kept apart from __init__: bench/tracer.py patches it to time construction.
@@ -442,7 +452,7 @@ class SimpleGame(Immutable):
                 raise InvalidGameError("the empty coalition cannot be winning")
         masks = [c.members >> 1 for c in coalitions]
         if minimal_masks(self.truth_table, self.n) != masks:
-            i, j = first_nested_pair(masks)
+            i, j = first_nested_pair(masks, self.n)
             raise InvalidGameError(
                 "winning coalitions must form an antichain "
                 f"({coalitions[i]} and {coalitions[j]} are comparable)"

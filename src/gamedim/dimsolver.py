@@ -19,7 +19,8 @@ j; see :mod:`gamedim.structure`), and ``COVER_MAX`` is checked on the target
 table's bit count before any mask is listed, so an oversized game is refused
 in the time of its truth table.  No ``Coalition`` is built on the way to the
 separation rows; only ``co_realizable`` and ``realizable``, which take them,
-convert at the boundary.
+convert at the boundary.  The search's state (the pair graph, the rows and
+the oracle cache) is built in ``_search``, and only there.
 
 Block feasibility is an exact rational LP and is downward closed, so a
 minimum cover can be assumed to be a partition.  A block of one target T
@@ -45,20 +46,22 @@ on the pair's LP says the same count, and ``_trade_certificate`` writes it
 down in closed form on demand.  The search never tries a block holding a
 traded pair, so the cache never holds one.
 
-With no traded pair, one part is tried before any LP: the Banzhaf part
-(Banzhaf, Rutgers Law Review 19, 1965).  Player j's swing count is the
-number of winning S holding j for which S - j loses, and the counts over
-their gcd are weights w that represent most weighted games.  The part
-[q; w], q one above the heaviest target, loses on every target and is kept
-only if every fixed mask reaches q: a complete check on masks, like the row
-re-check of an LP's game.  Then it is the one-part partition, and no LP or
-search runs.  A traded pair already proves that one part cannot do, so the
-trade scan decides whether the part is tried.  S is a swing of j in the game
-exactly when (N - S) + j is one in its dual, so both have the same counts,
-and the complemented orientation of a codimension reads the game's own
-table too.  When the part misses, the search runs: the first block it asks
-is a pair, which widens (below) to the full block, so a separable target
-set still costs one LP.
+Each query climbs one ladder, cheapest certificate first: a weighted-form
+game is its own part; then the cap; then the Banzhaf part; and only when
+that misses, the search with its trades, rows and LPs.  The Banzhaf part
+(Banzhaf, Rutgers Law Review 19, 1965) is read off the table: player j's
+swing count is the number of winning S holding j for which S - j loses, and
+the counts over their gcd are weights w that represent most weighted games.
+The part [q; w], q one above the heaviest target, loses on every target and
+is kept only if every fixed mask reaches q: a complete check on masks, like
+the row re-check of an LP's game.  Then it is the one-part partition, and
+no trade, row or LP is built.  A traded pair proves that no one part does,
+so the part misses on it by that check alone.  S is a swing of j in the
+game exactly when (N - S) + j is one in its dual, so both have the same
+counts, and the complemented orientation of a codimension reads the game's
+own table too.  When the part misses, the search runs: the first block it
+asks is a pair, which widens (below) to the full block, so a separable
+target set still costs one LP.
 
 A block of two or more targets is widened before its LP: in index order,
 each target that no checked trade keeps from the block, or from a target
@@ -430,22 +433,25 @@ def _minimum_partition(count: int, cache: SeparabilityOracleCache, adj: list[int
     return found
 
 
-def _witnessed_partition(
-    game: SimpleGame, fixed_table: int, target_table: int, kind: str
-) -> DimensionWitness:
-    """Minimum partition of the targets of ``target_table`` against ``fixed_table``.
+def _search(
+    n: int, fixed_masks: Sequence[int], target_masks: Sequence[int]
+) -> tuple[WeightedGame, ...]:
+    """One part per block of a minimum partition of the targets, by the search.
 
-    The cap is checked on the table's bit count, before any mask is listed.
-    A codimension passes complemented tables; their masks are listed
-    descending, so that both lists keep the order of the game's own
-    ascending coalitions.
+    The search's state lives here: the pair graph of checked 2-trades, the
+    separation rows, and the oracle cache over blocks of targets.
     """
-    count = target_table.bit_count()
-    if count > COVER_MAX:
-        raise SizeLimitError(f"{count} separation targets exceed the solver cap of {COVER_MAX}")
-    order = -1 if kind == UNION else 1
-    fixed_masks, target_masks = set_bits(fixed_table)[::order], set_bits(target_table)[::order]
-    n = game.n
+    count = len(target_masks)
+    fixed_set = frozenset(fixed_masks)
+    adj = [0] * count
+    for i in range(count):
+        for j in range(i + 1, count):
+            t1, t2 = target_masks[i], target_masks[j]
+            record = _trade(fixed_masks, t1, t2)
+            if record is not None:
+                _check_trade(fixed_set, t1, t2, record)
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
     rows = _separation_rows(n, fixed_masks, target_masks)
     fixed, targets = rows[: len(fixed_masks) + 1], rows[len(fixed_masks) + 1 :]
 
@@ -476,25 +482,39 @@ def _witnessed_partition(
                 return block, part
         return None
 
-    fixed_set = frozenset(fixed_masks)
-    adj = [0] * count
-    for i in range(count):
-        for j in range(i + 1, count):
-            t1, t2 = target_masks[i], target_masks[j]
-            record = _trade(fixed_masks, t1, t2)
-            if record is not None:
-                _check_trade(fixed_set, t1, t2, record)
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    cache = SeparabilityOracleCache(solver)
+    parts = tuple(cache.query(bm) for bm in _minimum_partition(count, cache, adj))
+    if None in parts:
+        raise RuntimeError("internal error: a block of the found partition is infeasible")
+    return parts
 
-    part = None if any(adj) else _banzhaf_part(game, fixed_masks, target_masks)
-    if part is not None:
-        parts = (part,)
+
+def _witnessed_partition(game: SimpleGame, kind: str) -> DimensionWitness:
+    """The dimension (``INTERSECTION``) or codimension (``UNION``) of ``game``.
+
+    The ladder runs cheapest certificate first: a weighted-form game is its
+    own part; otherwise the cap is checked on the target table's bit count,
+    before any mask is listed, then the Banzhaf part is tried, and only when
+    it misses does the search run.  A codimension complements both tables and
+    lists their masks descending, so that both lists keep the order of the
+    game's own ascending coalitions, and maps each part back by
+    ``dual_weighted``.
+    """
+    if game.form == WEIGHTED:
+        return DimensionWitness(1, game.parts, kind)
+    sets = extremal_sets(game)
+    n = game.n
+    if kind == UNION:
+        fixed_table, target_table = complemented(sets.losing, n), complemented(sets.winning, n)
     else:
-        cache = SeparabilityOracleCache(solver)
-        parts = tuple(cache.query(bm) for bm in _minimum_partition(count, cache, adj))
-        if None in parts:
-            raise RuntimeError("internal error: a block of the found partition is infeasible")
+        fixed_table, target_table = sets.winning, sets.losing
+    count = target_table.bit_count()
+    if count > COVER_MAX:
+        raise SizeLimitError(f"{count} separation targets exceed the solver cap of {COVER_MAX}")
+    order = -1 if kind == UNION else 1
+    fixed_masks, target_masks = set_bits(fixed_table)[::order], set_bits(target_table)[::order]
+    part = _banzhaf_part(game, fixed_masks, target_masks)
+    parts = (part,) if part is not None else _search(n, fixed_masks, target_masks)
     if kind == UNION:
         parts = tuple(map(dual_weighted, parts))
     witness = DimensionWitness(len(parts), parts, kind)
@@ -505,10 +525,7 @@ def _witnessed_partition(
 
 def dimension(game: SimpleGame) -> DimensionWitness:
     """Least k with the game an intersection of k weighted games, plus parts."""
-    if game.form == WEIGHTED:
-        return DimensionWitness(1, game.parts, INTERSECTION)
-    sets = extremal_sets(game)
-    return _witnessed_partition(game, sets.winning, sets.losing, INTERSECTION)
+    return _witnessed_partition(game, INTERSECTION)
 
 
 def codimension(game: SimpleGame) -> DimensionWitness:
@@ -520,13 +537,7 @@ def codimension(game: SimpleGame) -> DimensionWitness:
     complemented tables of the game's own extremal sets, and each part found
     is mapped back by ``dual_weighted``; no dual game is built.
     """
-    if game.form == WEIGHTED:
-        return DimensionWitness(1, game.parts, UNION)
-    sets = extremal_sets(game)
-    n = game.n
-    return _witnessed_partition(
-        game, complemented(sets.losing, n), complemented(sets.winning, n), UNION
-    )
+    return _witnessed_partition(game, UNION)
 
 
 def is_weighted(game: SimpleGame) -> WeightedGame | None:

@@ -165,7 +165,7 @@ def parse_game(text: str) -> SimpleGame:
             return make_explicit(n, coalitions, MINIMAL_GIVEN)
         except InvalidGameError:
             # Every line passed its own checks, so only nesting can fail.
-            i, j = first_nested_pair([c.members for c in coalitions])
+            i, j = first_nested_pair([c.members >> 1 for c in coalitions], n)
             raise GameParseError(
                 "not-antichain",
                 body[j][0],

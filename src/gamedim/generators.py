@@ -47,7 +47,6 @@ def gen_example1(n: int) -> SimpleGame:
 class SSPInstance(Immutable):
     """A Subset Sum instance (target b, positive integers a) with d gadget pairs."""
 
-    _fields = ("b", "a", "d")
     b: int
     a: tuple[int, ...]
     d: int
@@ -60,9 +59,7 @@ class SSPInstance(Immutable):
             raise InvalidGameError("need a nonempty list of positive integers")
         if d < 2:
             raise InvalidGameError("need at least two gadget pairs")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "d", d)
+        self._set(b, a, d)
 
     def is_yes_instance(self) -> bool:
         """Exhaustive check whether some subset of a sums exactly to b."""
@@ -155,8 +152,5 @@ def gen_random_monotone(n: int, m: int, seed: int) -> SimpleGame:
         return make_explicit(1, [Coalition.grand(1)], MINIMAL_GIVEN)
     stream = splitmix64(seed)
     span = (1 << n) - 2
-    coalitions = []
-    for _ in range(m):
-        compact = 1 + next(stream) % span
-        coalitions.append(Coalition(compact << 1, n))
-    return make_explicit(n, coalitions, ARBITRARY_WINNING)
+    drawn = {1 + next(stream) % span for _ in range(m)}
+    return make_explicit(n, [Coalition(c << 1, n) for c in drawn], ARBITRARY_WINNING)

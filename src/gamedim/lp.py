@@ -114,7 +114,6 @@ class Constraint(Immutable):
     ``Fraction`` (``Fraction("1/2")``, ``Fraction(0.5)``).
     """
 
-    _fields = ("coeffs", "relation", "rhs")
     coeffs: tuple
     relation: str
     rhs: object
@@ -122,9 +121,7 @@ class Constraint(Immutable):
     def __init__(self, coeffs: tuple, relation: str, rhs: object) -> None:
         if relation not in (GE, LE):
             raise ValueError(f"relation must be {GE!r} or {LE!r}, got {relation!r}")
-        object.__setattr__(self, "coeffs", tuple(map(_exact, coeffs)))
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "rhs", _exact(rhs))
+        self._set(tuple(map(_exact, coeffs)), relation, _exact(rhs))
 
     def ge_form(self) -> tuple[tuple, object]:
         """Coefficients and rhs with the row oriented as >=."""
@@ -136,7 +133,6 @@ class Constraint(Immutable):
 class LinearProgram(Immutable):
     """A pure feasibility system: rows plus a set of sign-constrained variables."""
 
-    _fields = ("num_vars", "constraints", "nonneg_vars")
     num_vars: int
     constraints: tuple[Constraint, ...]
     nonneg_vars: frozenset[int]
@@ -151,9 +147,7 @@ class LinearProgram(Immutable):
         for j in nonneg_vars:
             if not 0 <= j < num_vars:
                 raise ValueError(f"nonnegative variable index {j} out of range")
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "nonneg_vars", nonneg_vars)
+        self._set(num_vars, constraints, nonneg_vars)
 
 
 class FarkasWitness(Immutable):
@@ -165,19 +159,16 @@ class FarkasWitness(Immutable):
     variable exactly and leaves a positive right-hand side.
     """
 
-    _fields = ("row_multipliers", "nonneg_multipliers")
     row_multipliers: tuple
     nonneg_multipliers: tuple
 
     def __init__(self, row_multipliers: tuple, nonneg_multipliers: tuple) -> None:
-        object.__setattr__(self, "row_multipliers", row_multipliers)
-        object.__setattr__(self, "nonneg_multipliers", nonneg_multipliers)
+        self._set(row_multipliers, nonneg_multipliers)
 
 
 class FeasibilityResult(Immutable):
     """An outcome and its certificate."""
 
-    _fields = ("status", "assignment", "farkas")
     status: str
     assignment: tuple | None
     farkas: FarkasWitness | None
@@ -185,9 +176,7 @@ class FeasibilityResult(Immutable):
     def __init__(
         self, status: str, assignment: tuple | None = None, farkas: FarkasWitness | None = None
     ) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "farkas", farkas)
+        self._set(status, assignment, farkas)
 
     @property
     def feasible(self) -> bool:

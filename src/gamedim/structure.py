@@ -38,15 +38,12 @@ class ExtremalSets(Immutable):
     ``Coalition`` views, ascending by mask, are built on first access.
     """
 
-    _fields = ("n", "winning", "losing")
     n: int
     winning: int
     losing: int
 
     def __init__(self, n: int, winning: int, losing: int) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "winning", winning)
-        object.__setattr__(self, "losing", losing)
+        self._set(n, winning, losing)
 
     @cached_property
     def minimal_winning(self) -> tuple[Coalition, ...]:

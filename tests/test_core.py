@@ -2,12 +2,14 @@
 
 import copy
 import pickle
+import random
 from functools import reduce
 from operator import and_
 
 import pytest
 
 import gamedim as gd
+from gamedim.core import first_nested_pair
 from conftest import all_coalitions, eval_by_hand, games_agree_by_hand, winning_masks_by_hand
 
 
@@ -404,6 +406,32 @@ class TestSimpleGameValidation:
             gd.combine(gd.INTERSECTION, [[1, [1, 1]]])
         with pytest.raises(gd.InvalidGameError):
             gd.make_explicit(2, [0b110])
+
+
+class TestFirstNestedPair:
+    @staticmethod
+    def by_pairs(masks):
+        for j, b in enumerate(masks):
+            for i, a in enumerate(masks[:j]):
+                if a & ~b == 0 or b & ~a == 0:
+                    return i, j
+        return None
+
+    def test_matches_a_pair_scan(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            # Distinct masks of one size form an antichain; a duplicate, a
+            # subset or a superset of one of them is then put anywhere.
+            size = rng.randint(0, n)
+            layer = [m for m in range(1 << n) if m.bit_count() == size]
+            masks = rng.sample(layer, rng.randint(1, len(layer)))
+            for _ in range(rng.randint(0, 3)):
+                m = rng.choice(masks)
+                kin = rng.choice([m, m & rng.getrandbits(n), m | rng.getrandbits(n)])
+                masks.insert(rng.randint(0, len(masks)), kin)
+            assert first_nested_pair(masks, n) == self.by_pairs(masks)
+        assert first_nested_pair([], 3) is None
 
 
 # One instance of each public value type, built by keyword and leaving any

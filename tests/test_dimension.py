@@ -757,14 +757,38 @@ class TestBanzhafPart:
             ]
             assert swing_counts(game.truth_table, game.n) == expected
 
-    def test_a_traded_pair_skips_the_part(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("Banzhaf part built for a game with a traded pair")
+    def test_an_answered_game_builds_no_trade_or_row(self, acceptance_corpus, monkeypatch):
+        missed = gd.gen_random_monotone(7, 5, 1028)
+        answered = [g for g in acceptance_corpus if gd.is_weighted(g) is not None and g != missed]
+        assert len(answered) == 35
 
-        monkeypatch.setattr(dimsolver, "_banzhaf_part", refuse)
+        def refuse(*args):
+            raise AssertionError("trade or separation row built after the part answered")
+
+        monkeypatch.setattr(dimsolver, "_trade", refuse)
+        monkeypatch.setattr(dimsolver, "_separation_rows", refuse)
+        for game in answered:
+            for solve in (gd.dimension, gd.codimension):
+                witness = solve(game)
+                assert witness.value == 1
+                assert gd.equivalent(witness.as_game(), game)
+
+    def test_a_traded_pair_misses_the_part_then_searches(self, monkeypatch):
+        # Example1 n=3 has traded pairs in both orientations, so no one part
+        # passes the part's fixed-mask check, and the search answers.
+        misses = []
+        banzhaf_part = dimsolver._banzhaf_part
+
+        def spy(*args):
+            part = banzhaf_part(*args)
+            misses.append(part is None)
+            return part
+
+        monkeypatch.setattr(dimsolver, "_banzhaf_part", spy)
         game = gd.gen_example1(3)
         assert gd.dimension(game).value == 3
         assert gd.codimension(game).value == 4
+        assert misses == [True, True]
 
 
 class TestPrimitiveSeparationGames:

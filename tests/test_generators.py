@@ -1,5 +1,7 @@
 """Instance generators: pair-cover games, Subset Sum reductions, random corpora."""
 
+import tracemalloc
+
 import pytest
 
 import gamedim as gd
@@ -179,6 +181,24 @@ class TestGenRandomMonotone:
             assert game.is_winning(gd.Coalition.grand(5))
             for c in game.antichain:
                 assert 0 < c.members < gd.Coalition.grand(5).members
+
+    def test_many_draws_keep_only_the_distinct_ones(self):
+        # One Coalition per draw peaked at about 33 MiB here.
+        tracemalloc.start()
+        try:
+            game = gd.gen_random_monotone(12, 200_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert len(game.antichain) == 12
+
+    def test_the_game_is_the_closure_of_every_draw(self):
+        for seed in range(20):
+            stream = gd.splitmix64(seed)
+            draws = [gd.Coalition((1 + next(stream) % 62) << 1, 6) for _ in range(40)]
+            expected = gd.make_explicit(6, draws, gd.ARBITRARY_WINNING)
+            assert gd.gen_random_monotone(6, 40, seed) == expected
 
     def test_validation(self):
         with pytest.raises(gd.InvalidGameError):
