@@ -32,7 +32,7 @@ import re
 from bisect import bisect_left, bisect_right
 from functools import cached_property, reduce
 from operator import index as as_int
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 N_MAX = 24
 
@@ -188,7 +188,7 @@ class Coalition(Immutable):
         return Coalition(self.members | other.members, self.n)
 
     def bitstring(self) -> str:
-        return "".join("1" if j in self else "0" for j in range(1, self.n + 1))
+        return f"{self.members >> 1:0{self.n}b}"[::-1]
 
     def _check_same_n(self, other: "Coalition") -> None:
         if self.n != other.n:
@@ -263,13 +263,19 @@ def set_bits(x: int) -> list[int]:
     return [8 * k + j for r in runs for k, b in enumerate(r[0], r.start()) for j in _BYTE_BITS[b]]
 
 
-def _bit_clear(j: int, n: int) -> int:
-    """Table of the compact masks below 2^n whose bit j is clear."""
-    pattern, width = (1 << (1 << j)) - 1, 2 << j
-    while width < 1 << n:
-        pattern |= pattern << width
-        width <<= 1
-    return pattern
+def _bit_clears(n: int) -> Iterator[tuple[int, int]]:
+    """Pairs (j, table of the compact masks below 2^n whose bit j is clear).
+
+    They come from the top player down, j = n-1 first, which is the lower
+    half of the table.  Pattern j-1 is pattern j XOR-ed with itself shifted
+    2^(j-1), one shift apiece (the step after pattern 0 shifts by 0 and
+    gives 0), and each is dropped once the next is built.  The closure and
+    minimality passes give the same table in any player order.
+    """
+    pattern = (1 << (1 << n >> 1)) - 1
+    for j in reversed(range(n)):
+        yield j, pattern
+        pattern ^= pattern << (1 << j >> 1)
 
 
 def _subset_weights(weights: Sequence[int]) -> list[int]:
@@ -308,16 +314,16 @@ def superset_closure(masks: Sequence[int], n: int) -> int:
     """Table over compact masks, set exactly on supersets of ``masks``.
 
     The masks are seeded through a byte buffer, since OR-ing each bit into a
-    growing int copies it every time.  Then one zeta-transform pass per
-    player: each coalition with player j+1 inherits the bit of the same
-    coalition without it.
+    growing int copies it every time; the buffer is dropped once it is read.
+    Then one zeta-transform pass per player: each coalition with player j+1
+    inherits the bit of the same coalition without it.
     """
-    seed = bytearray(((1 << n) + 7) // 8)
+    table = bytearray(((1 << n) + 7) // 8)
     for m in masks:
-        seed[m >> 3] |= 1 << (m & 7)
-    table = int.from_bytes(seed, "little")
-    for j in range(n):
-        table |= (table & _bit_clear(j, n)) << (1 << j)
+        table[m >> 3] |= 1 << (m & 7)
+    table = int.from_bytes(table, "little")
+    for j, clear in _bit_clears(n):
+        table |= (table & clear) << (1 << j)
     return table
 
 
@@ -328,8 +334,8 @@ def minimal_table(table: int, n: int) -> int:
     member clears it, which is one shift pass per player.
     """
     is_min = table
-    for j in range(n):
-        is_min &= ~((table & _bit_clear(j, n)) << (1 << j))
+    for j, clear in _bit_clears(n):
+        is_min &= ~((table & clear) << (1 << j))
     return is_min
 
 
@@ -337,9 +343,12 @@ def swing_counts(table: int, n: int) -> list[int]:
     """Per player, the winning compact masks that lose once the player leaves.
 
     Entry j counts the set bits S with bit j set whose S - 2^j bit is clear:
-    Banzhaf's swings of player j+1, one AND-NOT pass per player.
+    Banzhaf's swings of player j+1.  The table must be monotone: then each
+    winning S without bit j has S + 2^j winning too, so the swings are
+    |table| - 2 |table & clear_j|, one AND and one popcount per player.
     """
-    return [(table & ~_bit_clear(j, n) & ~(table << (1 << j))).bit_count() for j in range(n)]
+    size = table.bit_count()
+    return [size - 2 * (table & clear).bit_count() for _, clear in _bit_clears(n)][::-1]
 
 
 def minimal_masks(table: int, n: int) -> list[int]:

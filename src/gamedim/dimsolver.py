@@ -89,7 +89,8 @@ from math import gcd
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from . import lp as _lp
+# Not ``from . import lp``: that package lookup would load every submodule.
+import gamedim.lp as _lp
 from .core import (
     INTERSECTION,
     UNION,

@@ -7,6 +7,11 @@ rules, so library bugs cannot hide on both sides of an assertion.
 
 from __future__ import annotations
 
+import ast
+import os
+import subprocess
+import sys
+
 import pytest
 
 import gamedim as gd
@@ -14,6 +19,28 @@ import gamedim as gd
 # Frozen (n, m, seed) triples for the 50-game random corpus used by the
 # acceptance suite; all stay within the solver's 32-target cap.
 RANDOM_CORPUS_SPECS = tuple((3 + i % 6, 2 + i % 5, 1000 + i) for i in range(50))
+
+
+def fresh_python(*args, stdin_text=None):
+    """Run a new interpreter that imports this checkout's gamedim."""
+    src = os.path.dirname(os.path.dirname(gd.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+def fresh_eval(code, expr, stdin_text=None):
+    """``expr`` after running ``code`` in a new interpreter, read back as a literal."""
+    proc = fresh_python("-c", f"{code}\nprint(repr({expr}))", stdin_text=stdin_text)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
 def all_coalitions(n):

@@ -1,16 +1,15 @@
 """Command-line driver: reports, JSON mode, pipes, exit codes, lazy imports."""
 
-import ast
 import io
 import json
 import os
-import subprocess
 import sys
 
 import pytest
 
 import gamedim as gd
 from gamedim.cli import run
+from conftest import fresh_eval, fresh_python
 
 
 def call(argv, stdin_text=""):
@@ -357,32 +356,10 @@ def test_readme_cli_examples_are_found():
     assert commands == ["gamedim dim", "gamedim weighted", "gamedim codim --json"]
 
 
-def fresh_python(*args, stdin_text=None):
-    """Run a new interpreter that imports this checkout's gamedim."""
-    src = os.path.dirname(os.path.dirname(gd.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        input=stdin_text,
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-
-
 def test_python_dash_m_runs_the_cli():
     proc = fresh_python("-m", "gamedim", "gen", "example1", "--n", "2")
     assert proc.returncode == 0, proc.stderr
     assert gd.equivalent(gd.parse_game(proc.stdout), gd.gen_example1(2))
-
-
-def fresh_eval(code, expr, stdin_text=None):
-    """``expr`` after running ``code`` in a new interpreter, read back as a literal."""
-    proc = fresh_python("-c", f"{code}\nprint(repr({expr}))", stdin_text=stdin_text)
-    assert proc.returncode == 0, proc.stderr
-    return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
 def modules_loaded_by(code, stdin_text=None):
@@ -494,9 +471,14 @@ class TestLazyNamespace:
         with pytest.raises(ImportError):
             from gamedim import no_such_name  # noqa: F401
 
+    def test_the_solver_loads_no_file_or_generator_module(self):
+        loaded = modules_loaded_by("import gamedim.dimsolver")
+        assert {"gamedim.gamefile", "gamedim.generators"}.isdisjoint(loaded)
+        assert "gamedim.lp" in loaded
+
     def test_a_submodule_import_looks_up_no_name_in_vain(self):
-        # dimsolver's ``from . import lp`` asks the package for lp while
-        # dimsolver itself is still importing.
+        # dimsolver imports lp while dimsolver itself is still importing; a
+        # package lookup made on the way must not fail.
         code = (
             "import gamedim\n"
             "inner, failed = gamedim.__getattr__, []\n"

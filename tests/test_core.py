@@ -9,8 +9,20 @@ from operator import and_
 import pytest
 
 import gamedim as gd
-from gamedim.core import first_nested_pair
-from conftest import all_coalitions, eval_by_hand, games_agree_by_hand, winning_masks_by_hand
+from gamedim.core import (
+    _bit_clears,
+    first_nested_pair,
+    minimal_table,
+    superset_closure,
+    swing_counts,
+)
+from conftest import (
+    all_coalitions,
+    eval_by_hand,
+    fresh_eval,
+    games_agree_by_hand,
+    winning_masks_by_hand,
+)
 
 
 def players(iterable, n):
@@ -34,6 +46,13 @@ class TestCoalition:
         c = players([1, 4], 5)
         assert c.bitstring() == "10010"
         assert gd.Coalition.from_bitstring("10010") == c
+
+    def test_bitstring_is_one_character_per_player(self):
+        rng = random.Random(5)
+        for n in range(1, 25):
+            for members in (0, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)):
+                c = gd.Coalition(members << 1, n)
+                assert c.bitstring() == "".join("1" if j in c else "0" for j in range(1, n + 1))
 
     def test_complement(self):
         c = players([1, 2], 4)
@@ -432,6 +451,55 @@ class TestFirstNestedPair:
                 masks.insert(rng.randint(0, len(masks)), kin)
             assert first_nested_pair(masks, n) == self.by_pairs(masks)
         assert first_nested_pair([], 3) is None
+
+
+def to_table(masks):
+    return sum(1 << s for s in set(masks))
+
+
+class TestTablePasses:
+    """The per-player passes against their definitions, coalition by coalition."""
+
+    def test_each_pattern_holds_the_masks_without_its_bit(self):
+        for n in range(1, 11):
+            got = list(_bit_clears(n))
+            assert [j for j, _ in got] == list(reversed(range(n)))
+            for j, pattern in got:
+                assert pattern == to_table(s for s in range(1 << n) if not s >> j & 1)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_passes_match_brute_force(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(40):
+            masks = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
+            table = superset_closure(masks, n)
+            winning = {s for s in range(1 << n) if any(m & ~s == 0 for m in masks)}
+            assert table == to_table(winning)
+            minimal = {s for s in winning if not any(t != s and t & ~s == 0 for t in winning)}
+            assert minimal_table(table, n) == to_table(minimal)
+            swings = [
+                sum(1 for s in winning if s >> j & 1 and s ^ 1 << j not in winning)
+                for j in range(n)
+            ]
+            assert swing_counts(table, n) == swings
+
+    def test_a_pass_keeps_no_memory(self):
+        # A kept pattern alone would be one 128 KiB table at n = 20.  The
+        # weighted form builds its table with no per-player pass.
+        code = (
+            "import tracemalloc\n"
+            "from gamedim.core import SimpleGame, make_weighted, minimal_table, swing_counts\n"
+            "n = 20\n"
+            "table = SimpleGame.from_weighted(make_weighted(10, [1] * n)).truth_table\n"
+            "tracemalloc.start()\n"
+            "base = tracemalloc.get_traced_memory()[0]\n"
+            "minimal_table(table, n)\n"
+            "swing_counts(table, n)\n"
+            "kept, peak = (m - base for m in tracemalloc.get_traced_memory())"
+        )
+        kept, peak = fresh_eval(code, "(kept, peak)")
+        assert kept < 4096
+        assert peak < 8 * 2**17
 
 
 # One instance of each public value type, built by keyword and leaving any
