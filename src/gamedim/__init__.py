@@ -89,12 +89,7 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     for module_name, names in _EXPORTS.items():
         module = import_module(f"{__name__}.{module_name}")
-        # The import system binds a submodule here only once its body has
-        # run.  An unbound one is still importing (a lookup made from a
-        # submodule's body, such as ``from . import lp``, reaches this); the
-        # next lookup binds its names.
-        if module_name in globals():
-            globals().update((n, getattr(module, n)) for n in names)
+        globals().update((n, getattr(module, n)) for n in names)
     return globals()[name]
 
 

@@ -42,6 +42,8 @@ from .core import (
     SimpleGame,
     SizeLimitError,
     WeightedGame,
+    minimal_table,
+    set_bits,
 )
 from .gamefile import GameParseError, decimal_integer, parse_game, serialize_game, wmg_line
 from .generators import (
@@ -186,12 +188,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_coalitions(label: str, key: str, coalitions, as_json: bool) -> str:
+def _report_coalitions(label: str, key: str, table: int, n: int, as_json: bool) -> str:
+    """The coalitions of a table over compact masks, one bitstring each."""
+    masks = set_bits(table)
+    bits = (f"{m:0{n}b}"[::-1] for m in masks)
     if as_json:
-        return _json_line({key: [c.bitstring() for c in coalitions]})
-    lines = [f"{label} {len(coalitions)}"]
-    lines.extend(f"win {c.bitstring()}" for c in coalitions)
-    return "\n".join(lines) + "\n"
+        return _json_line({key: list(bits)})
+    return f"{label} {len(masks)}\n" + "".join(f"win {b}\n" for b in bits)
 
 
 def _report_witness(label: str, witness, as_json: bool) -> str:
@@ -231,7 +234,7 @@ def _run_command(args, stdin, stdout) -> int:
     # (see the module docstring).  A package lookup such as ``from . import
     # structure`` would load every submodule.
     if command in ("dual", "equiv", "mlc", "mwc"):
-        from .structure import dual, equivalent, maximal_losing, minimal_winning
+        from .structure import dual, equivalent, losing_table
     else:
         from .dimsolver import codimension, convert, dimension, is_weighted
 
@@ -253,9 +256,11 @@ def _run_command(args, stdin, stdout) -> int:
     game = _load_game(args.game, stdin)
 
     if command == "mwc":
-        text = _report_coalitions("minimal-winning", "mwc", minimal_winning(game), args.json)
+        table = minimal_table(game.truth_table, game.n)
+        text = _report_coalitions("minimal-winning", "mwc", table, game.n, args.json)
     elif command == "mlc":
-        text = _report_coalitions("maximal-losing", "mlc", maximal_losing(game), args.json)
+        table = losing_table(game.truth_table, game.n)
+        text = _report_coalitions("maximal-losing", "mlc", table, game.n, args.json)
     elif command == "dual":
         text = _game_text(dual(game), args.json)
     elif command == "weighted":

@@ -26,11 +26,12 @@ Block feasibility is an exact rational LP and is downward closed, so a
 minimum cover can be assumed to be a partition.  A block of one target T
 needs no LP: the part [1; w_j = 0 on T, 1 elsewhere] loses exactly on the
 subsets of T, so it separates T as soon as every fixed mask has a player
-outside T, which is checked mask by mask.  Every other block is one LP,
-solved cold: the fixed rows, one winning row per fixed coalition and the
-quota row, then the block's target rows in target order.  The oracle cache
-keys each entry by the block solved: a feasible entry answers every later
-subset of its block, an infeasible one every superset.  No pair or
+outside T, which is checked mask by mask.  Every other block tries its
+block part (below), and only when that misses is it one LP, solved cold:
+the fixed rows, one winning row per fixed coalition and the quota row,
+then the block's target rows in target order.  The oracle cache keys each
+entry by the block solved: a feasible entry answers every later subset of
+its block, an infeasible one every superset.  No pair or
 singleton is queried up front; the oracle sees only the blocks that the
 partition search tries.
 
@@ -44,7 +45,11 @@ most 2q - 2).  The pair (M, M2) is its own certificate, checked by those
 four mask facts before its edge enters the pair graph; the Farkas witness
 on the pair's LP says the same count, and ``_trade_certificate`` writes it
 down in closed form on demand.  The search never tries a block holding a
-traded pair, so the cache never holds one.
+traded pair, so the cache never holds one.  ``is_weighted`` answers "no"
+with the same record: when its Banzhaf part (below) misses, the maximal
+losing T* of greatest Banzhaf weight is paired with each other maximal
+losing coalition in order, and the first checked trade settles it; only a
+T* with no trade leaves the answer to the LP.
 
 Each query climbs one ladder, cheapest certificate first: a weighted-form
 game is its own part; then the cap; then the Banzhaf part; and only when
@@ -61,15 +66,25 @@ game exactly when (N - S) + j is one in its dual, so both have the same
 counts, and the complemented orientation of a codimension reads the game's
 own table too.  When the part misses, the search runs: the first block it
 asks is a pair, which widens (below) to the full block, so a separable
-target set still costs one LP.
+target set still costs at most one LP.
+
+The ladder runs down to each block of two or more targets.  Its block part
+is the sum of the block's swing-weighted unit parts: player j weighs
+s_j |{T in B : j not in T}|, with s the game's swing counts, over the gcd
+of these weights, and the quota is one above the block's heaviest target,
+so the part loses on all of B.  Like the Banzhaf part it is kept only if
+every fixed mask reaches the quota, and then the block needs no LP.  A
+kept part proves its block feasible, so every block gets the answer its LP
+would give.  The separation rows are built for the first LP that runs.
 
 A block of two or more targets is widened before its LP: in index order,
 each target that no checked trade keeps from the block, or from a target
 already added, joins it.  The widened block is solved first and keys its
 cache entry, so its witness answers the blocks inside it that the search
 asks later; if it is infeasible, the block asked for is solved instead.
-Only verified outcomes enter the cache, so every query gets the same answer
-as without widening and the search finds the same partition; only the
+Each of the two tries its block part just before its LP.  Only verified
+outcomes enter the cache, so every query gets the same answer as without
+widening or block parts and the search finds the same partition; only the
 witness part that answers a block may differ.
 
 One iterative-deepening partition search tries each block count from a
@@ -219,29 +234,50 @@ def _unit_part(n: int, fixed_masks: Sequence[int], target: int) -> WeightedGame 
     return WeightedGame(1, [0 if target >> j & 1 else 1 for j in range(n)])
 
 
-def _banzhaf_part(
-    game: SimpleGame, fixed_masks: Sequence[int], target_masks: Sequence[int]
-) -> WeightedGame | None:
-    """The part [q; w] with w the game's swing counts over their gcd, or None.
-
-    The quota is one above the heaviest target, so the part loses on every
-    target; it is returned only when every fixed mask reaches the quota.  A
-    mask's weight is the sum of two lookups, one per half of the players.
-    """
-    n = game.n
-    swings = swing_counts(game.truth_table, n)
-    shrink = gcd(*swings)
-    weights = [s // shrink for s in swings]
-    h = n // 2
+def _mask_weight(weights: Sequence[int]) -> Callable[[int], int]:
+    """The weight of a compact mask under ``weights``: one lookup per half of the players."""
+    h = len(weights) // 2
     low, high, cut = _subset_weights(weights[:h]), _subset_weights(weights[h:]), (1 << h) - 1
 
     def weight(mask: int) -> int:
         return low[mask & cut] + high[mask >> h]
 
+    return weight
+
+
+def _threshold_part(
+    weights: Sequence[int], fixed_masks: Sequence[int], target_masks: Sequence[int]
+) -> WeightedGame | None:
+    """The part [q; w] with w = ``weights`` over their gcd, or None.
+
+    The quota is one above the heaviest target, so the part loses on every
+    target; it is returned only when every fixed mask reaches the quota.
+    """
+    shrink = gcd(*weights)
+    weights = [w // shrink for w in weights]
+    weight = _mask_weight(weights)
     quota = 1 + max(map(weight, target_masks))
     if any(weight(m) < quota for m in fixed_masks):
         return None
     return WeightedGame(quota, weights)
+
+
+def _block_part(
+    swings: Sequence[int], fixed_masks: Sequence[int], block_masks: Sequence[int]
+) -> WeightedGame | None:
+    """The sum of the block's swing-weighted unit parts, or None.
+
+    Player j weighs s_j times the number of the block's targets without j,
+    so w is the sum over T in the block of s_j [j not in T], the unit part
+    of T weighted by the swing counts s.  :func:`_threshold_part` sets the
+    quota and checks the part on every fixed mask.
+    """
+    size = len(block_masks)
+    return _threshold_part(
+        [s * (size - sum(t >> j & 1 for t in block_masks)) for j, s in enumerate(swings)],
+        fixed_masks,
+        block_masks,
+    )
 
 
 def _coalition_masks(coalitions: Iterable[Coalition], n: int) -> list[int]:
@@ -435,12 +471,14 @@ def _minimum_partition(count: int, cache: SeparabilityOracleCache, adj: list[int
 
 
 def _search(
-    n: int, fixed_masks: Sequence[int], target_masks: Sequence[int]
+    n: int, fixed_masks: Sequence[int], target_masks: Sequence[int], swings: Sequence[int]
 ) -> tuple[WeightedGame, ...]:
     """One part per block of a minimum partition of the targets, by the search.
 
     The search's state lives here: the pair graph of checked 2-trades, the
-    separation rows, and the oracle cache over blocks of targets.
+    oracle cache over blocks of targets, and the separation rows, which are
+    built for the first LP.  ``swings`` are the game's swing counts, read by
+    each block part.
     """
     count = len(target_masks)
     fixed_set = frozenset(fixed_masks)
@@ -453,8 +491,8 @@ def _search(
                 _check_trade(fixed_set, t1, t2, record)
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    rows = _separation_rows(n, fixed_masks, target_masks)
-    fixed, targets = rows[: len(fixed_masks) + 1], rows[len(fixed_masks) + 1 :]
+    rows: tuple[_lp.Constraint, ...] = ()
+    head = len(fixed_masks) + 1  # the fixed rows and the quota row
 
     def widened(mask: int) -> int:
         """``mask`` plus, in index order, each target that no trade keeps from it."""
@@ -467,18 +505,30 @@ def _search(
                 near |= adj[i]
         return mask
 
+    def part_of(block: int) -> WeightedGame | None:
+        """The block part of ``block`` if it separates, else the block's LP."""
+        nonlocal rows
+        indices = set_bits(block)
+        part = _block_part(swings, fixed_masks, [target_masks[i] for i in indices])
+        if part is not None:
+            return part
+        if not rows:
+            rows = _separation_rows(n, fixed_masks, target_masks)
+        return _separate(n, rows[:head] + tuple(rows[head + i] for i in indices))
+
     def solver(mask: int) -> tuple[int, WeightedGame] | None:
         """The block solved for ``mask`` and its part, or None if none separates.
 
         One target is answered by its unit part.  A wider block tries its
-        widened block first, then the block itself, each one LP.
+        widened block first, then the block itself, each by its block part
+        and then one LP.
         """
         if not mask & (mask - 1):
             part = _unit_part(n, fixed_masks, target_masks[mask.bit_length() - 1])
             return None if part is None else (mask, part)
         wide = widened(mask)
         for block in (wide, mask) if wide != mask else (mask,):
-            part = _separate(n, fixed + tuple(targets[i] for i in set_bits(block)))
+            part = part_of(block)
             if part is not None:
                 return block, part
         return None
@@ -514,8 +564,9 @@ def _witnessed_partition(game: SimpleGame, kind: str) -> DimensionWitness:
         raise SizeLimitError(f"{count} separation targets exceed the solver cap of {COVER_MAX}")
     order = -1 if kind == UNION else 1
     fixed_masks, target_masks = set_bits(fixed_table)[::order], set_bits(target_table)[::order]
-    part = _banzhaf_part(game, fixed_masks, target_masks)
-    parts = (part,) if part is not None else _search(n, fixed_masks, target_masks)
+    swings = swing_counts(game.truth_table, n)
+    part = _threshold_part(swings, fixed_masks, target_masks)
+    parts = (part,) if part is not None else _search(n, fixed_masks, target_masks, swings)
     if kind == UNION:
         parts = tuple(map(dual_weighted, parts))
     witness = DimensionWitness(len(parts), parts, kind)
@@ -547,15 +598,28 @@ def is_weighted(game: SimpleGame) -> WeightedGame | None:
     The Banzhaf part (see the module docstring) is tried first on the minimal
     winning and maximal losing masks; it is a representation exactly when
     every minimal winning mask reaches its quota.  When it misses, the
-    separation LP over both families decides.
+    maximal losing T* of greatest Banzhaf weight, the first in mask order on
+    a tie, is paired with each other maximal losing mask in order, and the
+    first 2-trade of a pair, checked by ``_check_trade``, proves that no
+    weighted game exists.  Only when T* has no trade does the separation LP
+    over both families decide.
     """
     if game.form == WEIGHTED:
         return game.parts[0]
     sets = extremal_sets(game)
     n = game.n
     winning, losing = set_bits(sets.winning), set_bits(sets.losing)
-    part = _banzhaf_part(game, winning, losing)
-    return part if part is not None else _separate(n, _separation_rows(n, winning, losing))
+    swings = swing_counts(game.truth_table, n)
+    # The part's quota depends only on the heaviest target, which is T*.
+    heaviest = max(losing, key=_mask_weight(swings))
+    part = _threshold_part(swings, winning, [heaviest])
+    if part is not None:
+        return part
+    for target in losing:
+        if target != heaviest and (record := _trade(winning, heaviest, target)) is not None:
+            _check_trade(frozenset(winning), heaviest, target, record)
+            return None
+    return _separate(n, _separation_rows(n, winning, losing))
 
 
 def canonical_intersection(game: SimpleGame) -> list[WeightedGame]:

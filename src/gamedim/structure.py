@@ -62,7 +62,8 @@ def _dual_table(table: int, n: int) -> int:
     return complemented(table, n) ^ ((1 << (1 << n)) - 1)
 
 
-def _losing_table(table: int, n: int) -> int:
+def losing_table(table: int, n: int) -> int:
+    """Table of the maximal losing compact masks of a monotone ``table``."""
     return complemented(minimal_table(_dual_table(table, n), n), n)
 
 
@@ -73,12 +74,12 @@ def minimal_winning(game: SimpleGame) -> tuple[Coalition, ...]:
 
 def maximal_losing(game: SimpleGame) -> tuple[Coalition, ...]:
     """Antichain of losing coalitions all of whose proper supersets win."""
-    return _coalitions(_losing_table(game.truth_table, game.n), game.n)
+    return _coalitions(losing_table(game.truth_table, game.n), game.n)
 
 
 def extremal_sets(game: SimpleGame) -> ExtremalSets:
     table = game.truth_table
-    return ExtremalSets(game.n, minimal_table(table, game.n), _losing_table(table, game.n))
+    return ExtremalSets(game.n, minimal_table(table, game.n), losing_table(table, game.n))
 
 
 def dual_weighted(part: WeightedGame) -> WeightedGame:

@@ -167,6 +167,17 @@ def random_corpus():
 
 
 @pytest.fixture(scope="session")
+def random_sweep():
+    """Random games at n = 4..10 from 3, 5 and 7 seed coalitions, seeds 2000-2009."""
+    return [
+        gd.gen_random_monotone(n, m, seed)
+        for n in range(4, 11)
+        for m in (3, 5, 7)
+        for seed in range(2000, 2010)
+    ]
+
+
+@pytest.fixture(scope="session")
 def ssp_games():
     return {
         "yes2": gd.gen_ssp(gd.SSPInstance(3, (1, 2, 3), 2)),

@@ -218,6 +218,36 @@ class TestJsonAgreement:
         doc = json.loads(as_json)
         assert doc["mwc"] == [l.split()[1] for l in plain.splitlines()[1:]]
 
+    def test_mwc_and_mlc_list_the_views_without_building_them(self, small_corpus, monkeypatch):
+        # The reports are read straight off the extremal tables, in the
+        # order of the public views and with their bitstrings: the only
+        # coalitions built are those that parsing an explicit game builds.
+        cases = []
+        for game in small_corpus:
+            text = gd.serialize_game(game)
+            for cmd, label, coalitions in (
+                ("mwc", "minimal-winning", gd.minimal_winning(game)),
+                ("mlc", "maximal-losing", gd.maximal_losing(game)),
+            ):
+                bits = [c.bitstring() for c in coalitions]
+                lines = [f"{label} {len(bits)}"] + [f"win {b}" for b in bits]
+                cases.append(([cmd], text, "\n".join(lines) + "\n"))
+                cases.append(([cmd, "--json"], text, json.dumps({cmd: bits}) + "\n"))
+        built = []
+        init = gd.Coalition.__init__
+
+        def counting(self, members, n):
+            built.append(members)
+            init(self, members, n)
+
+        monkeypatch.setattr(gd.Coalition, "__init__", counting)
+        for argv, text, expected in cases:
+            gd.parse_game(text)
+            parsed = len(built)
+            assert call(argv, stdin_text=text) == (0, expected, "")
+            assert len(built) == 2 * parsed
+            built.clear()
+
     def test_weighted_json(self):
         text = gd.serialize_game(gd.gen_example1(2))
         _, out, _ = call(["weighted", "--json"], stdin_text=text)

@@ -244,18 +244,17 @@ class TestSolverAgreement:
         assert witness.value == 3
         assert games_agree_by_hand(witness.as_game(), game)
 
-    @pytest.mark.parametrize(
-        "game, expected, lps",
-        [(gd.gen_example1(4), 8, 8), (gd.gen_example1(5), 16, 16)],
-        ids=["example1-4", "example1-5"],
-    )
-    def test_example1_codimension_solves_one_lp_per_part(self, game, expected, lps):
-        # Every incompatible pair is a 2-trade, so no pair is queried up front
-        # and first-fit placement meets the clique bound with one LP a part.
+    @pytest.mark.parametrize("n", [2, 3, 4, 5], ids=lambda n: f"example1-{n}")
+    def test_example1_codimension_solves_no_lp(self, n):
+        # Every incompatible pair is a 2-trade, so first-fit placement meets
+        # the clique bound, and each block of a pair is answered by its block
+        # part: the sum of its two swing-weighted unit parts.
+        game = gd.gen_example1(n)
         with gd.record_certificates() as log:
             witness = gd.codimension(game)
-        assert witness.value == expected
-        assert len(log) == lps
+        assert log == []
+        assert witness.value == 2 ** (n - 1)
+        assert games_agree_by_hand(witness.as_game(), game)
 
     def test_ssp_yes_instance_codimension_lp_count(self):
         game = gd.gen_ssp(gd.SSPInstance(3, (1, 2, 3), 3))
@@ -680,6 +679,53 @@ class TestIsWeighted:
         assert part == gd.make_weighted(8, ones)
         assert log == []
 
+    def test_a_trade_through_the_heaviest_target_answers_no_without_an_lp(
+        self, acceptance_corpus, random_sweep, monkeypatch
+    ):
+        # T* is the maximal losing coalition of greatest swing weight, the
+        # first by mask on a tie.  When some other maximal losing coalition
+        # is traded with it, found here by trying every pair of minimal
+        # winning masks, the answer is None from one checked record.
+        accepted = []
+        check_trade = dimsolver._check_trade
+
+        def spy(fixed, t1, t2, record):
+            check_trade(fixed, t1, t2, record)
+            accepted.append((t1, record))
+
+        monkeypatch.setattr(dimsolver, "_check_trade", spy)
+        traded = untraded = 0
+        for game in acceptance_corpus + random_sweep:
+            sets = gd.extremal_sets(game)
+            wins = [c.members >> 1 for c in sets.minimal_winning]
+            losses = [c.members >> 1 for c in sets.maximal_losing]
+            swings = swing_counts(game.truth_table, game.n)
+            weight = [sum(s for j, s in enumerate(swings) if m >> j & 1) for m in losses]
+            heaviest = losses[weight.index(max(weight))]
+            has_trade = any(
+                not (a | b) & ~(heaviest | t) and not a & b & ~(heaviest & t)
+                for t in losses
+                if t != heaviest
+                for a in wins
+                for b in wins
+            )
+            value = gd.dimension(game).value
+            accepted.clear()
+            with gd.record_certificates() as log:
+                part = gd.is_weighted(game)
+            assert (part is None) == (value != 1)
+            if part is None and has_trade:
+                assert log == []
+                [(t1, _)] = accepted
+                assert t1 == heaviest
+                traded += 1
+            else:
+                assert accepted == []
+                if part is None:
+                    assert log
+                    untraded += 1
+        assert traded > 100 and untraded >= 1
+
 
 def majority(k, n):
     """The k-of-n majority in explicit form, listed by its minimal winning coalitions."""
@@ -727,7 +773,7 @@ class TestBanzhafPart:
         assert swing_counts(game.truth_table, 4) == [2, 2, 2, 6]
         fixed = [c.members >> 1 for c in sets.minimal_winning]
         targets = [c.members >> 1 for c in sets.maximal_losing]
-        assert dimsolver._banzhaf_part(game, fixed, targets) is None
+        assert dimsolver._threshold_part([2, 2, 2, 6], fixed, targets) is None
         reference = gd.SimpleGame.from_weighted(gd.make_weighted(3, [1, 1, 1, 2]))
         assert gd.equivalent(game, reference)
         for solve in (gd.dimension, gd.codimension, gd.is_weighted):
@@ -740,8 +786,9 @@ class TestBanzhafPart:
     def test_a_fixed_mask_below_the_quota_refuses_the_part(self):
         game = majority(2, 3)
         wins, losses = [0b011, 0b101, 0b110], [0b001, 0b010, 0b100]
-        assert dimsolver._banzhaf_part(game, wins, losses) == gd.make_weighted(2, [1, 1, 1])
-        assert dimsolver._banzhaf_part(game, wins + [0b001], losses) is None
+        swings = swing_counts(game.truth_table, 3)
+        assert dimsolver._threshold_part(swings, wins, losses) == gd.make_weighted(2, [1, 1, 1])
+        assert dimsolver._threshold_part(swings, wins + [0b001], losses) is None
 
     def test_every_game_has_the_swing_counts_of_its_dual(self, acceptance_corpus):
         for game in acceptance_corpus:
@@ -776,19 +823,83 @@ class TestBanzhafPart:
     def test_a_traded_pair_misses_the_part_then_searches(self, monkeypatch):
         # Example1 n=3 has traded pairs in both orientations, so no one part
         # passes the part's fixed-mask check, and the search answers.
-        misses = []
-        banzhaf_part = dimsolver._banzhaf_part
+        game = gd.gen_example1(3)
+        swings = swing_counts(game.truth_table, game.n)
+        for codim in (False, True):
+            fixed, targets = separation_coalitions(game, codim)
+            fixed_masks = [c.members >> 1 for c in fixed]
+            target_masks = [t.members >> 1 for t in targets]
+            assert dimsolver._threshold_part(swings, fixed_masks, target_masks) is None
+        searches = []
+        search = dimsolver._search
 
         def spy(*args):
-            part = banzhaf_part(*args)
-            misses.append(part is None)
-            return part
+            searches.append(args)
+            return search(*args)
 
-        monkeypatch.setattr(dimsolver, "_banzhaf_part", spy)
-        game = gd.gen_example1(3)
+        monkeypatch.setattr(dimsolver, "_search", spy)
         assert gd.dimension(game).value == 3
         assert gd.codimension(game).value == 4
-        assert misses == [True, True]
+        assert len(searches) == 2
+
+
+class TestBlockPart:
+    def test_every_part_separates_its_block_and_no_infeasible_block_gets_one(
+        self, acceptance_corpus, monkeypatch
+    ):
+        # Each block part the search tries is checked by summing its weights
+        # player by player on every fixed mask and block target, and each
+        # block is also solved by its own LP: an infeasible one gets no part.
+        calls = []
+        block_part = dimsolver._block_part
+
+        def spy(swings, fixed_masks, block_masks):
+            part = block_part(swings, fixed_masks, block_masks)
+            calls.append((len(swings), list(fixed_masks), list(block_masks), part))
+            return part
+
+        monkeypatch.setattr(dimsolver, "_block_part", spy)
+        for game in acceptance_corpus:
+            gd.dimension(game)
+            gd.codimension(game)
+            gd.codimension(gd.dual(game))
+        returned = infeasible = 0
+        for n, fixed, block, part in calls:
+            feasible = dimsolver._separate(n, dimsolver._separation_rows(n, fixed, block))
+            infeasible += feasible is None
+            if part is None:
+                continue
+            returned += 1
+            assert feasible is not None
+            assert part.n == n
+            for masks, wins in ((fixed, True), (block, False)):
+                for m in masks:
+                    weight = sum(w for j, w in enumerate(part.weights) if m >> j & 1)
+                    assert (weight >= part.quota) == wins
+        assert returned >= 60 and infeasible > 0
+
+    def test_weights_are_the_swing_weighted_unit_parts_summed(self):
+        # Fixed masks {1, 2} and {3, 4}, every swing count 2.  Player 1 is
+        # outside both targets {2, 4} and {2, 3}, players 3 and 4 outside one
+        # each, so w = 2 (2, 0, 1, 1) over its gcd, and both targets weigh 1.
+        # The targets {2, 4} and {1, 3} are traded by the fixed masks, so
+        # their block gets no part.
+        fixed = [0b0011, 0b1100]
+        part = dimsolver._block_part([2, 2, 2, 2], fixed, [0b1010, 0b0110])
+        assert part == gd.make_weighted(2, [2, 0, 1, 1])
+        assert dimsolver._block_part([2, 2, 2, 2], fixed, [0b1010, 0b0101]) is None
+
+    def test_lp_total_over_the_acceptance_corpus(self, acceptance_corpus):
+        # dimension, codimension, codimension of the dual and is_weighted on
+        # all 55 games solve 57 LPs; before the block part and the 2-trade of
+        # is_weighted they solved 136.
+        with gd.record_certificates() as log:
+            for game in acceptance_corpus:
+                gd.dimension(game)
+                gd.codimension(game)
+                gd.codimension(gd.dual(game))
+                gd.is_weighted(game)
+        assert len(log) <= 57
 
 
 class TestPrimitiveSeparationGames:
