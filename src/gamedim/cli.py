@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Iterable, Iterator
 
 # Module-level, unlike the solver imports in _run_command: bench/tracer.py
 # times calls by patching parse_game, serialize_game and the gen_* functions
@@ -43,7 +44,7 @@ from .core import (
     SizeLimitError,
     WeightedGame,
     minimal_table,
-    set_bits,
+    set_bit_chunks,
 )
 from .gamefile import GameParseError, decimal_integer, parse_game, serialize_game, wmg_line
 from .generators import (
@@ -93,12 +94,14 @@ def _load_game(path: str | None, stdin) -> SimpleGame:
     return parse_game(text)
 
 
-def _emit(text: str, output: str | None, stdout) -> None:
+def _emit(text: str | Iterable[str], output: str | None, stdout) -> None:
+    """Write the report ``text``: one string, or its pieces in order."""
+    pieces = (text,) if isinstance(text, str) else text
     if output is None:
-        stdout.write(text)
+        stdout.writelines(pieces)
     else:
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
 
 
 def _parse_int_list(raw: str, what: str) -> list[int]:
@@ -188,13 +191,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_coalitions(label: str, key: str, table: int, n: int, as_json: bool) -> str:
-    """The coalitions of a table over compact masks, one bitstring each."""
-    masks = set_bits(table)
-    bits = (f"{m:0{n}b}"[::-1] for m in masks)
+def _report_coalitions(
+    label: str, key: str, table: int, n: int, as_json: bool
+) -> Iterator[str]:
+    """The coalitions of a table over compact masks, one bitstring each.
+
+    The report comes in pieces, one per piece of :func:`set_bit_chunks`,
+    so neither the whole text nor the list of every mask is held at once.
+    The JSON pieces join to ``json.dumps({key: bitstrings})``, since a
+    bitstring needs no escape.
+    """
+
+    def bitstrings(masks):
+        return (f"{m:0{n}b}"[::-1] for m in masks)
+
     if as_json:
-        return _json_line({key: list(bits)})
-    return f"{label} {len(masks)}\n" + "".join(f"win {b}\n" for b in bits)
+        yield f'{{"{key}": ['
+        sep = ""
+        for masks in set_bit_chunks(table):
+            if masks:
+                yield sep + ", ".join(f'"{b}"' for b in bitstrings(masks))
+                sep = ", "
+        yield "]}\n"
+    else:
+        yield f"{label} {table.bit_count()}\n"
+        for masks in set_bit_chunks(table):
+            yield "".join(f"win {b}\n" for b in bitstrings(masks))
 
 
 def _report_witness(label: str, witness, as_json: bool) -> str:

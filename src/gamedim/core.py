@@ -259,7 +259,23 @@ def set_bits(x: int) -> list[int]:
     bit in a loop would copy a 2 MiB table once per set bit.
     """
     data = x.to_bytes((x.bit_length() + 7) // 8, "little")
-    runs = _NONZERO_RUN.finditer(data)
+    return _bits_between(data, 0, len(data))
+
+
+def set_bit_chunks(x: int, nbytes: int = 1 << 10) -> Iterator[list[int]]:
+    """:func:`set_bits` of ``x`` in ascending pieces, one per ``nbytes`` bytes of ``x``.
+
+    Only one piece's list is alive at a time, so listing a table of
+    millions of set bits keeps its memory to one piece.
+    """
+    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    for start in range(0, len(data), nbytes):
+        yield _bits_between(data, start, start + nbytes)
+
+
+def _bits_between(data: bytes, start: int, stop: int) -> list[int]:
+    """Ascending positions of the set bits in bytes ``start`` to ``stop`` of ``data``."""
+    runs = _NONZERO_RUN.finditer(data, start, stop)
     return [8 * k + j for r in runs for k, b in enumerate(r[0], r.start()) for j in _BYTE_BITS[b]]
 
 

@@ -23,17 +23,15 @@ convert at the boundary.  The search's state (the pair graph, the rows and
 the oracle cache) is built in ``_search``, and only there.
 
 Block feasibility is an exact rational LP and is downward closed, so a
-minimum cover can be assumed to be a partition.  A block of one target T
-needs no LP: the part [1; w_j = 0 on T, 1 elsewhere] loses exactly on the
-subsets of T, so it separates T as soon as every fixed mask has a player
-outside T, which is checked mask by mask.  Every other block tries its
-block part (below), and only when that misses is it one LP, solved cold:
-the fixed rows, one winning row per fixed coalition and the quota row,
-then the block's target rows in target order.  The oracle cache keys each
-entry by the block solved: a feasible entry answers every later subset of
-its block, an infeasible one every superset.  No pair or
-singleton is queried up front; the oracle sees only the blocks that the
-partition search tries.
+minimum cover can be assumed to be a partition.  Each block first tries
+its block part (below), and only when that misses is it one LP, solved
+cold: the fixed rows, one winning row per fixed coalition and the quota
+row, then the block's target rows in target order.  A block of one target
+never needs the LP, since its part misses only when no game separates it.
+The oracle cache keys each entry by the block solved: a feasible entry
+answers every later subset of its block, an infeasible one every superset.
+No pair or singleton is queried up front; the oracle sees only the blocks
+that the partition search tries.
 
 Most incompatible pairs need no LP: they are 2-trades (Taylor & Zwicker,
 Proc. AMS 115, 1992).  Targets T1, T2 are traded by two fixed masks M, M2
@@ -52,30 +50,34 @@ losing coalition in order, and the first checked trade settles it; only a
 T* with no trade leaves the answer to the LP.
 
 Each query climbs one ladder, cheapest certificate first: a weighted-form
-game is its own part; then the cap; then the Banzhaf part; and only when
-that misses, the search with its trades, rows and LPs.  The Banzhaf part
-(Banzhaf, Rutgers Law Review 19, 1965) is read off the table: player j's
-swing count is the number of winning S holding j for which S - j loses, and
-the counts over their gcd are weights w that represent most weighted games.
-The part [q; w], q one above the heaviest target, loses on every target and
-is kept only if every fixed mask reaches q: a complete check on masks, like
-the row re-check of an LP's game.  Then it is the one-part partition, and
-no trade, row or LP is built.  A traded pair proves that no one part does,
-so the part misses on it by that check alone.  S is a swing of j in the
-game exactly when (N - S) + j is one in its dual, so both have the same
-counts, and the complemented orientation of a codimension reads the game's
-own table too.  When the part misses, the search runs: the first block it
-asks is a pair, which widens (below) to the full block, so a separable
-target set still costs at most one LP.
+game is its own part; then the cap; then the Banzhaf part of the whole
+target set; and only when that misses, the search with its trades, rows
+and LPs.  Every rung below the cap is one rule, the block part.  A block B
+of targets defines its own game G_B, which wins on every coalition inside
+no target of B: the largest game that loses on all of B.  Its part takes
+G_B's swing counts (Banzhaf, Rutgers Law Review 19, 1965) as weights over
+their gcd: player j's count is the number of winning S holding j for
+which S - j loses.  With the number of winning coalitions they are the
+Chow parameters of G_B, which determine a threshold function (Chow 1961),
+and as weights they represent most weighted games, though not all.  The
+part [q; w], q one above the heaviest target of B, loses on all of B and
+is kept only if every fixed mask reaches q: a complete check on masks,
+like the row re-check of an LP's game.  A kept part proves its block
+feasible, so every block gets the answer its LP would give.  A traded pair
+proves that no one part separates it, so the part misses on it by that
+check alone.
 
-The ladder runs down to each block of two or more targets.  Its block part
-is the sum of the block's swing-weighted unit parts: player j weighs
-s_j |{T in B : j not in T}|, with s the game's swing counts, over the gcd
-of these weights, and the quota is one above the block's heaviest target,
-so the part loses on all of B.  Like the Banzhaf part it is kept only if
-every fixed mask reaches the quota, and then the block needs no LP.  A
-kept part proves its block feasible, so every block gets the answer its LP
-would give.  The separation rows are built for the first LP that runs.
+``_block_part`` counts the swings on 2^|D| coalitions, D the players in
+some but not all targets of B; a block of one target has D empty, and its
+part is the unit part [1; w_j = 0 on T, 1 elsewhere], checked with no
+table.  The whole target set's game is the game itself (dimension) or its
+dual (codimension).  S is a swing of j in a game exactly when (N - S) + j
+is one in its dual, so both have the game's own swing counts, which the
+top rung reads off the game's cached table: a separable game is its
+one-part partition, and no trade, row or LP is built.  When that part
+misses, the search runs: the first block it asks is a pair, which widens
+(below) to the full block, so a separable target set still costs at most
+one LP.  The separation rows are built for the first LP that runs.
 
 A block of two or more targets is widened before its LP: in index order,
 each target that no checked trade keeps from the block, or from a target
@@ -119,6 +121,7 @@ from .core import (
     combine,
     complemented,
     set_bits,
+    superset_closure,
     swing_counts,
 )
 from .structure import dual_weighted, equivalent, extremal_sets
@@ -220,20 +223,6 @@ def _separate(n: int, rows: Sequence[_lp.Constraint]) -> WeightedGame | None:
     return WeightedGame(values[n], values[:n])
 
 
-def _unit_part(n: int, fixed_masks: Sequence[int], target: int) -> WeightedGame | None:
-    """The part [1; w_j = 0 on ``target``, 1 elsewhere], checked on every fixed mask.
-
-    It loses exactly on the subsets of ``target``, and it wins on a fixed
-    mask exactly when the mask has a player outside ``target``.  None when
-    some fixed mask lies inside ``target``: then no weighted game wins on it
-    and loses on ``target``.  With no fixed masks it is the canonical
-    intersection part of a maximal losing ``target``.
-    """
-    if any(not m & ~target for m in fixed_masks):
-        return None
-    return WeightedGame(1, [0 if target >> j & 1 else 1 for j in range(n)])
-
-
 def _mask_weight(weights: Sequence[int]) -> Callable[[int], int]:
     """The weight of a compact mask under ``weights``: one lookup per half of the players."""
     h = len(weights) // 2
@@ -263,21 +252,46 @@ def _threshold_part(
 
 
 def _block_part(
-    swings: Sequence[int], fixed_masks: Sequence[int], block_masks: Sequence[int]
+    n: int, fixed_masks: Sequence[int], block_masks: Sequence[int]
 ) -> WeightedGame | None:
-    """The sum of the block's swing-weighted unit parts, or None.
+    """The Banzhaf part of the block's own game, or None.
 
-    Player j weighs s_j times the number of the block's targets without j,
-    so w is the sum over T in the block of s_j [j not in T], the unit part
-    of T weighted by the swing counts s.  :func:`_threshold_part` sets the
-    quota and checks the part on every fixed mask.
+    The block's game G_B wins on every coalition inside no target of the
+    block: the largest game that loses on all of it.  Let I be the players in
+    every target and D those in some but not all.  A coalition loses in G_B
+    exactly when it is a subset of I joined to a member of down_D, the
+    coalitions of D inside some target, so each swing count of G_B is 2^|I|
+    times a count over down_D:
+
+    * a player in I never swings, and weighs 0;
+    * a player in no target swings on every losing coalition: |down_D|;
+    * a player j in D swings 2 |down_D without j| - |down_D| times, as in
+      the dual of G_B on D, the superset closure of the D - T, which has the
+      same swing counts and as many coalitions as down_D.
+
+    :func:`_threshold_part` sets the quota and checks the part on every
+    fixed mask.  A block of one target T has D empty and is the unit part
+    [1; w_j = 0 on T, 1 elsewhere], which loses exactly on the subsets of T:
+    it is checked with no table, by a player outside T in every fixed mask.
     """
-    size = len(block_masks)
-    return _threshold_part(
-        [s * (size - sum(t >> j & 1 for t in block_masks)) for j, s in enumerate(swings)],
-        fixed_masks,
-        block_masks,
+    inside = union = block_masks[0]
+    for t in block_masks:
+        inside &= t
+        union |= t
+    if inside == union:
+        for m in fixed_masks:
+            if not m & ~inside:
+                return None
+        return WeightedGame(1, [0 if inside >> j & 1 else 1 for j in range(n)])
+    players = set_bits(union ^ inside)
+    k = len(players)
+    dual = superset_closure(
+        [sum(1 << i for i, j in enumerate(players) if ~t >> j & 1) for t in block_masks], k
     )
+    weights = [0 if inside >> j & 1 else dual.bit_count() for j in range(n)]
+    for j, s in zip(players, swing_counts(dual, k)):
+        weights[j] = s
+    return _threshold_part(weights, fixed_masks, block_masks)
 
 
 def _coalition_masks(coalitions: Iterable[Coalition], n: int) -> list[int]:
@@ -471,14 +485,13 @@ def _minimum_partition(count: int, cache: SeparabilityOracleCache, adj: list[int
 
 
 def _search(
-    n: int, fixed_masks: Sequence[int], target_masks: Sequence[int], swings: Sequence[int]
+    n: int, fixed_masks: Sequence[int], target_masks: Sequence[int]
 ) -> tuple[WeightedGame, ...]:
     """One part per block of a minimum partition of the targets, by the search.
 
     The search's state lives here: the pair graph of checked 2-trades, the
     oracle cache over blocks of targets, and the separation rows, which are
-    built for the first LP.  ``swings`` are the game's swing counts, read by
-    each block part.
+    built for the first LP.
     """
     count = len(target_masks)
     fixed_set = frozenset(fixed_masks)
@@ -509,7 +522,7 @@ def _search(
         """The block part of ``block`` if it separates, else the block's LP."""
         nonlocal rows
         indices = set_bits(block)
-        part = _block_part(swings, fixed_masks, [target_masks[i] for i in indices])
+        part = _block_part(n, fixed_masks, [target_masks[i] for i in indices])
         if part is not None:
             return part
         if not rows:
@@ -519,12 +532,12 @@ def _search(
     def solver(mask: int) -> tuple[int, WeightedGame] | None:
         """The block solved for ``mask`` and its part, or None if none separates.
 
-        One target is answered by its unit part.  A wider block tries its
-        widened block first, then the block itself, each by its block part
-        and then one LP.
+        One target is answered by its block part, the unit part, with no LP.
+        A wider block tries its widened block first, then the block itself,
+        each by its block part and then one LP.
         """
         if not mask & (mask - 1):
-            part = _unit_part(n, fixed_masks, target_masks[mask.bit_length() - 1])
+            part = _block_part(n, fixed_masks, [target_masks[mask.bit_length() - 1]])
             return None if part is None else (mask, part)
         wide = widened(mask)
         for block in (wide, mask) if wide != mask else (mask,):
@@ -545,8 +558,9 @@ def _witnessed_partition(game: SimpleGame, kind: str) -> DimensionWitness:
 
     The ladder runs cheapest certificate first: a weighted-form game is its
     own part; otherwise the cap is checked on the target table's bit count,
-    before any mask is listed, then the Banzhaf part is tried, and only when
-    it misses does the search run.  A codimension complements both tables and
+    before any mask is listed, then the Banzhaf part, the block part of the
+    whole target set read off the game's table, is tried, and only when it
+    misses does the search run.  A codimension complements both tables and
     lists their masks descending, so that both lists keep the order of the
     game's own ascending coalitions, and maps each part back by
     ``dual_weighted``.
@@ -564,9 +578,8 @@ def _witnessed_partition(game: SimpleGame, kind: str) -> DimensionWitness:
         raise SizeLimitError(f"{count} separation targets exceed the solver cap of {COVER_MAX}")
     order = -1 if kind == UNION else 1
     fixed_masks, target_masks = set_bits(fixed_table)[::order], set_bits(target_table)[::order]
-    swings = swing_counts(game.truth_table, n)
-    part = _threshold_part(swings, fixed_masks, target_masks)
-    parts = (part,) if part is not None else _search(n, fixed_masks, target_masks, swings)
+    part = _threshold_part(swing_counts(game.truth_table, n), fixed_masks, target_masks)
+    parts = (part,) if part is not None else _search(n, fixed_masks, target_masks)
     if kind == UNION:
         parts = tuple(map(dual_weighted, parts))
     witness = DimensionWitness(len(parts), parts, kind)
@@ -624,7 +637,7 @@ def is_weighted(game: SimpleGame) -> WeightedGame | None:
 
 def canonical_intersection(game: SimpleGame) -> list[WeightedGame]:
     """One quota-1 part per maximal losing coalition (zero weights inside it)."""
-    return [_unit_part(game.n, (), m) for m in set_bits(extremal_sets(game).losing)]
+    return [_block_part(game.n, (), [m]) for m in set_bits(extremal_sets(game).losing)]
 
 
 def canonical_union(game: SimpleGame) -> list[WeightedGame]:
@@ -636,7 +649,7 @@ def canonical_union(game: SimpleGame) -> list[WeightedGame]:
     n = game.n
     full = (1 << n) - 1
     return [
-        dual_weighted(_unit_part(n, (), full ^ m)) for m in set_bits(extremal_sets(game).winning)
+        dual_weighted(_block_part(n, (), [full ^ m])) for m in set_bits(extremal_sets(game).winning)
     ]
 
 

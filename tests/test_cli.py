@@ -248,6 +248,45 @@ class TestJsonAgreement:
             assert len(built) == 2 * parsed
             built.clear()
 
+    @pytest.mark.parametrize("cmd", ["mwc", "mlc"])
+    def test_reports_in_many_pieces_are_the_one_string_reports(self, small_corpus, cmd, monkeypatch):
+        # One byte of table per piece: many pieces per report, some empty.
+        import gamedim.cli
+
+        chunks = gd.core.set_bit_chunks
+        monkeypatch.setattr(gamedim.cli, "set_bit_chunks", lambda x: chunks(x, 1))
+        label, listed = {
+            "mwc": ("minimal-winning", gd.minimal_winning),
+            "mlc": ("maximal-losing", gd.maximal_losing),
+        }[cmd]
+        for game in small_corpus:
+            text = gd.serialize_game(game)
+            bits = [c.bitstring() for c in listed(game)]
+            plain = "".join([f"{label} {len(bits)}\n"] + [f"win {b}\n" for b in bits])
+            assert call([cmd], stdin_text=text) == (0, plain, "")
+            assert call([cmd, "--json"], stdin_text=text) == (0, json.dumps({cmd: bits}) + "\n", "")
+
+    def test_a_report_holds_one_piece_at_a_time(self):
+        # The 18-player two-part majority has 48,620 minimal winning
+        # coalitions, 1.1 MB of report; one string would hold all of it.
+        code = (
+            "import tracemalloc\n"
+            "from gamedim.cli import _report_coalitions\n"
+            "from gamedim.core import INTERSECTION, combine, make_weighted, minimal_table\n"
+            "n = 18\n"
+            "game = combine(INTERSECTION, [make_weighted(9, [1] * n), make_weighted(1, [1] * n)])\n"
+            "table = minimal_table(game.truth_table, n)\n"
+            "sizes = {}\n"
+            "tracemalloc.start()\n"
+            "for as_json in (False, True):\n"
+            "    pieces = _report_coalitions('minimal-winning', 'mwc', table, n, as_json)\n"
+            "    sizes[as_json] = sum(map(len, pieces))\n"
+            "peak = tracemalloc.get_traced_memory()[1]"
+        )
+        sizes, peak = fresh_eval(code, "(sizes, peak)")
+        assert sizes == {False: 22 + 48620 * 23, True: 12 + 48620 * 22 - 2}
+        assert peak < 2**19
+
     def test_weighted_json(self):
         text = gd.serialize_game(gd.gen_example1(2))
         _, out, _ = call(["weighted", "--json"], stdin_text=text)

@@ -236,11 +236,13 @@ class TestSolverAgreement:
 
     def test_partition_search_on_nineteen_targets(self):
         # 19 maximal losing coalitions, and first-fit placement needs more
-        # blocks than the clique bound.  217 LPs is the earlier two-pass count.
+        # blocks than the clique bound.  The earlier two-pass search solved
+        # 217 LPs here, and the swing-weighted block part 4; the Banzhaf part
+        # of each block's own game leaves 3.
         game = gd.gen_random_monotone(9, 7, 5040)
         with gd.record_certificates() as log:
             witness = gd.dimension(game)
-        assert len(log) <= 217
+        assert len(log) <= 3
         assert witness.value == 3
         assert games_agree_by_hand(witness.as_game(), game)
 
@@ -248,7 +250,7 @@ class TestSolverAgreement:
     def test_example1_codimension_solves_no_lp(self, n):
         # Every incompatible pair is a 2-trade, so first-fit placement meets
         # the clique bound, and each block of a pair is answered by its block
-        # part: the sum of its two swing-weighted unit parts.
+        # part: the Banzhaf part of the pair's own game.
         game = gd.gen_example1(n)
         with gd.record_certificates() as log:
             witness = gd.codimension(game)
@@ -257,11 +259,12 @@ class TestSolverAgreement:
         assert games_agree_by_hand(witness.as_game(), game)
 
     def test_ssp_yes_instance_codimension_lp_count(self):
+        # 10 LPs before widened blocks, 5 since.
         game = gd.gen_ssp(gd.SSPInstance(3, (1, 2, 3), 3))
         with gd.record_certificates() as log:
             witness = gd.codimension(game)
         assert witness.value == 4
-        assert len(log) <= 10
+        assert len(log) <= 5
 
     def test_search_alone_rules_out_a_block_count_above_the_trade_clique(self):
         # No three targets are pairwise traded, so the clique bound is 2 and
@@ -285,7 +288,12 @@ class TestSolverAgreement:
         # The search places a target alone without a query, so a one-target
         # block is first asked for its part after the search; a refusal there
         # must not reach ``combine`` as a missing part.
-        monkeypatch.setattr(dimsolver, "_unit_part", lambda n, fixed_masks, target: None)
+        block_part = dimsolver._block_part
+
+        def refuse_one(n, fixed_masks, block_masks):
+            return None if len(block_masks) == 1 else block_part(n, fixed_masks, block_masks)
+
+        monkeypatch.setattr(dimsolver, "_block_part", refuse_one)
         with pytest.raises(RuntimeError, match="internal error"):
             gd.dimension(gd.gen_example1(2))
 
@@ -362,16 +370,34 @@ class TestSolverAgreement:
         # queries here; it takes 245 without.
         assert queries <= 242
 
-    def test_infeasible_widened_block_falls_back_to_the_asked_block(self):
-        # A widened block that fails is followed by the LP of the block the
-        # search asked for, which lies strictly inside it.
+    def test_infeasible_widened_block_falls_back_to_the_asked_block(self, monkeypatch):
+        # A widened block that fails, its part and then its LP, is followed by
+        # the block the search asked for, which lies strictly inside it.
+        tried = []
+        block_part = dimsolver._block_part
+
+        def spy(n, fixed_masks, block_masks):
+            part = block_part(n, fixed_masks, block_masks)
+            tried.append((frozenset(block_masks), part))
+            return part
+
+        monkeypatch.setattr(dimsolver, "_block_part", spy)
         game = gd.gen_random_monotone(6, 3, 1021)
         with gd.record_certificates() as log:
             value = gd.dimension(game).value
         assert value == exhaustive_dimension(game) == 2
+        failed = {
+            frozenset(
+                sum(c << j for j, c in enumerate(row.coeffs[:-1]))
+                for row in lp.constraints
+                if row.relation == gd.LE
+            )
+            for lp, result in log
+            if not result.feasible
+        }
         assert any(
-            not result.feasible and set(asked.constraints) < set(wide.constraints)
-            for (wide, result), (asked, _) in zip(log, log[1:])
+            wide in failed and part is None and asked < wide
+            for (wide, part), (asked, _) in zip(tried, tried[1:])
         )
         for lp, result in log:
             gd.verify_certificate(lp, result)
@@ -558,20 +584,42 @@ class TestTradeCertificates:
 
 
 class TestUnitPart:
+    # A block of one target is the unit part [1; w_j = 0 on T, 1 elsewhere].
     def test_part_loses_exactly_inside_its_target(self):
         game = gd.gen_random_monotone(6, 3, 12)
         sets = gd.extremal_sets(game)
         fixed = [c.members >> 1 for c in sets.minimal_winning]
         for target in sets.maximal_losing:
-            part = dimsolver._unit_part(game.n, fixed, target.members >> 1)
+            part = dimsolver._block_part(game.n, fixed, [target.members >> 1])
             assert part.quota == 1
             for c in all_coalitions(game.n):
                 assert part.wins(c) == (c.members & ~target.members != 0)
 
     def test_fixed_mask_inside_the_target_has_no_part(self):
-        assert dimsolver._unit_part(3, [0b011, 0b100], 0b011) is None
-        assert dimsolver._unit_part(3, [0b011, 0b100], 0b110) is None
-        assert dimsolver._unit_part(3, [0b011, 0b101], 0b110) == gd.make_weighted(1, [1, 0, 0])
+        assert dimsolver._block_part(3, [0b011, 0b100], [0b011]) is None
+        assert dimsolver._block_part(3, [0b011, 0b100], [0b110]) is None
+        assert dimsolver._block_part(3, [0b011, 0b101], [0b110]) == gd.make_weighted(1, [1, 0, 0])
+
+    @pytest.mark.parametrize("codim", [False, True], ids=["dim", "codim"])
+    def test_every_one_target_block_is_the_unit_part_and_builds_no_table(
+        self, acceptance_corpus, codim, monkeypatch
+    ):
+        # The one-target block's own game loses exactly inside T, and its
+        # part is checked on the fixed masks with no closure table.
+        def refuse(*args):
+            raise AssertionError("a one-target block built a table")
+
+        monkeypatch.setattr(dimsolver, "superset_closure", refuse)
+        checked = 0
+        for game in acceptance_corpus:
+            fixed, targets = separation_coalitions(game, codim)
+            fixed_masks = [c.members >> 1 for c in fixed]
+            for target in targets:
+                t = target.members >> 1
+                unit = [0 if t >> j & 1 else 1 for j in range(game.n)]
+                assert dimsolver._block_part(game.n, fixed_masks, [t]) == gd.make_weighted(1, unit)
+                checked += 1
+        assert checked > 150
 
 
 class TestTradeRecords:
@@ -853,9 +901,9 @@ class TestBlockPart:
         calls = []
         block_part = dimsolver._block_part
 
-        def spy(swings, fixed_masks, block_masks):
-            part = block_part(swings, fixed_masks, block_masks)
-            calls.append((len(swings), list(fixed_masks), list(block_masks), part))
+        def spy(n, fixed_masks, block_masks):
+            part = block_part(n, fixed_masks, block_masks)
+            calls.append((n, list(fixed_masks), list(block_masks), part))
             return part
 
         monkeypatch.setattr(dimsolver, "_block_part", spy)
@@ -869,37 +917,68 @@ class TestBlockPart:
             infeasible += feasible is None
             if part is None:
                 continue
-            returned += 1
+            returned += len(block) > 1
             assert feasible is not None
             assert part.n == n
             for masks, wins in ((fixed, True), (block, False)):
                 for m in masks:
                     weight = sum(w for j, w in enumerate(part.weights) if m >> j & 1)
                     assert (weight >= part.quota) == wins
-        assert returned >= 60 and infeasible > 0
+        # Wider blocks get 89 parts here; swing-weighted block parts gave 60.
+        assert returned >= 85 and infeasible > 0
 
-    def test_weights_are_the_swing_weighted_unit_parts_summed(self):
-        # Fixed masks {1, 2} and {3, 4}, every swing count 2.  Player 1 is
-        # outside both targets {2, 4} and {2, 3}, players 3 and 4 outside one
-        # each, so w = 2 (2, 0, 1, 1) over its gcd, and both targets weigh 1.
-        # The targets {2, 4} and {1, 3} are traded by the fixed masks, so
-        # their block gets no part.
+    def test_weights_are_the_swing_counts_of_the_blocks_own_game(self):
+        # Targets {2, 4} and {2, 3}: the block's game loses on their six
+        # subsets, I = {2}, D = {3, 4} and down_D = {}, {3}, {4}.  Player 1,
+        # in no target, swings on all 6; player 2 never; players 3 and 4 on 2
+        # each ({3, 4} and {2, 3, 4} win).  Over 2^|I| that is w = (3, 0, 1, 1),
+        # both targets weigh 1, and the fixed masks {1, 2} and {3, 4} reach
+        # the quota 2.  The targets {2, 4} and {1, 3} are traded by the fixed
+        # masks: every player weighs 3, and {1, 2} falls below the quota.
         fixed = [0b0011, 0b1100]
-        part = dimsolver._block_part([2, 2, 2, 2], fixed, [0b1010, 0b0110])
-        assert part == gd.make_weighted(2, [2, 0, 1, 1])
-        assert dimsolver._block_part([2, 2, 2, 2], fixed, [0b1010, 0b0101]) is None
+        part = dimsolver._block_part(4, fixed, [0b1010, 0b0110])
+        assert part == gd.make_weighted(2, [3, 0, 1, 1])
+        assert dimsolver._block_part(4, fixed, [0b1010, 0b0101]) is None
+        assert dimsolver._block_part(4, (), [0b1010, 0b0101]) == gd.make_weighted(3, [1] * 4)
+
+    @pytest.mark.parametrize("codim", [False, True], ids=["dim", "codim"])
+    def test_the_full_target_set_gives_the_banzhaf_part(self, acceptance_corpus, codim):
+        # The game of every target is the game itself (dimension) or its dual
+        # (codimension), whose swing counts are the game's.
+        for game in acceptance_corpus:
+            fixed, targets = separation_coalitions(game, codim)
+            fixed_masks = [c.members >> 1 for c in fixed]
+            target_masks = [t.members >> 1 for t in targets]
+            swings = swing_counts(game.truth_table, game.n)
+            for masks in ((), fixed_masks):
+                banzhaf = dimsolver._threshold_part(swings, masks, target_masks)
+                assert dimsolver._block_part(game.n, masks, target_masks) == banzhaf
+
+    def test_a_block_spanning_twenty_four_players(self):
+        # T1 = players 1-12, T2 = 13-24 and T3 = 1-6 and 13-18: no player is
+        # in all three, so D holds all 24.  By inclusion and exclusion down_D
+        # has 3 * 4096 - 1 - 64 - 64 + 1 = 12,160 members, and a player of T3
+        # swings 4,032 times, any other 8,064: w = 1 on T3, 2 elsewhere.
+        t1, t2 = (1 << 12) - 1, ((1 << 12) - 1) << 12
+        t3 = 0b111111 | 0b111111 << 12
+        weights = [1] * 6 + [2] * 6 + [1] * 6 + [2] * 6
+        fixed = [t1 | 1 << 18, t2 | 1 << 6]  # weights 20
+        part = dimsolver._block_part(24, fixed, [t1, t2, t3])
+        assert part == gd.make_weighted(19, weights)
+        below = 0b111111 << 6 | 0b111 << 18  # weighs 18
+        assert dimsolver._block_part(24, fixed + [below], [t1, t2, t3]) is None
 
     def test_lp_total_over_the_acceptance_corpus(self, acceptance_corpus):
         # dimension, codimension, codimension of the dual and is_weighted on
-        # all 55 games solve 57 LPs; before the block part and the 2-trade of
-        # is_weighted they solved 136.
+        # all 55 games solve 28 LPs.  They solved 136 before block parts and
+        # the 2-trade of is_weighted, and 57 with swing-weighted block parts.
         with gd.record_certificates() as log:
             for game in acceptance_corpus:
                 gd.dimension(game)
                 gd.codimension(game)
                 gd.codimension(gd.dual(game))
                 gd.is_weighted(game)
-        assert len(log) <= 57
+        assert len(log) <= 28
 
 
 class TestPrimitiveSeparationGames:
