@@ -19,8 +19,9 @@ j; see :mod:`gamedim.structure`), and ``COVER_MAX`` is checked on the target
 table's bit count before any mask is listed, so an oversized game is refused
 in the time of its truth table.  No ``Coalition`` is built on the way to the
 separation rows; only ``co_realizable`` and ``realizable``, which take them,
-convert at the boundary.  The search's state (the pair graph, the rows and
-the oracle cache) is built in ``_search``, and only there.
+convert at the boundary.  The search's state (the pair graph and the oracle
+cache) is built in ``_search``, and only there; each block LP builds its
+own rows from masks in ``_separate``.
 
 Block feasibility is an exact rational LP and is downward closed, so a
 minimum cover can be assumed to be a partition.  Each block first tries
@@ -77,7 +78,7 @@ top rung reads off the game's cached table: a separable game is its
 one-part partition, and no trade, row or LP is built.  When that part
 misses, the search runs: the first block it asks is a pair, which widens
 (below) to the full block, so a separable target set still costs at most
-one LP.  The separation rows are built for the first LP that runs.
+one LP.  Each block LP builds its own rows.
 
 A block of two or more targets is widened before its LP: in index order,
 each target that no checked trade keeps from the block, or from a target
@@ -103,7 +104,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
 from typing import Callable, Iterable, Sequence
 
 # Not ``from . import lp``: that package lookup would load every submodule.
@@ -204,23 +204,29 @@ def _separation_rows(
     )
 
 
-def _separate(n: int, rows: Sequence[_lp.Constraint]) -> WeightedGame | None:
-    """The integer game [q; w] that meets every separation row, or None.
+def _separate(
+    n: int, fixed_masks: Sequence[int], target_masks: Sequence[int]
+) -> WeightedGame | None:
+    """The integer game [q; w] winning on every fixed mask and losing on every target, or None.
 
-    The LP's assignment is put over one common denominator and divided by
-    the gcd of its numerators, and the game is re-checked on every row.
+    The LP's rows are the ``_separation_rows`` of the masks, and this is the
+    only place that lays them out.  Its assignment is put over one common
+    denominator and divided by the gcd of its numerators, and the game is
+    re-checked on the masks: q >= 1, every fixed mask reaches q and no
+    target does.
     """
+    rows = _separation_rows(n, fixed_masks, target_masks)
     result = _lp.solve_feasibility(_lp.LinearProgram(n + 1, rows, frozenset(range(n + 1))))
     if not result.feasible:
         return None
     values, _ = _lp.common_denominator(result.assignment)
     shrink = gcd(*values)
-    values = [v // shrink for v in values]
-    for con in rows:
-        value = sum(map(mul, con.coeffs, values))
-        if value < con.rhs if con.relation == _lp.GE else value > con.rhs:
-            raise _lp.CertificateError("scaled weighted game misses a separation row")
-    return WeightedGame(values[n], values[:n])
+    *weights, quota = (v // shrink for v in values)
+    weight = _mask_weight(weights)
+    missed = quota < 1 or any(weight(m) < quota for m in fixed_masks)
+    if missed or any(weight(t) >= quota for t in target_masks):
+        raise _lp.CertificateError("scaled weighted game misses a separation row")
+    return WeightedGame(quota, weights)
 
 
 def _mask_weight(weights: Sequence[int]) -> Callable[[int], int]:
@@ -318,8 +324,7 @@ def co_realizable(
     if not mwc:
         raise InvalidGameError("need at least one minimal winning coalition")
     n = mwc[0].n
-    rows = _separation_rows(n, _coalition_masks(mwc, n), _coalition_masks(targets, n))
-    return _separate(n, rows)
+    return _separate(n, _coalition_masks(mwc, n), _coalition_masks(targets, n))
 
 
 def realizable(
@@ -489,9 +494,9 @@ def _search(
 ) -> tuple[WeightedGame, ...]:
     """One part per block of a minimum partition of the targets, by the search.
 
-    The search's state lives here: the pair graph of checked 2-trades, the
-    oracle cache over blocks of targets, and the separation rows, which are
-    built for the first LP.
+    The search's state lives here: the pair graph of checked 2-trades and
+    the oracle cache over blocks of targets.  It keeps no separation rows:
+    each block LP builds its own in ``_separate``.
     """
     count = len(target_masks)
     fixed_set = frozenset(fixed_masks)
@@ -504,8 +509,6 @@ def _search(
                 _check_trade(fixed_set, t1, t2, record)
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    rows: tuple[_lp.Constraint, ...] = ()
-    head = len(fixed_masks) + 1  # the fixed rows and the quota row
 
     def widened(mask: int) -> int:
         """``mask`` plus, in index order, each target that no trade keeps from it."""
@@ -520,14 +523,8 @@ def _search(
 
     def part_of(block: int) -> WeightedGame | None:
         """The block part of ``block`` if it separates, else the block's LP."""
-        nonlocal rows
-        indices = set_bits(block)
-        part = _block_part(n, fixed_masks, [target_masks[i] for i in indices])
-        if part is not None:
-            return part
-        if not rows:
-            rows = _separation_rows(n, fixed_masks, target_masks)
-        return _separate(n, rows[:head] + tuple(rows[head + i] for i in indices))
+        targets = [target_masks[i] for i in set_bits(block)]
+        return _block_part(n, fixed_masks, targets) or _separate(n, fixed_masks, targets)
 
     def solver(mask: int) -> tuple[int, WeightedGame] | None:
         """The block solved for ``mask`` and its part, or None if none separates.
@@ -632,7 +629,7 @@ def is_weighted(game: SimpleGame) -> WeightedGame | None:
         if target != heaviest and (record := _trade(winning, heaviest, target)) is not None:
             _check_trade(frozenset(winning), heaviest, target, record)
             return None
-    return _separate(n, _separation_rows(n, winning, losing))
+    return _separate(n, winning, losing)
 
 
 def canonical_intersection(game: SimpleGame) -> list[WeightedGame]:

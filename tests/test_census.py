@@ -1,4 +1,4 @@
-"""Every game on at most four players: an exhaustive census of the block parts.
+"""Every game on at most four players: an exhaustive census of the answers and block parts.
 
 A game here is a monotone truth table over compact masks with the empty
 coalition losing and some coalition winning.  The monotone tables on n
@@ -8,8 +8,9 @@ players: f0 holds the coalitions without player n and f1 those with it.
 
 import itertools
 
+import gamedim as gd
 from gamedim import dimsolver
-from gamedim.core import complemented, minimal_table, set_bits
+from gamedim.core import complemented, minimal_masks, minimal_table, set_bits
 from gamedim.structure import losing_table
 
 
@@ -35,8 +36,45 @@ def separation_families(table, n):
 
 
 def test_game_counts_are_the_dedekind_numbers_less_the_constants():
-    # 3, 6, 20 and 168 monotone functions of 1 to 4 variables (OEIS A000372).
-    assert [len(games(n)) for n in range(1, 5)] == [1, 4, 18, 166]
+    # 3, 6, 20, 168 and 7,581 monotone functions of 1 to 5 variables (OEIS A000372).
+    assert [len(games(n)) for n in range(1, 6)] == [1, 4, 18, 166, 7579]
+
+
+def simple_game(table, n):
+    return gd.make_explicit(n, [gd.Coalition(m << 1, n) for m in minimal_masks(table, n)])
+
+
+def reversed_labels(game):
+    """The game with player j renamed n + 1 - j."""
+    n = game.n
+    return gd.make_explicit(
+        n, [gd.Coalition.from_players([n + 1 - j for j in c], n) for c in game.antichain]
+    )
+
+
+def test_every_small_game_answers_consistently_and_with_checked_certificates():
+    # Every game on at most four players: the codimension is the dimension
+    # of the dual, a game is weighted exactly when its dimension is 1 and
+    # exactly when its codimension is, the answers do not depend on the
+    # player labels, and every LP solved on the way re-verifies.
+    answered = 0
+    with gd.record_certificates() as log:
+        for n in range(1, 5):
+            for table in games(n):
+                game = simple_game(table, n)
+                dim, codim = gd.dimension(game).value, gd.codimension(game).value
+                assert codim == gd.dimension(gd.dual(game)).value
+                weighted = gd.is_weighted(game) is not None
+                assert (dim == 1) == (codim == 1) == weighted
+                mirror = reversed_labels(game)
+                assert (gd.dimension(mirror).value, gd.codimension(mirror).value) == (dim, codim)
+                assert (gd.is_weighted(mirror) is not None) == weighted
+                answered += 1
+    assert answered == 189
+    # 28 LPs, all feasible.
+    assert log
+    for lp, result in log:
+        gd.verify_certificate(lp, result)
 
 
 def test_every_block_gets_a_part_only_when_its_lp_is_feasible():
@@ -47,15 +85,11 @@ def test_every_block_gets_a_part_only_when_its_lp_is_feasible():
     for n in range(1, 5):
         for table in games(n):
             for fixed, targets in separation_families(table, n):
-                rows = dimsolver._separation_rows(n, fixed, targets)
-                head = len(fixed) + 1
                 for size in range(1, len(targets) + 1):
                     for block in itertools.combinations(range(len(targets)), size):
                         masks = [targets[i] for i in block]
                         part = dimsolver._block_part(n, fixed, masks)
-                        lp = dimsolver._separate(
-                            n, rows[:head] + tuple(rows[head + i] for i in block)
-                        )
+                        lp = dimsolver._separate(n, fixed, masks)
                         blocks += 1
                         if lp is None:
                             assert part is None

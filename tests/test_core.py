@@ -83,6 +83,15 @@ class TestCoalition:
         with pytest.raises(gd.SizeLimitError):
             gd.SimpleGame(gd.N_MAX + 1, gd.WEIGHTED)
 
+    def test_union(self):
+        assert players([1], 3).union(players([1, 3], 3)) == players([1, 3], 3)
+        with pytest.raises(gd.InvalidGameError, match="player counts differ: 3 vs 4"):
+            players([1], 3).union(players([1], 4))
+
+    def test_iteration_yields_the_players_ascending(self):
+        assert list(players([4, 1, 3], 5)) == [1, 3, 4]
+        assert list(gd.Coalition.empty(3)) == []
+
     def test_bitstring_validation(self):
         with pytest.raises(gd.InvalidGameError):
             gd.Coalition.from_bitstring("10x")
@@ -402,6 +411,23 @@ class TestSimpleGameValidation:
         dup = (players([1], 3), players([1], 3))
         with pytest.raises(gd.InvalidGameError):
             gd.SimpleGame(3, gd.EXPLICIT, antichain=dup)
+
+    def test_form_mismatches_rejected(self):
+        part = gd.make_weighted(1, [1, 1])
+        with pytest.raises(gd.InvalidGameError, match="explicit form takes no weighted parts"):
+            gd.SimpleGame(2, gd.EXPLICIT, antichain=(players([1], 2),), parts=(part,))
+        with pytest.raises(gd.InvalidGameError, match="union form takes no explicit coalitions"):
+            gd.SimpleGame(2, gd.UNION, antichain=(players([1], 2),), parts=(part,))
+        with pytest.raises(gd.InvalidGameError, match="intersection form needs at least one part"):
+            gd.SimpleGame(2, gd.INTERSECTION)
+
+    def test_empty_explicit_antichain_rejected(self):
+        with pytest.raises(gd.InvalidGameError, match="needs at least one winning coalition"):
+            gd.SimpleGame(2, gd.EXPLICIT)
+
+    def test_coalition_over_the_wrong_player_count_rejected(self):
+        with pytest.raises(gd.InvalidGameError, match="coalition over 2 players, game has 3"):
+            gd.SimpleGame(3, gd.EXPLICIT, antichain=(players([1], 2),))
 
     def test_weighted_form_takes_one_part(self):
         parts = (gd.make_weighted(1, [1, 1]), gd.make_weighted(2, [1, 1]))

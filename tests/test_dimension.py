@@ -913,7 +913,7 @@ class TestBlockPart:
             gd.codimension(gd.dual(game))
         returned = infeasible = 0
         for n, fixed, block, part in calls:
-            feasible = dimsolver._separate(n, dimsolver._separation_rows(n, fixed, block))
+            feasible = dimsolver._separate(n, fixed, block)
             infeasible += feasible is None
             if part is None:
                 continue
@@ -979,6 +979,47 @@ class TestBlockPart:
                 gd.codimension(gd.dual(game))
                 gd.is_weighted(game)
         assert len(log) <= 28
+
+
+class TestSeparate:
+    # The LP is stubbed to return a chosen assignment, so the mask re-check
+    # of the scaled game is what accepts or refuses it.  The fixed mask is
+    # {1, 2}; the target, when there is one, is {1}.
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """Make every LP return ``assignment``; the LPs it gets are listed."""
+
+        def solve(assignment):
+            lps = []
+
+            def stub(lp):
+                lps.append(lp)
+                result = tuple(map(gd.rational, assignment))
+                return gd.FeasibilityResult(dimsolver._lp.FEASIBLE, result)
+
+            monkeypatch.setattr(dimsolver._lp, "solve_feasibility", stub)
+            return lps
+
+        return solve
+
+    def test_a_game_that_meets_every_mask_is_returned_scaled(self, solved):
+        lps = solved([gd.rational(1, 2), gd.rational(1, 2), 1])
+        assert dimsolver._separate(2, [0b11], [0b01]) == gd.make_weighted(2, [1, 1])
+        assert [lp.constraints for lp in lps] == [dimsolver._separation_rows(2, [0b11], [0b01])]
+
+    @pytest.mark.parametrize(
+        "assignment, targets",
+        [
+            ([gd.rational(1, 2), 0, 1], [0b01]),  # [2; 1, 0]: {1, 2} weighs 1
+            ([1, 1, 1], [0b01]),  # [1; 1, 1]: the target {1} wins
+            ([1, 1, 0], []),  # quota 0: the empty coalition would win
+        ],
+        ids=["misses-a-fixed-mask", "wins-on-a-target", "quota-zero"],
+    )
+    def test_a_scaled_game_that_misses_a_mask_is_refused(self, solved, assignment, targets):
+        solved(assignment)
+        with pytest.raises(gd.CertificateError, match="misses a separation row"):
+            dimsolver._separate(2, [0b11], targets)
 
 
 class TestPrimitiveSeparationGames:
