@@ -29,10 +29,10 @@ its block part (below), and only when that misses is it one LP, solved
 cold: the fixed rows, one winning row per fixed coalition and the quota
 row, then the block's target rows in target order.  A block of one target
 never needs the LP, since its part misses only when no game separates it.
-The oracle cache keys each entry by the block solved: a feasible entry
-answers every later subset of its block, an infeasible one every superset.
-No pair or singleton is queried up front; the oracle sees only the blocks
-that the partition search tries.
+The oracle cache is a memo over blocks, keyed by the block asked: a
+feasible entry answers every later subset of its block, an infeasible one
+every superset.  No pair or singleton is queried up front; the oracle sees
+only the blocks that the partition search asks.
 
 Most incompatible pairs need no LP: they are 2-trades (Taylor & Zwicker,
 Proc. AMS 115, 1992).  Targets T1, T2 are traded by two fixed masks M, M2
@@ -80,15 +80,16 @@ misses, the search runs: the first block it asks is a pair, which widens
 (below) to the full block, so a separable target set still costs at most
 one LP.  Each block LP builds its own rows.
 
-A block of two or more targets is widened before its LP: in index order,
-each target that no checked trade keeps from the block, or from a target
-already added, joins it.  The widened block is solved first and keys its
-cache entry, so its witness answers the blocks inside it that the search
-asks later; if it is infeasible, the block asked for is solved instead.
-Each of the two tries its block part just before its LP.  Only verified
-outcomes enter the cache, so every query gets the same answer as without
-widening or block parts and the search finds the same partition; only the
-witness part that answers a block may differ.
+The search asks whether a block of two or more targets fits by asking the
+cache for its widened block first: in index order, each target that no
+checked trade keeps from the block, or from a target already added, joins
+it.  A feasible widened block keys its own entry, so its witness answers
+the blocks inside it that the search asks later; only if it is infeasible
+is the block itself asked, and the failed widened block stays in the cache
+as an infeasible entry like any other.  Only verified outcomes enter the
+cache, so every question gets the same answer as without widening or block
+parts and the search finds the same partition; only the witness part that
+answers a block may differ.
 
 One iterative-deepening partition search tries each block count from a
 clique bound of the trade graph up.  It places the targets one at a time,
@@ -145,40 +146,36 @@ class DimensionWitness:
 
 
 class SeparabilityOracleCache:
-    """Block-feasibility oracle keyed by target-subset bitmasks.
+    """Block-feasibility memo keyed by target-subset bitmasks.
 
-    ``solver(mask)`` returns None for an infeasible block, or a pair
-    ``(block, witness)`` where ``block`` is a bitmask of targets that the
-    witness separates; it must contain ``mask``, or ``query`` raises
-    ``CertificateError``.  A feasible entry is keyed by that block, so its
-    witness answers every subset of the block, which may be wider than the
-    mask asked; a cached infeasible block settles every superset.
-    The two lists only grow at the end, so they also answer repeats: a
-    repeated query finds the same first match, or its own entry, and gets the
-    same witness object.  Under concurrent use two threads may solve the same
-    mask; both outcomes are correct, so the duplicate only costs one LP.
+    ``solver(mask)`` returns a part that separates exactly the block
+    ``mask``, or None when the block is infeasible, and each outcome is kept
+    under the mask asked.  A feasible entry's witness answers every subset of
+    its block; an infeasible entry settles every superset.  So a widened
+    block that fails is kept like any other infeasible block.  The two lists
+    only grow at the end, so they also answer repeats: a repeated query finds
+    the same first match, or its own entry, and gets the same witness object.
+    Under concurrent use two threads may solve the same mask; both outcomes
+    are correct, so the duplicate only costs one LP.
     """
 
-    def __init__(self, solver: Callable[[int], tuple[int, WeightedGame] | None]):
+    def __init__(self, solver: Callable[[int], WeightedGame | None]):
         self._solver = solver
         self._feasible: list[tuple[int, WeightedGame]] = []
         self._infeasible: list[int] = []
 
     def query(self, mask: int) -> WeightedGame | None:
-        for cover, witness in self._feasible:
-            if mask & ~cover == 0:
+        for block, witness in self._feasible:
+            if mask & ~block == 0:
                 return witness
         for imask in self._infeasible:
             if imask & ~mask == 0:
                 return None
-        outcome = self._solver(mask)
-        if outcome is None:
+        witness = self._solver(mask)
+        if witness is None:
             self._infeasible.append(mask)
-            return None
-        cover, witness = outcome
-        if mask & ~cover:
-            raise _lp.CertificateError("witness does not separate every target of its block")
-        self._feasible.append((cover, witness))
+        else:
+            self._feasible.append((mask, witness))
         return witness
 
 
@@ -414,14 +411,15 @@ def _trade_certificate(
     return _lp.FarkasWitness(tuple(rows), tuple((j, u) for j, u in enumerate(counts) if u))
 
 
-def _minimum_partition(count: int, cache: SeparabilityOracleCache, adj: list[int]) -> list[int]:
-    """Minimum-cardinality partition of target indices into feasible blocks.
+def _minimum_partition(count: int, fits: Callable[[int], bool], adj: list[int]) -> list[int]:
+    """Minimum-cardinality partition of target indices into blocks that ``fits``.
 
+    ``fits(mask)`` says whether one part separates the block ``mask``.
     ``adj`` holds, as neighbour bitmasks, the pairs that a checked 2-trade
     keeps apart; no other pair is queried up front, so an incompatible pair
     that is not traded is found only when a block holding it fails.  Each
     attempt at a block count ``limit`` places the targets in ``order`` into
-    an existing block the oracle accepts, or into a new block while fewer
+    an existing block that still fits with it, or into a new block while fewer
     than ``limit`` exist.  Each block keeps the union of its members'
     neighbourhoods, so the targets that fit no current block are one AND
     per block, and the attempt backtracks when they contain a clique too
@@ -459,7 +457,7 @@ def _minimum_partition(count: int, cache: SeparabilityOracleCache, adj: list[int
             vbit = 1 << v
             while nxt < len(blocks):
                 bm = blocks[nxt][0]
-                if not adj[v] & bm and cache.query(bm | vbit) is not None:
+                if not adj[v] & bm and fits(bm | vbit):
                     break
                 nxt += 1
             if nxt < len(blocks):
@@ -522,29 +520,24 @@ def _search(
         return mask
 
     def part_of(block: int) -> WeightedGame | None:
-        """The block part of ``block`` if it separates, else the block's LP."""
-        targets = [target_masks[i] for i in set_bits(block)]
-        return _block_part(n, fixed_masks, targets) or _separate(n, fixed_masks, targets)
+        """The block part of ``block`` if it separates, else the block's LP.
 
-    def solver(mask: int) -> tuple[int, WeightedGame] | None:
-        """The block solved for ``mask`` and its part, or None if none separates.
-
-        One target is answered by its block part, the unit part, with no LP.
-        A wider block tries its widened block first, then the block itself,
-        each by its block part and then one LP.
+        A block of one target is answered by its block part, the unit part,
+        with no LP: that part misses only when no game separates the target.
         """
-        if not mask & (mask - 1):
-            part = _block_part(n, fixed_masks, [target_masks[mask.bit_length() - 1]])
-            return None if part is None else (mask, part)
-        wide = widened(mask)
-        for block in (wide, mask) if wide != mask else (mask,):
-            part = part_of(block)
-            if part is not None:
-                return block, part
-        return None
+        targets = [target_masks[i] for i in set_bits(block)]
+        part = _block_part(n, fixed_masks, targets)
+        if part is not None or len(targets) == 1:
+            return part
+        return _separate(n, fixed_masks, targets)
 
-    cache = SeparabilityOracleCache(solver)
-    parts = tuple(cache.query(bm) for bm in _minimum_partition(count, cache, adj))
+    cache = SeparabilityOracleCache(part_of)
+
+    def fits(mask: int) -> bool:
+        """Whether one part separates ``mask``: its widened block's, or else its own."""
+        return cache.query(widened(mask)) is not None or cache.query(mask) is not None
+
+    parts = tuple(cache.query(bm) for bm in _minimum_partition(count, fits, adj))
     if None in parts:
         raise RuntimeError("internal error: a block of the found partition is infeasible")
     return parts

@@ -1,4 +1,4 @@
-"""Every game on at most four players: an exhaustive census of the answers and block parts.
+"""Every game on at most four players: a census of answers, block parts and weighted games.
 
 A game here is a monotone truth table over compact masks with the empty
 coalition losing and some coalition winning.  The monotone tables on n
@@ -105,3 +105,37 @@ def test_every_block_gets_a_part_only_when_its_lp_is_feasible():
     # Swing-weighted block parts, with unit parts for one target, settled
     # 2,262 of the feasible blocks.
     assert (blocks, feasible, settled) == (2614, 2518, 2354)
+
+
+def weighted_table(n, quota, weights):
+    """The truth table of [quota; weights] on ``n`` players, summed coalition by coalition."""
+    return sum(
+        1 << s
+        for s in range(1 << n)
+        if sum(w for j, w in enumerate(weights) if s >> j & 1) >= quota
+    )
+
+
+def threshold_tables(n, most):
+    """Tables of every [q; w] on ``n`` players, integer weights 0..``most``, 1 <= q <= w(N)."""
+    return {
+        weighted_table(n, quota, weights)
+        for weights in itertools.product(range(most + 1), repeat=n)
+        for quota in range(1, sum(weights) + 1)
+    }
+
+
+def test_is_weighted_agrees_with_an_enumeration_of_every_small_weighted_game():
+    # Weights up to 1, 1, 2 and 3 reach every weighted game on 1 to 4
+    # players: 3, 6, 20 and 150 positive threshold functions (OEIS A000617)
+    # less the two constants.  A representation found is checked against
+    # the game's table.
+    counts = []
+    for n, most in zip(range(1, 5), (1, 1, 2, 3)):
+        weighted = threshold_tables(n, most)
+        for table in games(n):
+            part = gd.is_weighted(simple_game(table, n))
+            assert (part is not None) == (table in weighted)
+            assert part is None or weighted_table(n, part.quota, part.weights) == table
+        counts.append(len(weighted))
+    assert counts == [1, 4, 18, 148]

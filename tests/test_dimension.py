@@ -316,11 +316,10 @@ class TestSolverAgreement:
         full = (1 << count) - 1
         adj = [full ^ 1 << v for v in range(count)]
 
-        class NoOracle:
-            def query(self, mask):
-                raise AssertionError(f"queried block {mask:#x}")
+        def fits(mask):
+            raise AssertionError(f"asked about block {mask:#x}")
 
-        blocks = dimsolver._minimum_partition(count, NoOracle(), adj)
+        blocks = dimsolver._minimum_partition(count, fits, adj)
         assert len(blocks) == count
         assert sorted(blocks) == [1 << v for v in range(count)]
 
@@ -349,13 +348,12 @@ class TestSolverAgreement:
                     b & ~block == 0 for b in bad
                 )
 
-            class StubOracle:
-                def query(self, mask):
-                    nonlocal queries
-                    queries += 1
-                    return mask if ok(mask) else None
+            def fits(mask):
+                nonlocal queries
+                queries += 1
+                return ok(mask)
 
-            blocks = dimsolver._minimum_partition(count, StubOracle(), adj)
+            blocks = dimsolver._minimum_partition(count, fits, adj)
             assert sum(blocks) == (1 << count) - 1 and all(map(ok, blocks))
             least = min(
                 len(p)
@@ -420,6 +418,24 @@ class TestSolverAgreement:
         assert witness.value == expected
         assert games_agree_by_hand(witness.as_game(), game)
         assert len(log) <= max_lps
+
+    def test_no_call_solves_the_same_block_twice(self, random_sweep):
+        # A widened block that fails is kept as an infeasible block, so no
+        # call solves its rows again.  Before, the sweep's calls solved 132
+        # LPs, 63 of them infeasible, and 26 repeated a row set of their call.
+        solved = infeasible = 0
+        for game in random_sweep:
+            for solve in (gd.dimension, gd.codimension):
+                with gd.record_certificates() as log:
+                    solve(game)
+                row_sets = [
+                    tuple((tuple(row.coeffs), row.relation, row.rhs) for row in lp.constraints)
+                    for lp, _ in log
+                ]
+                assert len(set(row_sets)) == len(row_sets)
+                solved += len(log)
+                infeasible += sum(not result.feasible for _, result in log)
+        assert solved <= 107 and infeasible <= 38
 
     def test_self_dual_games_have_equal_dimensions(self, small_corpus):
         for game in small_corpus:
@@ -1127,11 +1143,7 @@ class TestOracleCache:
         def solver(mask):
             calls.append(mask)
             chosen = [targets[i] for i in range(len(targets)) if mask >> i & 1]
-            part = gd.co_realizable(sets.minimal_winning, chosen)
-            if part is None:
-                return None
-            cover = sum(1 << i for i, t in enumerate(targets) if not part.wins(t))
-            return cover, part
+            return gd.co_realizable(sets.minimal_winning, chosen)
 
         return gd.SeparabilityOracleCache(solver), calls
 
@@ -1160,22 +1172,3 @@ class TestOracleCache:
         assert cache.query(0b111) is None
         assert cache.query(0b1110) is None
         assert calls == [0b110]
-
-    def test_witness_answers_every_block_inside_its_cover(self):
-        # Of the four maximal losing targets, the witness found for {0, 1}
-        # also loses on target 2, so it answers {1, 2} without another LP.
-        game = gd.gen_random_monotone(4, 4, 1003)
-        targets = list(gd.extremal_sets(game).maximal_losing)
-        assert len(targets) == 4
-        cache, calls = self._dimension_cache(game)
-        witness = cache.query(0b0011)
-        assert witness is not None
-        cover = sum(1 << i for i, t in enumerate(targets) if not witness.wins(t))
-        assert cover & 0b0011 == 0b0011 and cover != 0b0011
-        assert cache.query(0b0110) is witness
-        assert calls == [0b0011]
-
-    def test_cover_missing_the_block_is_refused(self):
-        cache = gd.SeparabilityOracleCache(lambda mask: (0b01, gd.make_weighted(1, [1])))
-        with pytest.raises(gd.CertificateError):
-            cache.query(0b11)
