@@ -25,6 +25,7 @@ _EXPORTS = {
         "N_MAX",
         "UNION",
         "WEIGHTED",
+        "CertificateError",
         "Coalition",
         "InvalidGameError",
         "SimpleGame",
@@ -37,7 +38,6 @@ _EXPORTS = {
     "lp": (
         "GE",
         "LE",
-        "CertificateError",
         "Constraint",
         "FarkasWitness",
         "FeasibilityResult",

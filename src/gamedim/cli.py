@@ -12,17 +12,21 @@ size-limit refusal.  ``--json`` switches the report to one JSON object with
 stable keys (``value``, ``kind``, ``parts``, ``mwc``, ``mlc``,
 ``equivalent``, ``weighted``, ``players``, ``form``, ``win``).
 
-Each subcommand imports only what it runs, since every process in a pipe
-pays for its own imports.  ``gen`` imports neither ``structure`` nor the
-solver (``dimsolver``, ``lp``, and with them ``dataclasses`` and
-``fractions``); ``mwc``, ``mlc``, ``dual`` and ``equiv`` import
-``structure``; ``weighted``, ``dim``, ``codim`` and ``convert`` import
-``dimsolver``.  A ``gen example1 --n 3`` process took a median 86 ms where
-it took 114 ms with the whole package loaded (25 alternations, shared
-2-core host, no bytecode cache).  The import comes before the game is read
-from standard input, so in ``gen ... | gamedim dim`` it overlaps the
-producer's run: importing after the read made that pipe 117 ms against
-108 ms (40 alternations, same host).
+Each process loads and builds only what its command line runs, since every
+process in a pipe pays for its own start-up.  ``gen`` imports neither
+``structure`` nor the solver (``dimsolver``, and with it ``dataclasses``);
+``mwc``, ``mlc``, ``dual`` and ``equiv`` import ``structure``;
+``weighted``, ``dim``, ``codim`` and ``convert`` import ``dimsolver``.  The
+solver import comes before the game is read from standard input, so in
+``gen ... | gamedim dim`` it overlaps the producer's run.  The LP code
+(``lp``, and with it ``fractions``) loads on the first LP, after the read,
+and a game answered by closed-form parts and trades never loads it.
+``_build_parser`` builds the top parser and only the subcommand that the
+command line names, or every subcommand when it names none.  A ``dim``
+process on example1 n=3 (no LP) took a median 82.5 ms where it took
+89.4 ms with ``lp`` imported up front and the whole parser tree built, and
+a ``gen example1 --n 3`` process 64.7 ms against 65.0 ms (25 alternating
+rounds, shared 2-core host, no bytecode cache).
 """
 
 from __future__ import annotations
@@ -129,65 +133,124 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options):
+    """One ``add_argument`` call as data: its flags and its keyword options.
+
+    The option ``commands`` makes it a subcommand level instead: its flag is
+    the level's ``dest`` and its value the level's command table.
+    """
+    return flags, options
+
+
+_GAME_ARGS = (
+    _arg("game", nargs="?", help="game file (default: standard input)"),
+    _arg("-o", "--output", help="write the report to a file"),
+    _arg("--json", action="store_true", help="machine-readable report"),
+)
+
+_GEN_ARGS = (
+    _arg("-o", "--output", help="write the game to a file"),
+    _arg("--json", action="store_true"),
+)
+
+# Command tables: name -> (help, arguments), in listing order.
+_GEN_FAMILIES = {
+    "example1": (
+        "pair-cover game: dimension n, codimension 2^(n-1)",
+        (*_GEN_ARGS, _arg("--n", type=_int_option, required=True, help="number of player pairs")),
+    ),
+    "ssp": (
+        "Subset Sum reduction game over n + 2d players",
+        (
+            *_GEN_ARGS,
+            _arg("--b", type=_int_option, required=True, help="subset-sum target"),
+            _arg("--a", required=True, help="comma-separated positive integers"),
+            _arg("--d", type=_int_option, required=True, help="number of gadget pairs"),
+        ),
+    ),
+    "unanimity": (
+        "union of unanimity games on disjoint blocks",
+        (
+            *_GEN_ARGS,
+            _arg("--blocks", required=True, help="comma-separated bitstrings, one per block"),
+        ),
+    ),
+    "random": (
+        "seeded random monotone game (explicit form)",
+        (
+            *_GEN_ARGS,
+            _arg("--n", type=_int_option, required=True, help="player count (1..12)"),
+            _arg("--m", type=_int_option, required=True, help="seed coalition count"),
+            _arg("--seed", type=_int_option, default=0, help="stream seed"),
+        ),
+    ),
+}
+
+_COMMANDS = {
+    "mwc": ("list the minimal winning coalitions", _GAME_ARGS),
+    "mlc": ("list the maximal losing coalitions", _GAME_ARGS),
+    "dual": ("emit the dual game", _GAME_ARGS),
+    "weighted": ("decide weightedness and report a representation", _GAME_ARGS),
+    "dim": ("exact dimension with witness intersection parts", _GAME_ARGS),
+    "codim": ("exact codimension with witness union parts", _GAME_ARGS),
+    "convert": (
+        "re-represent as intersection or union of parts",
+        (
+            *_GAME_ARGS,
+            _arg("--to", required=True, choices=[INTERSECTION, UNION]),
+            _arg("--mode", default="canonical", choices=["canonical", "minimal"]),
+        ),
+    ),
+    "equiv": (
+        "decide whether two games are equivalent",
+        (
+            _arg("game1", help="first game file"),
+            _arg("game2", nargs="?", help="second game file (default: standard input)"),
+            _arg("-o", "--output", help="write the report to a file"),
+            _arg("--json", action="store_true"),
+        ),
+    ),
+    "gen": (
+        "generate a certified instance family member",
+        (_arg("family", commands=_GEN_FAMILIES),),
+    ),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, arguments, argv: list[str]) -> None:
+    """Add ``arguments`` to ``parser``, where ``argv`` is what it will parse.
+
+    A subcommand level builds only the command that the first of ``argv``
+    names, from the rest of ``argv``: a process runs one command, and each
+    parser it does not build is start-up it does not pay.  When the first of
+    ``argv`` names none of them (no argument, ``-h``, a typo), the level
+    builds them all, for its help listing and its invalid-choice error.  A
+    level of one command keeps every name in its usage line, so each help
+    and error text is the one the whole tree prints.
+    """
+    for flags, options in arguments:
+        if "commands" not in options:
+            parser.add_argument(*flags, **options)
+            continue
+        table = options["commands"]
+        if argv and argv[0] in table:
+            names, metavar = argv[:1], "{" + ",".join(table) + "}"
+        else:
+            names, metavar = list(table), None
+        sub = parser.add_subparsers(dest=flags[0], required=True, metavar=metavar)
+        for name in names:
+            help_text, command_arguments = table[name]
+            _add_arguments(sub.add_parser(name, help=help_text), command_arguments, argv[1:])
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``, with only the subcommands that ``argv`` names."""
     parser = _ArgumentParser(
         prog="gamedim",
         description="Exact analysis of simple games: extremal coalitions, duals, "
         "weightedness, dimension, and codimension.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def game_command(name: str, help_text: str) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("game", nargs="?", help="game file (default: standard input)")
-        cmd.add_argument("-o", "--output", help="write the report to a file")
-        cmd.add_argument("--json", action="store_true", help="machine-readable report")
-        return cmd
-
-    game_command("mwc", "list the minimal winning coalitions")
-    game_command("mlc", "list the maximal losing coalitions")
-    game_command("dual", "emit the dual game")
-    game_command("weighted", "decide weightedness and report a representation")
-    game_command("dim", "exact dimension with witness intersection parts")
-    game_command("codim", "exact codimension with witness union parts")
-
-    convert = game_command("convert", "re-represent as intersection or union of parts")
-    convert.add_argument("--to", required=True, choices=[INTERSECTION, UNION])
-    convert.add_argument("--mode", default="canonical", choices=["canonical", "minimal"])
-
-    equiv = sub.add_parser("equiv", help="decide whether two games are equivalent")
-    equiv.add_argument("game1", help="first game file")
-    equiv.add_argument("game2", nargs="?", help="second game file (default: standard input)")
-    equiv.add_argument("-o", "--output", help="write the report to a file")
-    equiv.add_argument("--json", action="store_true")
-
-    gen = sub.add_parser("gen", help="generate a certified instance family member")
-    gen_sub = gen.add_subparsers(dest="family", required=True)
-
-    def gen_command(name: str, help_text: str) -> argparse.ArgumentParser:
-        cmd = gen_sub.add_parser(name, help=help_text)
-        cmd.add_argument("-o", "--output", help="write the game to a file")
-        cmd.add_argument("--json", action="store_true")
-        return cmd
-
-    example1 = gen_command("example1", "pair-cover game: dimension n, codimension 2^(n-1)")
-    example1.add_argument("--n", type=_int_option, required=True, help="number of player pairs")
-
-    ssp = gen_command("ssp", "Subset Sum reduction game over n + 2d players")
-    ssp.add_argument("--b", type=_int_option, required=True, help="subset-sum target")
-    ssp.add_argument("--a", required=True, help="comma-separated positive integers")
-    ssp.add_argument("--d", type=_int_option, required=True, help="number of gadget pairs")
-
-    unanimity = gen_command("unanimity", "union of unanimity games on disjoint blocks")
-    unanimity.add_argument(
-        "--blocks", required=True, help="comma-separated bitstrings, one per block"
-    )
-
-    random_cmd = gen_command("random", "seeded random monotone game (explicit form)")
-    random_cmd.add_argument("--n", type=_int_option, required=True, help="player count (1..12)")
-    random_cmd.add_argument("--m", type=_int_option, required=True, help="seed coalition count")
-    random_cmd.add_argument("--seed", type=_int_option, default=0, help="stream seed")
-
+    _add_arguments(parser, (_arg("command", commands=_COMMANDS),), argv)
     return parser
 
 
@@ -313,8 +376,9 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return _run_command(_build_parser().parse_args(argv), stdin, stdout)
+        return _run_command(_build_parser(argv).parse_args(argv), stdin, stdout)
     except _UsageError as exc:
         print(exc, file=stderr)
         return 1

@@ -54,6 +54,12 @@ class SizeLimitError(InvalidGameError):
     """An operation was refused because an instance exceeds a size cap."""
 
 
+# Here, not in ``lp``, so that a closed-form certificate can be refused
+# without loading the LP code.
+class CertificateError(RuntimeError):
+    """A certificate failed exact re-verification."""
+
+
 def full_mask(n: int) -> int:
     """Bitmask of the grand coalition over players 1..n."""
     return ((1 << n) - 1) << 1

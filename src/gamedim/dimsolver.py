@@ -107,12 +107,11 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
-# Not ``from . import lp``: that package lookup would load every submodule.
-import gamedim.lp as _lp
 from .core import (
     INTERSECTION,
     UNION,
     WEIGHTED,
+    CertificateError,
     Coalition,
     InvalidGameError,
     SimpleGame,
@@ -126,6 +125,11 @@ from .core import (
     swing_counts,
 )
 from .structure import dual_weighted, equivalent, extremal_sets
+
+# ``gamedim.lp`` (with ``fractions``) is imported inside the functions that
+# lay out or solve an LP, so a process whose games need no LP never loads
+# it.  Not ``from . import lp``: that package lookup would load every
+# submodule.
 
 COVER_MAX = 32
 
@@ -181,23 +185,24 @@ class SeparabilityOracleCache:
 
 def _separation_rows(
     n: int, fixed_masks: Sequence[int], target_masks: Sequence[int]
-) -> tuple[_lp.Constraint, ...]:
+) -> tuple[gamedim.lp.Constraint, ...]:
     """Rows of the separation LP for a weighted game [q; w] over w_1..w_n, q.
 
     The fixed rows come first: w(S) - q >= 0 on each fixed coalition S, so
     the game wins on it, and the quota row q >= 1.  Then w(T) - q <= -1 on
     each target T, so the game loses on it.  Masks are compact.
     """
+    import gamedim.lp as lp
 
     def row(mask, relation, rhs):
         coeffs = [mask >> j & 1 for j in range(n)]
         coeffs.append(-1)
-        return _lp.Constraint(coeffs, relation, rhs)
+        return lp.Constraint(coeffs, relation, rhs)
 
     return (
-        *(row(m, _lp.GE, 0) for m in fixed_masks),
-        _lp.Constraint((0,) * n + (1,), _lp.GE, 1),
-        *(row(m, _lp.LE, -1) for m in target_masks),
+        *(row(m, lp.GE, 0) for m in fixed_masks),
+        lp.Constraint((0,) * n + (1,), lp.GE, 1),
+        *(row(m, lp.LE, -1) for m in target_masks),
     )
 
 
@@ -212,17 +217,19 @@ def _separate(
     re-checked on the masks: q >= 1, every fixed mask reaches q and no
     target does.
     """
+    import gamedim.lp as lp
+
     rows = _separation_rows(n, fixed_masks, target_masks)
-    result = _lp.solve_feasibility(_lp.LinearProgram(n + 1, rows, frozenset(range(n + 1))))
+    result = lp.solve_feasibility(lp.LinearProgram(n + 1, rows, frozenset(range(n + 1))))
     if not result.feasible:
         return None
-    values, _ = _lp.common_denominator(result.assignment)
+    values, _ = lp.common_denominator(result.assignment)
     shrink = gcd(*values)
     *weights, quota = (v // shrink for v in values)
     weight = _mask_weight(weights)
     missed = quota < 1 or any(weight(m) < quota for m in fixed_masks)
     if missed or any(weight(t) >= quota for t in target_masks):
-        raise _lp.CertificateError("scaled weighted game misses a separation row")
+        raise CertificateError("scaled weighted game misses a separation row")
     return WeightedGame(quota, weights)
 
 
@@ -385,12 +392,12 @@ def _check_trade(fixed: frozenset[int], t1: int, t2: int, record: tuple[int, int
     if not (
         m in fixed and m2 in fixed and not (m | m2) & ~(t1 | t2) and not m & m2 & ~(t1 & t2)
     ):
-        raise _lp.CertificateError("2-trade record does not keep its targets apart")
+        raise CertificateError("2-trade record does not keep its targets apart")
 
 
 def _trade_certificate(
     n: int, fixed_masks: Sequence[int], t1: int, t2: int
-) -> _lp.FarkasWitness | None:
+) -> gamedim.lp.FarkasWitness | None:
     """Farkas form of the 2-trade that keeps targets ``t1`` and ``t2`` apart.
 
     The witness is on the pair's separation LP: the fixed rows, the quota
@@ -399,6 +406,8 @@ def _trade_certificate(
     row w_j >= 0 the count [j in T1] + [j in T2] - [j in M] - [j in M2].
     None when there is no trade.
     """
+    import gamedim.lp as lp
+
     record = _trade(fixed_masks, t1, t2)
     if record is None:
         return None
@@ -408,7 +417,7 @@ def _trade_certificate(
     rows[fixed_masks.index(m2)] += 1
     rows[-2] = rows[-1] = 1
     counts = [(t1 >> j & 1) + (t2 >> j & 1) - (m >> j & 1) - (m2 >> j & 1) for j in range(n)]
-    return _lp.FarkasWitness(tuple(rows), tuple((j, u) for j, u in enumerate(counts) if u))
+    return lp.FarkasWitness(tuple(rows), tuple((j, u) for j, u in enumerate(counts) if u))
 
 
 def _minimum_partition(count: int, fits: Callable[[int], bool], adj: list[int]) -> list[int]:

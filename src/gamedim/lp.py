@@ -75,17 +75,13 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 
-from .core import Immutable
+from .core import CertificateError, Immutable
 
 GE = ">="
 LE = "<="
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
-
-
-class CertificateError(RuntimeError):
-    """A certificate failed exact re-verification."""
 
 
 def rational(numerator, denominator=1):

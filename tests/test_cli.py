@@ -1,5 +1,6 @@
 """Command-line driver: reports, JSON mode, pipes, exit codes, lazy imports."""
 
+import contextlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import gamedim as gd
+from gamedim import cli
 from gamedim.cli import run
 from conftest import fresh_eval, fresh_python
 
@@ -386,6 +388,187 @@ class TestExitCodes:
         assert "example1" in capsys.readouterr().out
 
 
+def cli_text(argv):
+    """Exit code, stdout and stderr of ``run(argv)``; help exits through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv, stdin=io.StringIO(""))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# Exit code, stdout and stderr of run() for command lines whose text argparse
+# writes, captured from the whole-tree parser on CPython 3.11 with COLUMNS=80.
+GOLDEN_CLI_TEXT = [
+    (
+        [],
+        1,
+        "",
+        (
+            "usage: gamedim [-h] {mwc,mlc,dual,weighted,dim,codim,convert,equiv,gen} ...\n"
+            "gamedim: error: the following arguments are required: command\n"
+        ),
+    ),
+    (
+        ["-h"],
+        0,
+        (
+            "usage: gamedim [-h] {mwc,mlc,dual,weighted,dim,codim,convert,equiv,gen} ...\n"
+            "\n"
+            "Exact analysis of simple games: extremal coalitions, duals, weightedness,\n"
+            "dimension, and codimension.\n"
+            "\n"
+            "positional arguments:\n"
+            "  {mwc,mlc,dual,weighted,dim,codim,convert,equiv,gen}\n"
+            "    mwc                 list the minimal winning coalitions\n"
+            "    mlc                 list the maximal losing coalitions\n"
+            "    dual                emit the dual game\n"
+            "    weighted            decide weightedness and report a representation\n"
+            "    dim                 exact dimension with witness intersection parts\n"
+            "    codim               exact codimension with witness union parts\n"
+            "    convert             re-represent as intersection or union of parts\n"
+            "    equiv               decide whether two games are equivalent\n"
+            "    gen                 generate a certified instance family member\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        ),
+        "",
+    ),
+    (
+        ["dim", "-h"],
+        0,
+        (
+            "usage: gamedim dim [-h] [-o OUTPUT] [--json] [game]\n"
+            "\n"
+            "positional arguments:\n"
+            "  game                  game file (default: standard input)\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  -o OUTPUT, --output OUTPUT\n"
+            "                        write the report to a file\n"
+            "  --json                machine-readable report\n"
+        ),
+        "",
+    ),
+    (
+        ["gen", "-h"],
+        0,
+        (
+            "usage: gamedim gen [-h] {example1,ssp,unanimity,random} ...\n"
+            "\n"
+            "positional arguments:\n"
+            "  {example1,ssp,unanimity,random}\n"
+            "    example1            pair-cover game: dimension n, codimension 2^(n-1)\n"
+            "    ssp                 Subset Sum reduction game over n + 2d players\n"
+            "    unanimity           union of unanimity games on disjoint blocks\n"
+            "    random              seeded random monotone game (explicit form)\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        ),
+        "",
+    ),
+    (
+        ["gen", "example1", "-h"],
+        0,
+        (
+            "usage: gamedim gen example1 [-h] [-o OUTPUT] [--json] --n N\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  -o OUTPUT, --output OUTPUT\n"
+            "                        write the game to a file\n"
+            "  --json\n"
+            "  --n N                 number of player pairs\n"
+        ),
+        "",
+    ),
+    (
+        ["bogus"],
+        1,
+        "",
+        (
+            "usage: gamedim [-h] {mwc,mlc,dual,weighted,dim,codim,convert,equiv,gen} ...\n"
+            "gamedim: error: argument command: invalid choice: 'bogus' (choose from 'mwc', "
+            "'mlc', 'dual', 'weighted', 'dim', 'codim', 'convert', 'equiv', 'gen')\n"
+        ),
+    ),
+    (
+        ["dim", "--bogus"],
+        1,
+        "",
+        (
+            "usage: gamedim [-h] {mwc,mlc,dual,weighted,dim,codim,convert,equiv,gen} ...\n"
+            "gamedim: error: unrecognized arguments: --bogus\n"
+        ),
+    ),
+    (
+        ["dim", "a", "b"],
+        1,
+        "",
+        (
+            "usage: gamedim [-h] {mwc,mlc,dual,weighted,dim,codim,convert,equiv,gen} ...\n"
+            "gamedim: error: unrecognized arguments: b\n"
+        ),
+    ),
+    (
+        ["gen", "example1"],
+        1,
+        "",
+        (
+            "usage: gamedim gen example1 [-h] [-o OUTPUT] [--json] --n N\n"
+            "gamedim gen example1: error: the following arguments are required: --n\n"
+        ),
+    ),
+    (
+        ["convert"],
+        1,
+        "",
+        (
+            "usage: gamedim convert [-h] [-o OUTPUT] [--json] --to {intersection,union}\n"
+            "                       [--mode {canonical,minimal}]\n"
+            "                       [game]\n"
+            "gamedim convert: error: the following arguments are required: --to\n"
+        ),
+    ),
+    (
+        ["gen", "random", "--n", "x", "--m", "1"],
+        1,
+        "",
+        (
+            "usage: gamedim gen random [-h] [-o OUTPUT] [--json] --n N --m M [--seed SEED]\n"
+            "gamedim gen random: error: argument --n: invalid int value: 'x'\n"
+        ),
+    ),
+]
+GOLDEN_IDS = [" ".join(case[0]) or "no-arguments" for case in GOLDEN_CLI_TEXT]
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="argparse lays out help and words errors differently in other versions",
+)
+@pytest.mark.parametrize("argv, code, out, err", GOLDEN_CLI_TEXT, ids=GOLDEN_IDS)
+def test_help_and_error_text_is_unchanged(monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli_text(argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [case[0] for case in GOLDEN_CLI_TEXT], ids=GOLDEN_IDS)
+def test_help_and_error_text_is_the_whole_parser_trees(monkeypatch, argv):
+    # A parser built for one subcommand prints what the whole tree prints;
+    # the whole tree is the one built for a command line naming no subcommand.
+    monkeypatch.setenv("COLUMNS", "80")
+    text = cli_text(argv)
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda _argv: build([]))
+    assert text == cli_text(argv)
+
+
 def readme_pipelines():
     """The README's shell pipelines, each with the ``# `` lines that follow it."""
     readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
@@ -456,27 +639,39 @@ def test_import_leaves_json_unloaded():
 
 SOLVER = {"gamedim.dimsolver", "gamedim.lp", "dataclasses", "fractions"}
 STRUCTURE_ONLY = ({"gamedim.structure"}, {"gamedim.dimsolver", "dataclasses"})
-DIMSOLVER = ({"gamedim.dimsolver"}, set())
+# Example1 n=2 is answered by closed-form parts: the LP code stays unloaded.
+NO_LP = ({"gamedim.dimsolver"}, {"gamedim.lp", "fractions"})
+
+
+def subcommand_case(argv, loads, leaves, game=gd.gen_example1(2), prints="", id=None):
+    return pytest.param(argv, game, loads, leaves, prints, id=id or argv[0])
 
 
 SUBCOMMAND_LOADS = [
-    (["gen", "example1", "--n", "2"], set(), SOLVER | {"gamedim.structure"}),
-    (["dual"], *STRUCTURE_ONLY),
-    (["mwc"], *STRUCTURE_ONLY),
-    (["mlc"], *STRUCTURE_ONLY),
-    (["equiv", "{game}"], *STRUCTURE_ONLY),
-    (["dim"], *DIMSOLVER),
-    (["codim"], *DIMSOLVER),
-    (["weighted"], *DIMSOLVER),
-    (["convert", "--to", "union"], *DIMSOLVER),
+    subcommand_case(["gen", "example1", "--n", "2"], set(), SOLVER | {"gamedim.structure"}),
+    subcommand_case(["dual"], *STRUCTURE_ONLY),
+    subcommand_case(["mwc"], *STRUCTURE_ONLY),
+    subcommand_case(["mlc"], *STRUCTURE_ONLY),
+    subcommand_case(["equiv", "{game}"], *STRUCTURE_ONLY),
+    subcommand_case(["dim"], *NO_LP),
+    subcommand_case(["codim"], *NO_LP),
+    subcommand_case(["weighted"], *NO_LP),
+    subcommand_case(["convert", "--to", "union"], *NO_LP),
+    # The Banzhaf part of this game misses, so its answer is read off an LP.
+    subcommand_case(
+        ["weighted"],
+        {"gamedim.dimsolver", "gamedim.lp"},
+        set(),
+        game=gd.gen_random_monotone(7, 5, 1028),
+        prints="weighted\nwmg 11 : 1 7 1 4 0 1 4\n",
+        id="weighted-lp",
+    ),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, loads, leaves", [pytest.param(*case, id=case[0][0]) for case in SUBCOMMAND_LOADS]
-)
-def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, loads, leaves):
-    text = gd.serialize_game(gd.gen_example1(2))
+@pytest.mark.parametrize("argv, game, loads, leaves, prints", SUBCOMMAND_LOADS)
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, game, loads, leaves, prints):
+    text = gd.serialize_game(game)
     path = tmp_path / "game.txt"
     path.write_text(text, encoding="utf-8")
     argv = [arg.format(game=path) for arg in argv]
@@ -484,7 +679,8 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, loads, leaves):
         "import io\n"
         "from gamedim.cli import run\n"
         "out = io.StringIO()\n"
-        f"assert run({argv!r}, stdout=out) == 0 and out.getvalue()",
+        f"assert run({argv!r}, stdout=out) == 0 and out.getvalue()\n"
+        f"assert {prints!r} in out.getvalue(), out.getvalue()",
         stdin_text=text,
     )
     assert loads <= loaded
@@ -541,9 +737,9 @@ class TestLazyNamespace:
             from gamedim import no_such_name  # noqa: F401
 
     def test_the_solver_loads_no_file_or_generator_module(self):
+        # Nor the LP code: that loads on the first LP.
         loaded = modules_loaded_by("import gamedim.dimsolver")
-        assert {"gamedim.gamefile", "gamedim.generators"}.isdisjoint(loaded)
-        assert "gamedim.lp" in loaded
+        assert {"gamedim.gamefile", "gamedim.generators", "gamedim.lp"}.isdisjoint(loaded)
 
     def test_a_submodule_import_looks_up_no_name_in_vain(self):
         # dimsolver imports lp while dimsolver itself is still importing; a

@@ -1011,9 +1011,9 @@ class TestSeparate:
             def stub(lp):
                 lps.append(lp)
                 result = tuple(map(gd.rational, assignment))
-                return gd.FeasibilityResult(dimsolver._lp.FEASIBLE, result)
+                return gd.FeasibilityResult(gd.lp.FEASIBLE, result)
 
-            monkeypatch.setattr(dimsolver._lp, "solve_feasibility", stub)
+            monkeypatch.setattr(gd.lp, "solve_feasibility", stub)
             return lps
 
         return solve
