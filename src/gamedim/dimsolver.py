@@ -220,7 +220,7 @@ def _separate(
     import gamedim.lp as lp
 
     rows = _separation_rows(n, fixed_masks, target_masks)
-    result = lp.solve_feasibility(lp.LinearProgram(n + 1, rows, frozenset(range(n + 1))))
+    result = lp.solve_feasibility(lp.LinearProgram(n + 1, rows))
     if not result.feasible:
         return None
     values, _ = lp.common_denominator(result.assignment)

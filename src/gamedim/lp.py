@@ -1,19 +1,19 @@
-"""Exact rational linear feasibility with machine-checkable certificates.
+"""Exact linear feasibility of integer rows, with machine-checkable certificates.
 
-Systems of the form  {a.x >= b,  a.x <= b,  x_j >= 0 for declared j}  are
-decided by a phase-one simplex with Bland's pivoting rule, which guarantees
-termination and makes the outcome deterministic for identical input.  A
-feasible outcome carries an assignment satisfying every constraint exactly; an
-infeasible outcome carries Farkas multipliers that recombine the constraints
-into 0 >= c with c > 0.  Both certificate kinds re-verify by plain
-substitution in :func:`verify_certificate`, and the solver self-checks every
-certificate before returning it.
+Systems of the form  {a.x >= b,  a.x <= b,  x >= 0}  with integer a and b
+are decided by a phase-one simplex with Bland's pivoting rule, which
+guarantees termination and makes the outcome deterministic for identical
+input.  Every variable is sign-constrained.  A feasible outcome carries a
+rational assignment satisfying every constraint exactly; an infeasible
+outcome carries Farkas multipliers that recombine the constraints into
+0 >= c with c > 0.  Both certificate kinds re-verify by plain substitution
+in :func:`verify_certificate`, and the solver self-checks every certificate
+before returning it.
 
 The simplex works on an integer tableau with fraction-free pivoting (Edmonds
-1967; Bareiss 1968).  Every row is first multiplied by one common factor, the
-least common multiple of all denominators, so the tableau is integral.  It is
-then held as d times the rational tableau, where d is the determinant of the
-current basis.  Each pivot divides exactly by the old d.  The pivot element
+1967; Bareiss 1968).  The rows are integral, so the tableau starts integral,
+and it is held as d times the rational tableau, where d is the determinant of
+the current basis.  Each pivot divides exactly by the old d.  The pivot element
 becomes the new d, and it is always positive, so signs of reduced costs and
 ratios compared by cross-multiplication are those of the rational tableau,
 and the pivot sequence is the one Bland's rule takes over the rationals.
@@ -55,16 +55,16 @@ longer run would give.
 Both kinds of Farkas multiplier are reduced costs of the final tableau (LP
 duality; Schrijver, *Theory of Linear and Integer Programming*, 1986): the
 multiplier of a row is the reduced cost of its surplus column, and that of a
-sign row x_j >= 0 is the reduced cost of x_j's column over the common factor.
-Negating a row negates both its surplus column and its dual value, so that
-reading holds whether a row starts with its artificial or its surplus.  An
-infeasible phase one stops only when no stored column has a negative reduced
-cost, and a certificate needs nothing more than those signs, so the drop rule
-keeps every infeasible answer certified.
+sign row x_j >= 0 is the reduced cost of x_j's column.  Negating a row
+negates both its surplus column and its dual value, so that reading holds
+whether a row starts with its artificial or its surplus.  An infeasible
+phase one stops only when no stored column has a negative reduced cost, and
+a certificate needs nothing more than those signs, so the drop rule keeps
+every infeasible answer certified.
 
 ``fractions.Fraction`` values are formed only when the result is built.  The
 verifier puts a certificate over one common denominator and substitutes its
-integer numerators, so integer rows are checked in integer arithmetic.
+integer numerators, so the rows are checked in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
+from operator import index as as_int
 
 from .core import CertificateError, Immutable
 
@@ -89,10 +90,6 @@ def rational(numerator, denominator=1):
     return Fraction(numerator, denominator)
 
 
-def _exact(value):
-    return value if isinstance(value, int) else Fraction(value)
-
-
 def common_denominator(values) -> tuple[list[int], int]:
     """Integer numerators over one positive common denominator of exact rationals."""
     for v in values:
@@ -104,10 +101,10 @@ def common_denominator(values) -> tuple[list[int], int]:
 
 
 class Constraint(Immutable):
-    """One row  coeffs . x  (>=|<=)  rhs  over rational coefficients.
+    """One row  coeffs . x  (>=|<=)  rhs  over integers.
 
-    An ``int`` coefficient or rhs is kept as it is; any other value becomes a
-    ``Fraction`` (``Fraction("1/2")``, ``Fraction(0.5)``).
+    Coefficients and rhs go through ``operator.index``, as the entries of a
+    ``WeightedGame`` do: a ``Fraction``, float or string raises ``TypeError``.
     """
 
     coeffs: tuple
@@ -117,7 +114,7 @@ class Constraint(Immutable):
     def __init__(self, coeffs: tuple, relation: str, rhs: object) -> None:
         if relation not in (GE, LE):
             raise ValueError(f"relation must be {GE!r} or {LE!r}, got {relation!r}")
-        self._set(tuple(map(_exact, coeffs)), relation, _exact(rhs))
+        self._set(tuple(map(as_int, coeffs)), relation, as_int(rhs))
 
     def ge_form(self) -> tuple[tuple, object]:
         """Coefficients and rhs with the row oriented as >=."""
@@ -127,23 +124,17 @@ class Constraint(Immutable):
 
 
 class LinearProgram(Immutable):
-    """A pure feasibility system: rows plus a set of sign-constrained variables."""
+    """A pure feasibility system: integer rows over ``num_vars`` nonnegative variables."""
 
     num_vars: int
     constraints: tuple[Constraint, ...]
-    nonneg_vars: frozenset[int]
 
-    def __init__(
-        self, num_vars: int, constraints: tuple[Constraint, ...], nonneg_vars: frozenset[int]
-    ) -> None:
-        constraints, nonneg_vars = tuple(constraints), frozenset(nonneg_vars)
+    def __init__(self, num_vars: int, constraints: tuple[Constraint, ...]) -> None:
+        constraints = tuple(constraints)
         for con in constraints:
             if len(con.coeffs) != num_vars:
                 raise ValueError(f"row has {len(con.coeffs)} coefficients, expected {num_vars}")
-        for j in nonneg_vars:
-            if not 0 <= j < num_vars:
-                raise ValueError(f"nonnegative variable index {j} out of range")
-        self._set(num_vars, constraints, nonneg_vars)
+        self._set(num_vars, constraints)
 
 
 class FarkasWitness(Immutable):
@@ -210,8 +201,8 @@ def verify_certificate(lp: LinearProgram, result: FeasibilityResult) -> None:
         if x is None or len(x) != lp.num_vars:
             raise CertificateError("feasible result lacks a full assignment")
         x, d = common_denominator(x)
-        for j in lp.nonneg_vars:
-            if x[j] < 0:
+        for j, xj in enumerate(x):
+            if xj < 0:
                 raise CertificateError(f"assignment violates x_{j} >= 0")
         for i, con in enumerate(lp.constraints):
             value = sum(c * xj for c, xj in zip(con.coeffs, x) if c)
@@ -235,8 +226,8 @@ def verify_certificate(lp: LinearProgram, result: FeasibilityResult) -> None:
                 sums[j] += y * c
             rhs_sum += y * rhs
     for (j, _), u in zip(signs, mults[len(lp.constraints):]):
-        if j not in lp.nonneg_vars:
-            raise CertificateError(f"x_{j} is not sign-constrained")
+        if not 0 <= j < lp.num_vars:
+            raise CertificateError(f"sign row x_{j} >= 0 names no variable")
         sums[j] += u
     if any(sums):
         raise CertificateError("combination does not cancel all variables")
@@ -264,46 +255,31 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
     The result is read off the final rows: the basic values over d, or the
     reduced costs over d as Farkas multipliers.
     """
-    # Column layout: per variable one column (nonnegative) or a +/- pair
-    # (free), then one surplus column per row.  Row i's artificial is basis
-    # label ncols + i with no stored column, so once it leaves the basis it
-    # never re-enters.
-    columns: list[tuple[int, int | None]] = []
-    surplus0 = 0
-    for j in range(lp.num_vars):
-        if j in lp.nonneg_vars:
-            columns.append((surplus0, None))
-            surplus0 += 1
-        else:
-            columns.append((surplus0, surplus0 + 1))
-            surplus0 += 2
-    m = len(lp.constraints)
-    ncols = surplus0 + m
-    scale = math.lcm(*(v.denominator for con in lp.constraints for v in (*con.coeffs, con.rhs)))
+    # Column layout: one column per variable, then one surplus column per
+    # row.  Row i's artificial is basis label ncols + i with no stored
+    # column, so once it leaves the basis it never re-enters.
+    n, m = lp.num_vars, len(lp.constraints)
+    ncols = n + m
 
-    # Each row, oriented as >= and multiplied by the common factor, starts
-    # with its artificial basic and is subtracted from the reduced-cost row
-    # if its rhs is > 0; otherwise it is negated, so its surplus column is
-    # +1, and starts with its surplus basic at the value -rhs >= 0.
+    # Each row, oriented as >=, starts with its artificial basic and is
+    # subtracted from the reduced-cost row if its rhs is > 0; otherwise it is
+    # negated, so its surplus column is +1, and starts with its surplus basic
+    # at the value -rhs >= 0.
     tableau: list[list[int]] = []
     basis: list[int] = []
     z = [0] * (ncols + 1)
     for i, con in enumerate(lp.constraints):
         ge = 1 if con.relation == GE else -1
-        row = [0] * (ncols + 1)
-        for c, (pos, neg) in zip(con.coeffs, columns):
-            if c:
-                row[pos] = c = ge * c.numerator * (scale // c.denominator)
-                if neg is not None:
-                    row[neg] = -c
-        row[surplus0 + i] = -1
-        row[ncols] = ge * con.rhs.numerator * (scale // con.rhs.denominator)
+        row = [ge * c for c in con.coeffs]
+        row += [0] * m
+        row.append(ge * con.rhs)
+        row[n + i] = -1
         if row[ncols] > 0:
             basis.append(ncols + i)
             z = [a - b for a, b in zip(z, row)]
         else:
             row = [-a for a in row]
-            basis.append(surplus0 + i)
+            basis.append(n + i)
         tableau.append(row)
     tableau.append(z)
 
@@ -340,21 +316,14 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
         values = [0] * (ncols + m)  # basic artificials are 0
         for row, bv in zip(tableau, basis):
             values[bv] = row[ncols]
-        assignment = tuple(
-            Fraction(values[pos] - values[neg] if neg is not None else values[pos], d)
-            for pos, neg in columns
-        )
+        assignment = tuple(Fraction(v, d) for v in values[:n])
         return FeasibilityResult(FEASIBLE, assignment=assignment)
 
     # The Farkas multipliers are reduced costs: of each row's surplus column,
-    # and of each nonnegative variable's column over the common factor.
+    # and of each variable's column for its sign row.
     witness = FarkasWitness(
-        tuple(Fraction(y, d) for y in z[surplus0:ncols]),
-        tuple(
-            (j, Fraction(z[pos], d * scale))
-            for j, (pos, neg) in enumerate(columns)
-            if neg is None and z[pos]
-        ),
+        tuple(Fraction(y, d) for y in z[n:ncols]),
+        tuple((j, Fraction(y, d)) for j, y in enumerate(z[:n]) if y),
     )
     return FeasibilityResult(INFEASIBLE, farkas=witness)
 

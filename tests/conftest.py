@@ -139,7 +139,7 @@ def _union_part_exists(n, losing, winning):
     rows += [row(c, gd.GE, 0) for c in winning]
     rows.append(gd.Constraint((0,) * n + (1,), gd.GE, 1))
     rows.append(gd.Constraint((1,) * n + (-1,), gd.GE, 0))
-    program = gd.LinearProgram(n + 1, rows, frozenset(range(n + 1)))
+    program = gd.LinearProgram(n + 1, rows)
     return gd.solve_feasibility(program).feasible
 
 

@@ -323,8 +323,14 @@ class TestExitCodes:
 
     def test_size_limit_is_exit_two(self):
         big_majority = gd.combine(gd.INTERSECTION, [gd.make_weighted(6, [1] * 10)])
-        code, _, err = call(["codim"], stdin_text=gd.serialize_game(big_majority))
-        assert code == 2 and "size limit" in err
+        # 210, 252 and 210 separation targets against the cap of 32.
+        for argv in (
+            ["codim"],
+            ["convert", "--to", "intersection", "--mode", "minimal"],
+            ["convert", "--to", "union", "--mode", "minimal"],
+        ):
+            code, _, err = call(argv, stdin_text=gd.serialize_game(big_majority))
+            assert code == 2 and "size limit" in err
         too_many_players = "simplegame 1\nplayers 25\nform weighted\nwmg 1 : " + "1 " * 25 + "\n"
         code, _, err = call(["dim"], stdin_text=too_many_players)
         assert code == 2 and "size limit" in err and "player-limit" in err

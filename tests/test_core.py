@@ -544,15 +544,13 @@ VALUE_TYPES = [
     ),
     (lambda: gd.SSPInstance(b=2, a=(5, 7), d=2), "SSPInstance(b=2, a=(5, 7), d=2)"),
     (
-        lambda: gd.Constraint(coeffs=(1, gd.rational(1, 2)), relation=gd.GE, rhs=1),
-        "Constraint(coeffs=(1, Fraction(1, 2)), relation='>=', rhs=1)",
+        lambda: gd.Constraint(coeffs=(1, -2), relation=gd.GE, rhs=1),
+        "Constraint(coeffs=(1, -2), relation='>=', rhs=1)",
     ),
     (
-        lambda: gd.LinearProgram(
-            num_vars=1, constraints=(gd.Constraint((1,), gd.LE, 3),), nonneg_vars=frozenset({0})
-        ),
+        lambda: gd.LinearProgram(num_vars=1, constraints=(gd.Constraint((1,), gd.LE, 3),)),
         "LinearProgram(num_vars=1, constraints=(Constraint(coeffs=(1,), relation='<=', "
-        "rhs=3),), nonneg_vars=frozenset({0}))",
+        "rhs=3),))",
     ),
     (
         lambda: gd.FarkasWitness(row_multipliers=(1,), nonneg_multipliers=()),

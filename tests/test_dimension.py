@@ -531,7 +531,7 @@ def pair_program(game, codim, t1, t2):
     """The separation LP of one target pair: the fixed rows, then w(T) - q <= -1."""
     rows = list(fixed_separation_rows(game, codim))
     rows += [target_separation_row(game.n, t) for t in (t1, t2)]
-    return gd.LinearProgram(game.n + 1, rows, range(game.n + 1))
+    return gd.LinearProgram(game.n + 1, rows)
 
 
 class TestTradeCertificates:

@@ -11,22 +11,18 @@ from gamedim.generators import splitmix64
 from gamedim.lp import common_denominator
 
 
-def lp_of(rows, num_vars, nonneg=None):
-    constraints = tuple(gd.Constraint(c, rel, rhs) for c, rel, rhs in rows)
-    if nonneg is None:
-        nonneg = range(num_vars)
-    return gd.LinearProgram(num_vars, constraints, frozenset(nonneg))
+def lp_of(rows, num_vars):
+    return gd.LinearProgram(num_vars, tuple(gd.Constraint(c, rel, rhs) for c, rel, rhs in rows))
 
 
 def vertex_feasible(lp):
-    """Independent oracle for pointed systems (every variable sign-constrained).
+    """Independent oracle: every variable is sign-constrained, so the system is pointed.
 
     A nonempty region inside the nonnegative orthant has a vertex, and every
     vertex solves some square subsystem of active rows (including the x_j >= 0
     rows), so checking all square subsystems decides feasibility exactly.
     """
     n = lp.num_vars
-    assert lp.nonneg_vars == frozenset(range(n))
     rows = [con.ge_form() for con in lp.constraints]
     for j in range(n):
         unit = tuple(Fraction(int(k == j)) for k in range(n))
@@ -69,7 +65,7 @@ def solve_square(matrix, rhs):
 
 class TestSpecSystems:
     def test_contradictory_bounds(self):
-        lp = lp_of([((1,), gd.GE, 1), ((1,), gd.LE, 0)], 1, nonneg=())
+        lp = lp_of([((1,), gd.GE, 1), ((1,), gd.LE, 0)], 1)
         result = gd.solve_feasibility(lp)
         assert not result.feasible
         # 1*(w >= 1) + 1*(-w >= 0) recombines to 0 >= 1.
@@ -77,7 +73,7 @@ class TestSpecSystems:
         gd.verify_certificate(lp, result)
 
     def test_interval(self):
-        lp = lp_of([((1,), gd.GE, 1), ((1,), gd.LE, 2)], 1, nonneg=())
+        lp = lp_of([((1,), gd.GE, 1), ((1,), gd.LE, 2)], 1)
         result = gd.solve_feasibility(lp)
         assert result.feasible
         assert 1 <= result.assignment[0] <= 2
@@ -116,9 +112,14 @@ class TestCertificates:
         with pytest.raises(gd.CertificateError):
             gd.verify_certificate(lp, forged)
         gd.verify_certificate(lp, result)
+        # x_0 + x_1 >= 1 holds at (2, -1), but x_1 >= 0 does not.
+        lp = lp_of([((1, 1), gd.GE, 1)], 2)
+        negative = gd.FeasibilityResult("feasible", assignment=(gd.rational(2), gd.rational(-1)))
+        with pytest.raises(gd.CertificateError, match="x_1 >= 0"):
+            gd.verify_certificate(lp, negative)
 
     def test_verifier_rejects_corrupted_witness(self):
-        lp = lp_of([((1,), gd.GE, 1), ((1,), gd.LE, 0)], 1, nonneg=())
+        lp = lp_of([((1,), gd.GE, 1), ((1,), gd.LE, 0)], 1)
         result = gd.solve_feasibility(lp)
         forged = gd.FeasibilityResult(
             "infeasible",
@@ -134,7 +135,7 @@ class TestCertificates:
         inexact = gd.FeasibilityResult("feasible", assignment=(1 / 3,))
         with pytest.raises(gd.CertificateError, match="not an exact rational"):
             gd.verify_certificate(lp, inexact)
-        lp = lp_of([((1,), gd.GE, 1), ((1,), gd.LE, 0)], 1, nonneg=())
+        lp = lp_of([((1,), gd.GE, 1), ((1,), gd.LE, 0)], 1)
         inexact = gd.FeasibilityResult(
             "infeasible", farkas=gd.FarkasWitness((1.0, gd.rational(1)), ())
         )
@@ -161,10 +162,16 @@ class TestCertificates:
         )
         with pytest.raises(gd.CertificateError, match="cancel"):
             gd.verify_certificate(lp, forged)
+        for j in (2, -1):
+            forged = gd.FeasibilityResult(
+                "infeasible", farkas=gd.FarkasWitness((Fraction(1),), ((j, Fraction(1)),))
+            )
+            with pytest.raises(gd.CertificateError, match="names no variable"):
+                gd.verify_certificate(lp, forged)
 
     def test_verifier_substitutes_mixed_denominators_exactly(self):
-        # x_0 + 3 x_1 = 3/4 as a pair of rows; 1/4 + 3 * 1/6 meets it exactly.
-        lp = lp_of([((1, 3), gd.GE, Fraction(3, 4)), ((1, 3), gd.LE, Fraction(3, 4))], 2)
+        # 12 x_0 + 36 x_1 = 9 as a pair of rows; 12/4 + 36/6 meets it exactly.
+        lp = lp_of([((12, 36), gd.GE, 9), ((12, 36), gd.LE, 9)], 2)
         exact = (Fraction(1, 4), Fraction(1, 6))
         gd.verify_certificate(lp, gd.FeasibilityResult("feasible", assignment=exact))
         for miss in (Fraction(1, 1000), Fraction(-1, 1000)):
@@ -172,12 +179,14 @@ class TestCertificates:
             with pytest.raises(gd.CertificateError, match="violates row"):
                 gd.verify_certificate(lp, gd.FeasibilityResult("feasible", assignment=near))
 
-    def test_constraint_keeps_ints_and_makes_other_values_fractions(self):
-        con = gd.Constraint((1, "1/2", 0.5, -3), gd.LE, 2)
-        assert [type(c) for c in con.coeffs] == [int, Fraction, Fraction, int]
-        assert con.coeffs == (1, Fraction(1, 2), Fraction(1, 2), -3)
-        assert type(con.rhs) is int
-        assert type(gd.Constraint((1,), gd.GE, "1/2").rhs) is Fraction
+    def test_constraint_takes_integers_only(self):
+        con = gd.Constraint((1, 0, -3), gd.LE, 2)
+        assert con.coeffs == (1, 0, -3) and con.rhs == 2
+        for value in (Fraction(1, 2), Fraction(2), 0.5, 2.0, "1/2", "2", Decimal(2), None):
+            with pytest.raises(TypeError):
+                gd.Constraint((1, value), gd.GE, 0)
+            with pytest.raises(TypeError):
+                gd.Constraint((1,), gd.LE, value)
 
     def test_record_certificates_collects_solves(self):
         lp = lp_of([((1,), gd.GE, 1)], 1)
@@ -233,13 +242,6 @@ class TestBruteForceAgreement:
         # the sample must exercise both outcomes to mean anything
         assert statuses[True] > 10 and statuses[False] > 10
 
-    def test_free_variable_systems(self):
-        lp = lp_of([((1,), gd.LE, -1)], 1, nonneg=())
-        result = gd.solve_feasibility(lp)
-        assert result.feasible and result.assignment[0] <= -1
-        lp = lp_of([((1, 1), gd.GE, 2), ((1, 1), gd.LE, 1)], 2, nonneg=())
-        assert not gd.solve_feasibility(lp).feasible
-
 
 def separation_lp(n, winning, losing):
     """[q; w] separation rows: w(S) - q >= 0 on winning S, <= -1 on losing S, q >= 1."""
@@ -261,18 +263,6 @@ EXAMPLE1_3_TRANSVERSALS = [
 ]
 # Minimal winning coalitions of gen_random_monotone(8, 6, 1029), a corpus game.
 CORPUS_8_6_1029_MWC = [(1, 3), (2, 3, 4, 7), (2, 5, 7), (2, 4, 5, 6, 8), (1, 5, 6, 7, 8)]
-RATIONAL_FEASIBLE_ROWS = [
-    (as_fractions(4, "5/2", 1), gd.LE, -1),
-    (as_fractions(-1, "5/4", "-4/3"), gd.GE, 1),
-    (as_fractions("-5/3", "1/4", -4), gd.GE, Fraction(1, 3)),
-    (as_fractions("4/3", 1, "3/2"), gd.GE, -1),
-]
-RATIONAL_INFEASIBLE_ROWS = [
-    (as_fractions("-2/5", "3/2", 0), gd.LE, Fraction(5, 3)),
-    (as_fractions("-4/5", "-5/4", "-1/5"), gd.GE, Fraction(-2, 3)),
-    (as_fractions("2/5", "3/4", "1/2"), gd.GE, 5),
-    (as_fractions("3/4", -5, "-3/5"), gd.GE, -1),
-]
 
 # Certificates as the Bland pivot sequence over rationals returns them from a
 # slack start (a row already met at x = 0 starts with its surplus basic, and
@@ -294,11 +284,6 @@ GOLDEN_FEASIBLE = [
         as_fractions(8, 4, 0, 1, 1, 1, 3, 1, 8),
         id="corpus-8-6-1029",
     ),
-    pytest.param(
-        lp_of(RATIONAL_FEASIBLE_ROWS, 3, nonneg=(1, 2)),
-        as_fractions("-241/383", "200/383", "81/383"),
-        id="rational-free-variable",
-    ),
 ]
 GOLDEN_INFEASIBLE = [
     pytest.param(
@@ -312,12 +297,6 @@ GOLDEN_INFEASIBLE = [
         as_fractions(1, 0, 0, 1, 0, 1, 1, 0),
         ((1, Fraction(1)), (3, Fraction(1)), (4, Fraction(1))),
         id="corpus-8-6-1029",
-    ),
-    pytest.param(
-        lp_of(RATIONAL_INFEASIBLE_ROWS, 3, nonneg=(1, 2)),
-        as_fractions(0, "41/42", 1, "32/63"),
-        ((1, Fraction(1517, 504)),),
-        id="rational-free-variable",
     ),
     # The is_weighted LP of gen_random_monotone(7, 7, 2006): with an artificial
     # on every row and artificial columns stored, Bland's rule brought a
@@ -385,40 +364,33 @@ class TestGoldenCertificates:
         assert all_fractions(v for _, v in result.farkas.nonneg_multipliers)
 
 
-def random_rational_lp(stream, num_vars, num_rows, nonneg):
+def random_integer_lp(stream, num_vars, num_rows):
     def value():
-        return Fraction(next(stream) % 9 - 4, 1 + next(stream) % 4)
+        return next(stream) % 25 - 12
 
     rows = []
     for _ in range(num_rows):
         coeffs = tuple(value() for _ in range(num_vars))
         relation = gd.GE if next(stream) % 2 else gd.LE
         rows.append((coeffs, relation, value()))
-    return lp_of(rows, num_vars, nonneg)
+    return lp_of(rows, num_vars)
 
 
 class TestRandomCertificates:
-    def test_rational_systems_certify(self):
+    def test_integer_systems_certify(self):
+        # Entries up to 12 in absolute value: most pivots are on an element p != d.
         stream = splitmix64(31337)
         statuses = {True: 0, False: 0}
-        pointed = 0
         for _ in range(200):
             num_vars = 1 + next(stream) % 3
             num_rows = 1 + next(stream) % 4
-            if next(stream) % 2:
-                nonneg = range(num_vars)
-            else:
-                nonneg = [j for j in range(num_vars) if next(stream) % 2]
-            lp = random_rational_lp(stream, num_vars, num_rows, nonneg)
+            lp = random_integer_lp(stream, num_vars, num_rows)
             result = gd.solve_feasibility(lp)
             gd.verify_certificate(lp, result)
-            if lp.nonneg_vars == frozenset(range(num_vars)):
-                assert result.feasible == vertex_feasible(lp)
-                pointed += 1
+            assert result.feasible == vertex_feasible(lp)
             statuses[result.feasible] += 1
-        # both outcomes and both kinds of system must occur to mean anything
+        # both outcomes must occur to mean anything
         assert statuses[True] > 20 and statuses[False] > 20
-        assert 50 < pointed < 150
 
 
 def bareiss_pivot(tableau, d, leave, enter):
@@ -480,7 +452,7 @@ class TestSolverContract:
             lp = random_pointed_lp(stream, num_vars, 1 + next(stream) % 4)
             scaled_rows = []
             for con in lp.constraints:
-                factor = gd.rational(1 + next(stream) % 5, 1 + next(stream) % 5)
+                factor = 1 + next(stream) % 5
                 scaled_rows.append(
                     gd.Constraint(
                         tuple(factor * c for c in con.coeffs),
@@ -488,7 +460,7 @@ class TestSolverContract:
                         factor * con.rhs,
                     )
                 )
-            scaled = gd.LinearProgram(lp.num_vars, tuple(scaled_rows), lp.nonneg_vars)
+            scaled = gd.LinearProgram(lp.num_vars, tuple(scaled_rows))
             assert (
                 gd.solve_feasibility(lp).feasible
                 == gd.solve_feasibility(scaled).feasible
@@ -504,7 +476,7 @@ class TestSolverContract:
         assert first == second
 
     def test_empty_system_is_feasible(self):
-        result = gd.solve_feasibility(gd.LinearProgram(2, (), frozenset({0})))
+        result = gd.solve_feasibility(gd.LinearProgram(2, ()))
         assert result.feasible
 
     def test_zero_row_contradiction(self):
@@ -517,6 +489,4 @@ class TestSolverContract:
         with pytest.raises(ValueError):
             gd.Constraint((1,), "==", 0)
         with pytest.raises(ValueError):
-            gd.LinearProgram(2, (gd.Constraint((1,), gd.GE, 0),), frozenset())
-        with pytest.raises(ValueError):
-            gd.LinearProgram(1, (), frozenset({3}))
+            gd.LinearProgram(2, (gd.Constraint((1,), gd.GE, 0),))
