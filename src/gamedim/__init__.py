@@ -36,8 +36,6 @@ _EXPORTS = {
         "make_weighted",
     ),
     "lp": (
-        "GE",
-        "LE",
         "Constraint",
         "FarkasWitness",
         "FeasibilityResult",

@@ -372,7 +372,7 @@ def _run_command(args, stdin, stdout) -> int:
 
 
 def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
-    """Parse arguments and run one subcommand; returns the exit status."""
+    """Parse arguments and run one subcommand; returns the exit code."""
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr

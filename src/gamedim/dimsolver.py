@@ -119,7 +119,6 @@ from .core import (
     WeightedGame,
     _subset_weights,
     combine,
-    complemented,
     set_bits,
     superset_closure,
     swing_counts,
@@ -186,23 +185,21 @@ class SeparabilityOracleCache:
 def _separation_rows(
     n: int, fixed_masks: Sequence[int], target_masks: Sequence[int]
 ) -> tuple[gamedim.lp.Constraint, ...]:
-    """Rows of the separation LP for a weighted game [q; w] over w_1..w_n, q.
+    """Rows a.x >= b of the separation LP for a weighted game [q; w] over w_1..w_n, q.
 
     The fixed rows come first: w(S) - q >= 0 on each fixed coalition S, so
-    the game wins on it, and the quota row q >= 1.  Then w(T) - q <= -1 on
+    the game wins on it, and the quota row q >= 1.  Then q - w(T) >= 1 on
     each target T, so the game loses on it.  Masks are compact.
     """
     import gamedim.lp as lp
 
-    def row(mask, relation, rhs):
-        coeffs = [mask >> j & 1 for j in range(n)]
-        coeffs.append(-1)
-        return lp.Constraint(coeffs, relation, rhs)
+    def row(mask, sign, rhs):
+        return lp.Constraint([sign * (mask >> j & 1) for j in range(n)] + [-sign], rhs)
 
     return (
-        *(row(m, lp.GE, 0) for m in fixed_masks),
-        lp.Constraint((0,) * n + (1,), lp.GE, 1),
-        *(row(m, lp.LE, -1) for m in target_masks),
+        *(row(m, 1, 0) for m in fixed_masks),
+        lp.Constraint((0,) * n + (1,), 1),
+        *(row(m, -1, 1) for m in target_masks),
     )
 
 
@@ -559,24 +556,21 @@ def _witnessed_partition(game: SimpleGame, kind: str) -> DimensionWitness:
     own part; otherwise the cap is checked on the target table's bit count,
     before any mask is listed, then the Banzhaf part, the block part of the
     whole target set read off the game's table, is tried, and only when it
-    misses does the search run.  A codimension complements both tables and
-    lists their masks descending, so that both lists keep the order of the
-    game's own ascending coalitions, and maps each part back by
-    ``dual_weighted``.
+    misses does the search run.  A codimension complements each mask of the
+    game's own extremal sets, which keeps the order of its ascending
+    coalitions, and maps each part back by ``dual_weighted``.
     """
     if game.form == WEIGHTED:
         return DimensionWitness(1, game.parts, kind)
     sets = extremal_sets(game)
     n = game.n
-    if kind == UNION:
-        fixed_table, target_table = complemented(sets.losing, n), complemented(sets.winning, n)
-    else:
-        fixed_table, target_table = sets.winning, sets.losing
+    flip = (1 << n) - 1 if kind == UNION else 0
+    fixed_table, target_table = (sets.losing, sets.winning) if flip else (sets.winning, sets.losing)
     count = target_table.bit_count()
     if count > COVER_MAX:
         raise SizeLimitError(f"{count} separation targets exceed the solver cap of {COVER_MAX}")
-    order = -1 if kind == UNION else 1
-    fixed_masks, target_masks = set_bits(fixed_table)[::order], set_bits(target_table)[::order]
+    fixed_masks = [flip ^ m for m in set_bits(fixed_table)]
+    target_masks = [flip ^ m for m in set_bits(target_table)]
     part = _threshold_part(swing_counts(game.truth_table, n), fixed_masks, target_masks)
     parts = (part,) if part is not None else _search(n, fixed_masks, target_masks)
     if kind == UNION:
@@ -598,7 +592,7 @@ def codimension(game: SimpleGame) -> DimensionWitness:
     A part [q; w] loses on every maximal losing L and wins on a minimal
     winning A exactly when its dual [w(N) - q + 1; w] wins on N - L and loses
     on N - A (see :func:`realizable`).  So the dimension oracle runs on the
-    complemented tables of the game's own extremal sets, and each part found
+    complemented masks of the game's own extremal sets, and each part found
     is mapped back by ``dual_weighted``; no dual game is built.
     """
     return _witnessed_partition(game, UNION)

@@ -1,7 +1,8 @@
 """Exact linear feasibility of integer rows, with machine-checkable certificates.
 
-Systems of the form  {a.x >= b,  a.x <= b,  x >= 0}  with integer a and b
-are decided by a phase-one simplex with Bland's pivoting rule, which
+Systems of the form  {a.x >= b,  x >= 0}  with integer a and b (the
+standard Farkas form; Schrijver, *Theory of Linear and Integer Programming*,
+1986) are decided by a phase-one simplex with Bland's pivoting rule, which
 guarantees termination and makes the outcome deterministic for identical
 input.  Every variable is sign-constrained.  A feasible outcome carries a
 rational assignment satisfying every constraint exactly; an infeasible
@@ -26,12 +27,12 @@ entry.  Both give the same tableau.
 
 Phase one starts from slack columns where it can (Chvátal, *Linear
 Programming*, 1983; Maros, *Computational Techniques of the Simplex Method*,
-2003, on crash bases).  A row whose >=-oriented rhs is at most 0 already
-holds at x = 0; it is negated, so its surplus column is +e_i, and its
-surplus starts basic at the value -rhs >= 0.  Only a row with rhs > 0 gets
-an artificial, and only those rows enter the phase-one objective.  Every win
-row w.S - q >= 0 of a separation LP has rhs 0, so such an LP starts with
-nearly all of its rows basic in their surplus.
+2003, on crash bases).  A row whose rhs is at most 0 already holds at x = 0;
+it is negated, so its surplus column is +e_i, and its surplus starts basic
+at the value -rhs >= 0.  Only a row with rhs > 0 gets an artificial, and
+only those rows enter the phase-one objective.  Every win row w.S - q >= 0
+of a separation LP has rhs 0, so such an LP starts with nearly all of its
+rows basic in their surplus.
 
 Every solve builds its tableau at once from the slack start, with d = 1 and
 an empty structural basis, runs one phase one on it, and reads the
@@ -78,12 +79,6 @@ from operator import index as as_int
 
 from .core import CertificateError, Immutable
 
-GE = ">="
-LE = "<="
-
-FEASIBLE = "feasible"
-INFEASIBLE = "infeasible"
-
 
 def rational(numerator, denominator=1):
     """The exact rational ``numerator / denominator`` as a ``Fraction``."""
@@ -101,26 +96,17 @@ def common_denominator(values) -> tuple[list[int], int]:
 
 
 class Constraint(Immutable):
-    """One row  coeffs . x  (>=|<=)  rhs  over integers.
+    """One row  coeffs . x  >=  rhs  over integers.
 
     Coefficients and rhs go through ``operator.index``, as the entries of a
     ``WeightedGame`` do: a ``Fraction``, float or string raises ``TypeError``.
     """
 
     coeffs: tuple
-    relation: str
     rhs: object
 
-    def __init__(self, coeffs: tuple, relation: str, rhs: object) -> None:
-        if relation not in (GE, LE):
-            raise ValueError(f"relation must be {GE!r} or {LE!r}, got {relation!r}")
-        self._set(tuple(map(as_int, coeffs)), relation, as_int(rhs))
-
-    def ge_form(self) -> tuple[tuple, object]:
-        """Coefficients and rhs with the row oriented as >=."""
-        if self.relation == GE:
-            return self.coeffs, self.rhs
-        return tuple(-c for c in self.coeffs), -self.rhs
+    def __init__(self, coeffs: tuple, rhs: object) -> None:
+        self._set(tuple(map(as_int, coeffs)), as_int(rhs))
 
 
 class LinearProgram(Immutable):
@@ -140,10 +126,10 @@ class LinearProgram(Immutable):
 class FarkasWitness(Immutable):
     """Nonnegative multipliers recombining the system into 0 >= positive.
 
-    ``row_multipliers[i]`` applies to constraint i oriented as >= (a <= row is
-    negated first); ``nonneg_multipliers`` holds (variable, multiplier) pairs
-    for the implicit rows x_j >= 0.  Summing all multiplied rows cancels every
-    variable exactly and leaves a positive right-hand side.
+    ``row_multipliers[i]`` applies to constraint i; ``nonneg_multipliers``
+    holds (variable, multiplier) pairs for the implicit rows x_j >= 0.
+    Summing all multiplied rows cancels every variable exactly and leaves a
+    positive right-hand side.
     """
 
     row_multipliers: tuple
@@ -154,20 +140,19 @@ class FarkasWitness(Immutable):
 
 
 class FeasibilityResult(Immutable):
-    """An outcome and its certificate."""
+    """An outcome as its certificate: an assignment or a Farkas witness, exactly one."""
 
-    status: str
     assignment: tuple | None
     farkas: FarkasWitness | None
 
-    def __init__(
-        self, status: str, assignment: tuple | None = None, farkas: FarkasWitness | None = None
-    ) -> None:
-        self._set(status, assignment, farkas)
+    def __init__(self, assignment: tuple | None = None, farkas: FarkasWitness | None = None):
+        if (assignment is None) == (farkas is None):
+            raise ValueError("a result holds exactly one of an assignment and a Farkas witness")
+        self._set(assignment, farkas)
 
     @property
     def feasible(self) -> bool:
-        return self.status == FEASIBLE
+        return self.assignment is not None
 
 
 _certificate_log: ContextVar[list | None] = ContextVar("_certificate_log", default=None)
@@ -197,21 +182,18 @@ def verify_certificate(lp: LinearProgram, result: FeasibilityResult) -> None:
     leave a positive right-hand side.
     """
     if result.feasible:
-        x = result.assignment
-        if x is None or len(x) != lp.num_vars:
+        if len(result.assignment) != lp.num_vars:
             raise CertificateError("feasible result lacks a full assignment")
-        x, d = common_denominator(x)
+        x, d = common_denominator(result.assignment)
         for j, xj in enumerate(x):
             if xj < 0:
                 raise CertificateError(f"assignment violates x_{j} >= 0")
         for i, con in enumerate(lp.constraints):
-            value = sum(c * xj for c, xj in zip(con.coeffs, x) if c)
-            rhs = con.rhs * d
-            if value < rhs if con.relation == GE else value > rhs:
+            if sum(c * xj for c, xj in zip(con.coeffs, x) if c) < con.rhs * d:
                 raise CertificateError(f"assignment violates row {i}")
         return
     witness = result.farkas
-    if witness is None or len(witness.row_multipliers) != len(lp.constraints):
+    if len(witness.row_multipliers) != len(lp.constraints):
         raise CertificateError("infeasible result lacks a full Farkas witness")
     signs = witness.nonneg_multipliers
     mults, _ = common_denominator([*witness.row_multipliers, *(u for _, u in signs)])
@@ -221,10 +203,9 @@ def verify_certificate(lp: LinearProgram, result: FeasibilityResult) -> None:
     rhs_sum = 0
     for y, con in zip(mults, lp.constraints):
         if y:
-            coeffs, rhs = con.ge_form()
-            for j, c in enumerate(coeffs):
+            for j, c in enumerate(con.coeffs):
                 sums[j] += y * c
-            rhs_sum += y * rhs
+            rhs_sum += y * con.rhs
     for (j, _), u in zip(signs, mults[len(lp.constraints):]):
         if not 0 <= j < lp.num_vars:
             raise CertificateError(f"sign row x_{j} >= 0 names no variable")
@@ -236,7 +217,7 @@ def verify_certificate(lp: LinearProgram, result: FeasibilityResult) -> None:
 
 
 def solve_feasibility(lp: LinearProgram) -> FeasibilityResult:
-    """Exact feasibility status plus a verified certificate of the outcome.
+    """Exact feasibility, as a verified certificate of the outcome.
 
     Every result is re-checked by :func:`verify_certificate` and appended
     to the active :func:`record_certificates` log, if any.
@@ -261,18 +242,15 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
     n, m = lp.num_vars, len(lp.constraints)
     ncols = n + m
 
-    # Each row, oriented as >=, starts with its artificial basic and is
-    # subtracted from the reduced-cost row if its rhs is > 0; otherwise it is
-    # negated, so its surplus column is +1, and starts with its surplus basic
-    # at the value -rhs >= 0.
+    # Each row starts with its artificial basic and is subtracted from the
+    # reduced-cost row if its rhs is > 0; otherwise it is negated, so its
+    # surplus column is +1, and starts with its surplus basic at the value
+    # -rhs >= 0.
     tableau: list[list[int]] = []
     basis: list[int] = []
     z = [0] * (ncols + 1)
     for i, con in enumerate(lp.constraints):
-        ge = 1 if con.relation == GE else -1
-        row = [ge * c for c in con.coeffs]
-        row += [0] * m
-        row.append(ge * con.rhs)
+        row = list(con.coeffs) + [0] * m + [con.rhs]
         row[n + i] = -1
         if row[ncols] > 0:
             basis.append(ncols + i)
@@ -317,7 +295,7 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
         for row, bv in zip(tableau, basis):
             values[bv] = row[ncols]
         assignment = tuple(Fraction(v, d) for v in values[:n])
-        return FeasibilityResult(FEASIBLE, assignment=assignment)
+        return FeasibilityResult(assignment=assignment)
 
     # The Farkas multipliers are reduced costs: of each row's surplus column,
     # and of each variable's column for its sign row.
@@ -325,7 +303,7 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
         tuple(Fraction(y, d) for y in z[n:ncols]),
         tuple((j, Fraction(y, d)) for j, y in enumerate(z[:n]) if y),
     )
-    return FeasibilityResult(INFEASIBLE, farkas=witness)
+    return FeasibilityResult(farkas=witness)
 
 
 def _pivot(tableau, d, leave, enter):

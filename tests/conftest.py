@@ -129,16 +129,16 @@ def _least_feasible_partition(count, block_ok):
 def _union_part_exists(n, losing, winning):
     """Whether one weighted game [q; w] loses on every coalition of ``losing``
     and wins on every one of ``winning``, decided by an LP built here in the
-    union orientation: w(L) - q <= -1, w(A) - q >= 0, q >= 1, w(N) - q >= 0."""
+    union orientation: q - w(L) >= 1, w(A) - q >= 0, q >= 1, w(N) - q >= 0."""
 
-    def row(coalition, relation, rhs):
-        coeffs = tuple(int(j in coalition) for j in range(1, n + 1)) + (-1,)
-        return gd.Constraint(coeffs, relation, rhs)
+    def row(coalition, sign, rhs):
+        coeffs = tuple(sign * int(j in coalition) for j in range(1, n + 1)) + (-sign,)
+        return gd.Constraint(coeffs, rhs)
 
-    rows = [row(c, gd.LE, -1) for c in losing]
-    rows += [row(c, gd.GE, 0) for c in winning]
-    rows.append(gd.Constraint((0,) * n + (1,), gd.GE, 1))
-    rows.append(gd.Constraint((1,) * n + (-1,), gd.GE, 0))
+    rows = [row(c, -1, 1) for c in losing]
+    rows += [row(c, 1, 0) for c in winning]
+    rows.append(gd.Constraint((0,) * n + (1,), 1))
+    rows.append(gd.Constraint((1,) * n + (-1,), 0))
     program = gd.LinearProgram(n + 1, rows)
     return gd.solve_feasibility(program).feasible
 

@@ -1,7 +1,8 @@
 """Every game on at most five players: a census of answers, block parts and weighted games.
 
 The checks below run on every game on at most four players; one sweep of
-answers and LP certificates runs on all 7,579 games on five.
+answers and LP certificates, and the check of ``is_weighted`` against an
+enumeration of weighted games, run on all 7,579 games on five too.
 
 A game here is a monotone truth table over compact masks with the empty
 coalition losing and some coalition winning.  The monotone tables on n
@@ -110,38 +111,43 @@ def test_every_block_gets_a_part_only_when_its_lp_is_feasible():
     assert (blocks, feasible, settled) == (2614, 2518, 2354)
 
 
-def weighted_table(n, quota, weights):
-    """The truth table of [quota; weights] on ``n`` players, summed coalition by coalition."""
-    return sum(
-        1 << s
-        for s in range(1 << n)
-        if sum(w for j, w in enumerate(weights) if s >> j & 1) >= quota
-    )
+def coalition_weights(weights):
+    """The weight of every coalition under ``weights``, indexed by compact mask."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
+def weighted_table(sums, quota):
+    """The truth table of a quota over the coalition weights ``sums``."""
+    return sum(1 << s for s, w in enumerate(sums) if w >= quota)
 
 
 def threshold_tables(n, most):
     """Tables of every [q; w] on ``n`` players, integer weights 0..``most``, 1 <= q <= w(N)."""
-    return {
-        weighted_table(n, quota, weights)
-        for weights in itertools.product(range(most + 1), repeat=n)
-        for quota in range(1, sum(weights) + 1)
-    }
+    tables = set()
+    for weights in itertools.product(range(most + 1), repeat=n):
+        sums = coalition_weights(weights)
+        tables.update(weighted_table(sums, quota) for quota in range(1, sum(weights) + 1))
+    return tables
 
 
 def test_is_weighted_agrees_with_an_enumeration_of_every_small_weighted_game():
-    # Weights up to 1, 1, 2 and 3 reach every weighted game on 1 to 4
-    # players: 3, 6, 20 and 150 positive threshold functions (OEIS A000617)
-    # less the two constants.  A representation found is checked against
-    # the game's table.
+    # Weights up to 1, 1, 2, 3 and 5 reach every weighted game on 1 to 5
+    # players: 3, 6, 20, 150 and 3,287 positive threshold functions (OEIS
+    # A000617) less the two constants.  A representation found is checked
+    # against the game's table.
     counts = []
-    for n, most in zip(range(1, 5), (1, 1, 2, 3)):
+    for n, most in zip(range(1, 6), (1, 1, 2, 3, 5)):
         weighted = threshold_tables(n, most)
         for table in games(n):
             part = gd.is_weighted(simple_game(table, n))
             assert (part is not None) == (table in weighted)
-            assert part is None or weighted_table(n, part.quota, part.weights) == table
+            if part is not None:
+                assert weighted_table(coalition_weights(part.weights), part.quota) == table
         counts.append(len(weighted))
-    assert counts == [1, 4, 18, 148]
+    assert counts == [1, 4, 18, 148, 3285]
 
 
 def test_every_five_player_game_has_equal_dimension_and_codimension():

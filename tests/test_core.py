@@ -543,22 +543,18 @@ VALUE_TYPES = [
         "ExtremalSets(n=2, winning=10, losing=1)",
     ),
     (lambda: gd.SSPInstance(b=2, a=(5, 7), d=2), "SSPInstance(b=2, a=(5, 7), d=2)"),
+    (lambda: gd.Constraint(coeffs=(1, -2), rhs=1), "Constraint(coeffs=(1, -2), rhs=1)"),
     (
-        lambda: gd.Constraint(coeffs=(1, -2), relation=gd.GE, rhs=1),
-        "Constraint(coeffs=(1, -2), relation='>=', rhs=1)",
-    ),
-    (
-        lambda: gd.LinearProgram(num_vars=1, constraints=(gd.Constraint((1,), gd.LE, 3),)),
-        "LinearProgram(num_vars=1, constraints=(Constraint(coeffs=(1,), relation='<=', "
-        "rhs=3),))",
+        lambda: gd.LinearProgram(num_vars=1, constraints=(gd.Constraint((-1,), -3),)),
+        "LinearProgram(num_vars=1, constraints=(Constraint(coeffs=(-1,), rhs=-3),))",
     ),
     (
         lambda: gd.FarkasWitness(row_multipliers=(1,), nonneg_multipliers=()),
         "FarkasWitness(row_multipliers=(1,), nonneg_multipliers=())",
     ),
     (
-        lambda: gd.FeasibilityResult(status="infeasible", farkas=gd.FarkasWitness((1,), ())),
-        "FeasibilityResult(status='infeasible', assignment=None, "
+        lambda: gd.FeasibilityResult(farkas=gd.FarkasWitness((1,), ())),
+        "FeasibilityResult(assignment=None, "
         "farkas=FarkasWitness(row_multipliers=(1,), nonneg_multipliers=()))",
     ),
 ]

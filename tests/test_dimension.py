@@ -384,11 +384,12 @@ class TestSolverAgreement:
         with gd.record_certificates() as log:
             value = gd.dimension(game).value
         assert value == exhaustive_dimension(game) == 2
+        # The rows of rhs 1 are the quota row, then the target rows
+        # q - w(T) >= 1.
         failed = {
             frozenset(
-                sum(c << j for j, c in enumerate(row.coeffs[:-1]))
-                for row in lp.constraints
-                if row.relation == gd.LE
+                sum(-c << j for j, c in enumerate(row.coeffs[:-1]))
+                for row in [r for r in lp.constraints if r.rhs == 1][1:]
             )
             for lp, result in log
             if not result.feasible
@@ -429,7 +430,7 @@ class TestSolverAgreement:
                 with gd.record_certificates() as log:
                     solve(game)
                 row_sets = [
-                    tuple((tuple(row.coeffs), row.relation, row.rhs) for row in lp.constraints)
+                    tuple((tuple(row.coeffs), row.rhs) for row in lp.constraints)
                     for lp, _ in log
                 ]
                 assert len(set(row_sets)) == len(row_sets)
@@ -462,16 +463,16 @@ def fixed_separation_rows(game, codim):
     n = game.n
     wins, _ = separation_coalitions(game, codim)
     rows = [
-        gd.Constraint(tuple(int(j in c) for j in range(1, n + 1)) + (-1,), gd.GE, 0)
+        gd.Constraint(tuple(int(j in c) for j in range(1, n + 1)) + (-1,), 0)
         for c in wins
     ]
-    rows.append(gd.Constraint((0,) * n + (1,), gd.GE, 1))
+    rows.append(gd.Constraint((0,) * n + (1,), 1))
     return tuple(rows)
 
 
 def target_separation_row(n, target):
-    """The row w(T) - q <= -1 on which a block LP loses target T."""
-    return gd.Constraint(tuple(int(j in target) for j in range(1, n + 1)) + (-1,), gd.LE, -1)
+    """The row q - w(T) >= 1 on which a block LP loses target T."""
+    return gd.Constraint(tuple(-int(j in target) for j in range(1, n + 1)) + (1,), 1)
 
 
 class TestSharedFixedRows:
@@ -528,7 +529,7 @@ def trade_records(game, codim):
 
 
 def pair_program(game, codim, t1, t2):
-    """The separation LP of one target pair: the fixed rows, then w(T) - q <= -1."""
+    """The separation LP of one target pair: the fixed rows, then q - w(T) >= 1."""
     rows = list(fixed_separation_rows(game, codim))
     rows += [target_separation_row(game.n, t) for t in (t1, t2)]
     return gd.LinearProgram(game.n + 1, rows)
@@ -546,7 +547,7 @@ class TestTradeCertificates:
     def test_certificate_verifies_and_each_changed_multiplier_fails(self, game, codim):
         t1, t2, witness = next(traded_pairs(game, codim))
         program = pair_program(game, codim, t1, t2)
-        gd.verify_certificate(program, gd.FeasibilityResult("infeasible", farkas=witness))
+        gd.verify_certificate(program, gd.FeasibilityResult(farkas=witness))
         rows, signs = witness.row_multipliers, witness.nonneg_multipliers
         changed = [
             gd.FarkasWitness(rows[:k] + (y + 1,) + rows[k + 1 :], signs)
@@ -558,7 +559,7 @@ class TestTradeCertificates:
         ]
         for bad in changed:
             with pytest.raises(gd.CertificateError):
-                gd.verify_certificate(program, gd.FeasibilityResult("infeasible", farkas=bad))
+                gd.verify_certificate(program, gd.FeasibilityResult(farkas=bad))
 
     @pytest.mark.parametrize("codim", [False, True], ids=["dim", "codim"])
     def test_every_traded_pair_is_infeasible(self, small_corpus, codim):
@@ -655,7 +656,7 @@ class TestTradeRecords:
                 witness = _trade_certificate(game.n, fixed_masks, t1.members >> 1, t2.members >> 1)
                 gd.verify_certificate(
                     pair_program(game, codim, t1, t2),
-                    gd.FeasibilityResult("infeasible", farkas=witness),
+                    gd.FeasibilityResult(farkas=witness),
                 )
 
     def test_broken_records_are_refused(self):
@@ -1011,7 +1012,7 @@ class TestSeparate:
             def stub(lp):
                 lps.append(lp)
                 result = tuple(map(gd.rational, assignment))
-                return gd.FeasibilityResult(gd.lp.FEASIBLE, result)
+                return gd.FeasibilityResult(result)
 
             monkeypatch.setattr(gd.lp, "solve_feasibility", stub)
             return lps

@@ -12,7 +12,8 @@ from gamedim.lp import common_denominator
 
 
 def lp_of(rows, num_vars):
-    return gd.LinearProgram(num_vars, tuple(gd.Constraint(c, rel, rhs) for c, rel, rhs in rows))
+    """The system of (coeffs, rhs) rows coeffs . x >= rhs."""
+    return gd.LinearProgram(num_vars, tuple(gd.Constraint(c, rhs) for c, rhs in rows))
 
 
 def vertex_feasible(lp):
@@ -23,7 +24,7 @@ def vertex_feasible(lp):
     rows), so checking all square subsystems decides feasibility exactly.
     """
     n = lp.num_vars
-    rows = [con.ge_form() for con in lp.constraints]
+    rows = [(con.coeffs, con.rhs) for con in lp.constraints]
     for j in range(n):
         unit = tuple(Fraction(int(k == j)) for k in range(n))
         rows.append((unit, Fraction(0)))
@@ -65,7 +66,7 @@ def solve_square(matrix, rhs):
 
 class TestSpecSystems:
     def test_contradictory_bounds(self):
-        lp = lp_of([((1,), gd.GE, 1), ((1,), gd.LE, 0)], 1)
+        lp = lp_of([((1,), 1), ((-1,), 0)], 1)
         result = gd.solve_feasibility(lp)
         assert not result.feasible
         # 1*(w >= 1) + 1*(-w >= 0) recombines to 0 >= 1.
@@ -73,21 +74,21 @@ class TestSpecSystems:
         gd.verify_certificate(lp, result)
 
     def test_interval(self):
-        lp = lp_of([((1,), gd.GE, 1), ((1,), gd.LE, 2)], 1)
+        lp = lp_of([((1,), 1), ((-1,), -2)], 1)
         result = gd.solve_feasibility(lp)
         assert result.feasible
         assert 1 <= result.assignment[0] <= 2
 
     def test_example1_nonweightedness_system(self):
-        # w1+w3 >= q, w2+w4 >= q, w1+w2 <= q-1, w3+w4 <= q-1, w >= 0, q >= 1:
-        # summing the four coalition rows forces 2q <= 2q - 2.
+        # w1+w3 >= q, w2+w4 >= q, q-w1-w2 >= 1, q-w3-w4 >= 1, w >= 0, q >= 1:
+        # summing the four coalition rows forces 0 >= 2.
         lp = lp_of(
             [
-                ((1, 0, 1, 0, -1), gd.GE, 0),
-                ((0, 1, 0, 1, -1), gd.GE, 0),
-                ((1, 1, 0, 0, -1), gd.LE, -1),
-                ((0, 0, 1, 1, -1), gd.LE, -1),
-                ((0, 0, 0, 0, 1), gd.GE, 1),
+                ((1, 0, 1, 0, -1), 0),
+                ((0, 1, 0, 1, -1), 0),
+                ((-1, -1, 0, 0, 1), 1),
+                ((0, 0, -1, -1, 1), 1),
+                ((0, 0, 0, 0, 1), 1),
             ],
             5,
         )
@@ -98,47 +99,40 @@ class TestSpecSystems:
 
 class TestCertificates:
     def test_feasible_assignment_satisfies_exactly(self):
-        lp = lp_of(
-            [((2, 3), gd.GE, 7), ((1, -1), gd.LE, 1), ((0, 1), gd.LE, 5)], 2
-        )
+        lp = lp_of([((2, 3), 7), ((-1, 1), -1), ((0, -1), -5)], 2)
         result = gd.solve_feasibility(lp)
         assert result.feasible
         gd.verify_certificate(lp, result)
 
     def test_verifier_rejects_corrupted_assignment(self):
-        lp = lp_of([((1,), gd.GE, 3)], 1)
+        lp = lp_of([((1,), 3)], 1)
         result = gd.solve_feasibility(lp)
-        forged = gd.FeasibilityResult("feasible", assignment=(gd.rational(0),))
+        forged = gd.FeasibilityResult(assignment=(gd.rational(0),))
         with pytest.raises(gd.CertificateError):
             gd.verify_certificate(lp, forged)
         gd.verify_certificate(lp, result)
         # x_0 + x_1 >= 1 holds at (2, -1), but x_1 >= 0 does not.
-        lp = lp_of([((1, 1), gd.GE, 1)], 2)
-        negative = gd.FeasibilityResult("feasible", assignment=(gd.rational(2), gd.rational(-1)))
+        lp = lp_of([((1, 1), 1)], 2)
+        negative = gd.FeasibilityResult(assignment=(gd.rational(2), gd.rational(-1)))
         with pytest.raises(gd.CertificateError, match="x_1 >= 0"):
             gd.verify_certificate(lp, negative)
 
     def test_verifier_rejects_corrupted_witness(self):
-        lp = lp_of([((1,), gd.GE, 1), ((1,), gd.LE, 0)], 1)
+        lp = lp_of([((1,), 1), ((-1,), 0)], 1)
         result = gd.solve_feasibility(lp)
-        forged = gd.FeasibilityResult(
-            "infeasible",
-            farkas=gd.FarkasWitness((gd.rational(1), gd.rational(0)), ()),
-        )
+        forged = gd.FeasibilityResult(farkas=gd.FarkasWitness((gd.rational(1), gd.rational(0)), ()))
         with pytest.raises(gd.CertificateError):
             gd.verify_certificate(lp, forged)
         gd.verify_certificate(lp, result)
 
     def test_verifier_rejects_inexact_values(self):
         # 3 * 0.333... rounds to 1.0 in floats, but is 1 - 2**-54 exactly.
-        lp = lp_of([((3,), gd.GE, 1)], 1)
-        inexact = gd.FeasibilityResult("feasible", assignment=(1 / 3,))
+        lp = lp_of([((3,), 1)], 1)
+        inexact = gd.FeasibilityResult(assignment=(1 / 3,))
         with pytest.raises(gd.CertificateError, match="not an exact rational"):
             gd.verify_certificate(lp, inexact)
-        lp = lp_of([((1,), gd.GE, 1), ((1,), gd.LE, 0)], 1)
-        inexact = gd.FeasibilityResult(
-            "infeasible", farkas=gd.FarkasWitness((1.0, gd.rational(1)), ())
-        )
+        lp = lp_of([((1,), 1), ((-1,), 0)], 1)
+        inexact = gd.FeasibilityResult(farkas=gd.FarkasWitness((1.0, gd.rational(1)), ()))
         with pytest.raises(gd.CertificateError, match="not an exact rational"):
             gd.verify_certificate(lp, inexact)
 
@@ -154,42 +148,40 @@ class TestCertificates:
 
     def test_verifier_rejects_sign_row_on_wrong_variable(self):
         # -x_0 >= 1 with x_0, x_1 >= 0: 1 * (-x_0 >= 1) + 1 * (x_0 >= 0) gives 0 >= 1.
-        lp = lp_of([((-1, 0), gd.GE, 1)], 2)
+        lp = lp_of([((-1, 0), 1)], 2)
         result = gd.solve_feasibility(lp)
         assert result.farkas == gd.FarkasWitness((Fraction(1),), ((0, Fraction(1)),))
-        forged = gd.FeasibilityResult(
-            "infeasible", farkas=gd.FarkasWitness((Fraction(1),), ((1, Fraction(1)),))
-        )
+        forged = gd.FeasibilityResult(farkas=gd.FarkasWitness((Fraction(1),), ((1, Fraction(1)),)))
         with pytest.raises(gd.CertificateError, match="cancel"):
             gd.verify_certificate(lp, forged)
         for j in (2, -1):
             forged = gd.FeasibilityResult(
-                "infeasible", farkas=gd.FarkasWitness((Fraction(1),), ((j, Fraction(1)),))
+                farkas=gd.FarkasWitness((Fraction(1),), ((j, Fraction(1)),))
             )
             with pytest.raises(gd.CertificateError, match="names no variable"):
                 gd.verify_certificate(lp, forged)
 
     def test_verifier_substitutes_mixed_denominators_exactly(self):
         # 12 x_0 + 36 x_1 = 9 as a pair of rows; 12/4 + 36/6 meets it exactly.
-        lp = lp_of([((12, 36), gd.GE, 9), ((12, 36), gd.LE, 9)], 2)
+        lp = lp_of([((12, 36), 9), ((-12, -36), -9)], 2)
         exact = (Fraction(1, 4), Fraction(1, 6))
-        gd.verify_certificate(lp, gd.FeasibilityResult("feasible", assignment=exact))
+        gd.verify_certificate(lp, gd.FeasibilityResult(assignment=exact))
         for miss in (Fraction(1, 1000), Fraction(-1, 1000)):
             near = (Fraction(1, 4) + miss, Fraction(1, 6))
             with pytest.raises(gd.CertificateError, match="violates row"):
-                gd.verify_certificate(lp, gd.FeasibilityResult("feasible", assignment=near))
+                gd.verify_certificate(lp, gd.FeasibilityResult(assignment=near))
 
     def test_constraint_takes_integers_only(self):
-        con = gd.Constraint((1, 0, -3), gd.LE, 2)
+        con = gd.Constraint((1, 0, -3), 2)
         assert con.coeffs == (1, 0, -3) and con.rhs == 2
         for value in (Fraction(1, 2), Fraction(2), 0.5, 2.0, "1/2", "2", Decimal(2), None):
             with pytest.raises(TypeError):
-                gd.Constraint((1, value), gd.GE, 0)
+                gd.Constraint((1, value), 0)
             with pytest.raises(TypeError):
-                gd.Constraint((1,), gd.LE, value)
+                gd.Constraint((1,), value)
 
     def test_record_certificates_collects_solves(self):
-        lp = lp_of([((1,), gd.GE, 1)], 1)
+        lp = lp_of([((1,), 1)], 1)
         with gd.record_certificates() as log:
             gd.solve_feasibility(lp)
             gd.solve_feasibility(lp)
@@ -198,7 +190,7 @@ class TestCertificates:
             gd.verify_certificate(logged_lp, logged_result)
 
     def test_record_certificates_nests(self):
-        lp = lp_of([((1,), gd.GE, 1)], 1)
+        lp = lp_of([((1,), 1)], 1)
         with gd.record_certificates() as outer:
             gd.solve_feasibility(lp)
             with gd.record_certificates() as inner:
@@ -207,7 +199,7 @@ class TestCertificates:
         assert len(inner) == 1 and len(outer) == 2
 
     def test_record_certificates_ignores_other_threads(self):
-        lp = lp_of([((1,), gd.GE, 1)], 1)
+        lp = lp_of([((1,), 1)], 1)
         with gd.record_certificates() as log:
             worker = threading.Thread(target=gd.solve_feasibility, args=(lp,))
             worker.start()
@@ -221,9 +213,9 @@ def random_pointed_lp(stream, num_vars, num_rows):
     rows = []
     for _ in range(num_rows):
         coeffs = tuple(next(stream) % 7 - 3 for _ in range(num_vars))
-        relation = gd.GE if next(stream) % 2 else gd.LE
+        sign = 1 if next(stream) % 2 else -1
         rhs = next(stream) % 7 - 3
-        rows.append((coeffs, relation, rhs))
+        rows.append((tuple(sign * c for c in coeffs), sign * rhs))
     return lp_of(rows, num_vars)
 
 
@@ -244,13 +236,13 @@ class TestBruteForceAgreement:
 
 
 def separation_lp(n, winning, losing):
-    """[q; w] separation rows: w(S) - q >= 0 on winning S, <= -1 on losing S, q >= 1."""
+    """[q; w] separation rows: w(S) - q >= 0 on winning S, q - w(S) >= 1 on losing S, q >= 1."""
 
-    def row(players):
-        return tuple(int(j + 1 in players) for j in range(n)) + (-1,)
+    def row(players, sign):
+        return tuple(sign * int(j + 1 in players) for j in range(n)) + (-sign,)
 
-    rows = [(row(s), gd.GE, 0) for s in winning] + [(row(s), gd.LE, -1) for s in losing]
-    rows.append(((0,) * n + (1,), gd.GE, 1))
+    rows = [(row(s, 1), 0) for s in winning] + [(row(s, -1), 1) for s in losing]
+    rows.append(((0,) * n + (1,), 1))
     return lp_of(rows, n + 1)
 
 
@@ -371,8 +363,8 @@ def random_integer_lp(stream, num_vars, num_rows):
     rows = []
     for _ in range(num_rows):
         coeffs = tuple(value() for _ in range(num_vars))
-        relation = gd.GE if next(stream) % 2 else gd.LE
-        rows.append((coeffs, relation, value()))
+        sign = 1 if next(stream) % 2 else -1
+        rows.append((tuple(sign * c for c in coeffs), sign * value()))
     return lp_of(rows, num_vars)
 
 
@@ -454,11 +446,7 @@ class TestSolverContract:
             for con in lp.constraints:
                 factor = 1 + next(stream) % 5
                 scaled_rows.append(
-                    gd.Constraint(
-                        tuple(factor * c for c in con.coeffs),
-                        con.relation,
-                        factor * con.rhs,
-                    )
+                    gd.Constraint(tuple(factor * c for c in con.coeffs), factor * con.rhs)
                 )
             scaled = gd.LinearProgram(lp.num_vars, tuple(scaled_rows))
             assert (
@@ -468,7 +456,7 @@ class TestSolverContract:
 
     def test_deterministic_results(self):
         lp = lp_of(
-            [((2, -1, 3), gd.GE, 1), ((1, 1, 1), gd.LE, 4), ((0, 1, -2), gd.GE, -2)],
+            [((2, -1, 3), 1), ((-1, -1, -1), -4), ((0, 1, -2), -2)],
             3,
         )
         first = gd.solve_feasibility(lp)
@@ -480,13 +468,15 @@ class TestSolverContract:
         assert result.feasible
 
     def test_zero_row_contradiction(self):
-        lp = lp_of([((0, 0), gd.GE, 1)], 2)
+        lp = lp_of([((0, 0), 1)], 2)
         result = gd.solve_feasibility(lp)
         assert not result.feasible
         gd.verify_certificate(lp, result)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            gd.Constraint((1,), "==", 0)
-        with pytest.raises(ValueError):
-            gd.LinearProgram(2, (gd.Constraint((1,), gd.GE, 0),))
+            gd.LinearProgram(2, (gd.Constraint((1,), 0),))
+        witness = gd.FarkasWitness((1,), ())
+        for assignment, farkas in (((1,), witness), (None, None)):
+            with pytest.raises(ValueError, match="exactly one"):
+                gd.FeasibilityResult(assignment, farkas)
