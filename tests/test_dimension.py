@@ -57,6 +57,32 @@ class TestCoRealizable:
         with pytest.raises(gd.InvalidGameError):
             gd.co_realizable([], [])
 
+    def test_memory_grows_linearly_with_the_rows(self):
+        # The union of two disjoint 4-of-7 majorities on 14 players is not
+        # weighted: its LP has 1,296 rows over 15 variables.  A tableau with a
+        # column per row would hold about 1,296^2 entries (14.5 MiB traced); the
+        # Farkas alternative's tableau has 17 rows of 1,312 entries.
+        import tracemalloc
+
+        ones, zeros = (1,) * 7, (0,) * 7
+        game = gd.combine(
+            gd.UNION, [gd.make_weighted(4, ones + zeros), gd.make_weighted(4, zeros + ones)]
+        )
+        sets = gd.extremal_sets(game)
+        mwc, mlc = sets.minimal_winning, sets.maximal_losing
+        tracemalloc.start()
+        try:
+            with gd.record_certificates() as log:
+                part = gd.co_realizable(mwc, mlc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert part is None and len(log) == 1
+        lp, result = log[0]
+        assert len(lp.constraints) == 1296 and not result.feasible
+        gd.verify_certificate(lp, result)
+        assert peak < 4 * 2**20, peak
+
 
 class TestRealizable:
     def test_single_winning_target(self, example1_2):

@@ -256,11 +256,13 @@ EXAMPLE1_3_TRANSVERSALS = [
 # Minimal winning coalitions of gen_random_monotone(8, 6, 1029), a corpus game.
 CORPUS_8_6_1029_MWC = [(1, 3), (2, 3, 4, 7), (2, 5, 7), (2, 4, 5, 6, 8), (1, 5, 6, 7, 8)]
 
-# Certificates as the Bland pivot sequence over rationals returns them from a
-# slack start (a row already met at x = 0 starts with its surplus basic, and
-# only the others get an artificial), with artificials that never re-enter
-# the basis once they have left and no pivot after the artificial sum reaches
-# zero: (lp, assignment) for feasible and (lp, (row multipliers, sign-row
+# Certificates as the Bland pivot sequence over rationals returns them from
+# phase one on the Farkas alternative {y >= 0, A^T y <= 0, b.y = 1}: each
+# variable's row starts with its slack basic at 0, and the row b.y = 1 with
+# the one artificial, and no pivot follows the artificial's departure.  A
+# feasible system's assignment is the slack columns' reduced costs; an
+# infeasible system's multipliers are the basic y and slacks, so b.y = 1.
+# (lp, assignment) for feasible and (lp, (row multipliers, sign-row
 # multipliers)) for infeasible systems.
 GOLDEN_FEASIBLE = [
     pytest.param(
@@ -273,41 +275,44 @@ GOLDEN_FEASIBLE = [
             8, CORPUS_8_6_1029_MWC,
             [(2, 3, 4, 5, 6), (2, 3, 4, 5, 8), (2, 3, 4, 6, 8), (3, 4, 5, 6, 7, 8)],
         ),
-        as_fractions(8, 4, 0, 1, 1, 1, 3, 1, 8),
+        as_fractions(7, 4, 0, 0, 1, 1, 3, 1, 7),
         id="corpus-8-6-1029",
     ),
 ]
 GOLDEN_INFEASIBLE = [
     pytest.param(
         separation_lp(6, EXAMPLE1_3_TRANSVERSALS, [(1, 2, 3, 4), (1, 2, 5, 6)]),
-        as_fractions(0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 0),
-        ((1, Fraction(2)),),
+        as_fractions(
+            0, Fraction(1, 2), Fraction(1, 2), 0, 0, 0, 0, 0, Fraction(1, 2), Fraction(1, 2), 0,
+        ),
+        ((1, Fraction(1)),),
         id="example1-two-pairs",
     ),
     pytest.param(
         separation_lp(8, CORPUS_8_6_1029_MWC, [(1, 2, 4, 5, 6), (2, 3, 4, 5, 8)]),
-        as_fractions(1, 0, 0, 1, 0, 1, 1, 0),
-        ((1, Fraction(1)), (3, Fraction(1)), (4, Fraction(1))),
+        as_fractions(Fraction(1, 2), 0, 0, Fraction(1, 2), 0, Fraction(1, 2), Fraction(1, 2), 0),
+        ((1, Fraction(1, 2)), (3, Fraction(1, 2)), (4, Fraction(1, 2))),
         id="corpus-8-6-1029",
     ),
-    # The is_weighted LP of gen_random_monotone(7, 7, 2006): with an artificial
-    # on every row and artificial columns stored, Bland's rule brought a
-    # departed artificial back here.
+    # The is_weighted LP of gen_random_monotone(7, 7, 2006).  Its id is from
+    # a start with an artificial on every row, under which Bland's rule
+    # brought a departed artificial back when their columns were stored.
     pytest.param(
         separation_lp(
             7, [(3, 4, 5), (3, 6), (4, 7)],
             [(1, 2, 3, 4), (1, 2, 4, 5, 6), (1, 2, 3, 5, 7), (1, 2, 5, 6, 7)],
         ),
-        as_fractions(0, 2, 2, 1, 1, 1, 1, 0),
-        ((0, Fraction(4)), (1, Fraction(4)), (4, Fraction(3))),
+        as_fractions(
+            Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(1, 2),
+            Fraction(1, 4), Fraction(1, 4), 0, 0,
+        ),
+        ((0, Fraction(1)), (1, Fraction(1))),
         id="artificial-not-re-entered",
     ),
     # The is_weighted LP of gen_random_monotone(8, 5, 2002), an infeasible
-    # LP in which a departed artificial would re-enter under the slack start:
-    # row 7 starts with its artificial and ends with multiplier 2.  With the
-    # artificial columns of rows 3-14 stored, Bland's rule brings one back and
-    # returns rows (2, 4, 3, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 0) and signs
-    # ((2, 3), (3, 5), (6, 9)) instead.
+    # LP with 15 rows over 9 variables.  Its id is from a start with an
+    # artificial on each row of rhs > 0, under which a departed artificial
+    # would re-enter if the artificial columns were stored.
     pytest.param(
         separation_lp(
             8, [(1, 2, 5), (1, 3, 6, 8), (2, 4, 5, 6, 8)],
@@ -318,8 +323,11 @@ GOLDEN_INFEASIBLE = [
                 (1, 4, 5, 6, 7, 8), (3, 4, 5, 6, 7, 8),
             ],
         ),
-        as_fractions(3, 4, 3, 1, 1, 1, 1, 2, 0, 1, 1, 1, 1, 0, 0),
-        ((2, Fraction(4)), (3, Fraction(6)), (6, Fraction(10))),
+        as_fractions(
+            Fraction(1, 2), Fraction(1, 2), 0, 0, Fraction(1, 2), 0, Fraction(1, 2),
+            0, 0, 0, 0, 0, 0, 0, 0,
+        ),
+        ((2, Fraction(1, 2)), (3, Fraction(1)), (6, Fraction(1))),
         id="artificial-would-re-enter",
     ),
 ]
@@ -332,11 +340,11 @@ def all_fractions(values):
 class TestGoldenCertificates:
     """Exact certificates pinned, so the pivot sequence itself is tested.
 
-    Phase one starts each row that x = 0 already meets with its surplus
-    basic, and stops as soon as the artificial sum is zero.  Bland's rule
-    scans the stored columns only, so an artificial that has left the basis
-    never re-enters; the last infeasible case is one where, with the
-    artificial columns stored, one would.  Every case is solved cold.
+    Phase one runs on the Farkas alternative, with one row per variable and
+    one row b.y = 1 whose artificial is the only one, and stops as soon as
+    that artificial is zero.  Every infeasible case's multipliers therefore
+    combine the rows' right-hand sides to exactly 1.  Every case is solved
+    cold.
     """
 
     @pytest.mark.parametrize("lp, assignment", GOLDEN_FEASIBLE)
@@ -383,6 +391,30 @@ class TestRandomCertificates:
             statuses[result.feasible] += 1
         # both outcomes must occur to mean anything
         assert statuses[True] > 20 and statuses[False] > 20
+
+    def test_tall_systems_certify(self):
+        # 20 to 60 rows over 2 to 5 variables.  Each system is built around a
+        # random nonnegative integer point x0: every row of an odd-numbered
+        # system holds at x0, and every row of an even-numbered one misses it.
+        stream = splitmix64(4096)
+        statuses = {True: 0, False: 0}
+        for k in range(100):
+            num_vars = 2 + next(stream) % 4
+            num_rows = 20 + next(stream) % 41
+            x0 = [next(stream) % 5 for _ in range(num_vars)]
+            rows = []
+            for _ in range(num_rows):
+                coeffs = tuple(next(stream) % 25 - 12 for _ in range(num_vars))
+                at_x0 = sum(c * x for c, x in zip(coeffs, x0))
+                gap = next(stream) % 4
+                rows.append((coeffs, at_x0 - gap if k % 2 else at_x0 + 1 + gap))
+            lp = lp_of(rows, num_vars)
+            result = gd.solve_feasibility(lp)
+            gd.verify_certificate(lp, result)
+            assert result.feasible or not k % 2
+            statuses[result.feasible] += 1
+        # both outcomes must occur
+        assert statuses[True] and statuses[False], statuses
 
 
 def bareiss_pivot(tableau, d, leave, enter):
