@@ -62,8 +62,10 @@ which S - j loses.  With the number of winning coalitions they are the
 Chow parameters of G_B, which determine a threshold function (Chow 1961),
 and as weights they represent most weighted games, though not all.  The
 part [q; w], q one above the heaviest target of B, loses on all of B and
-is kept only if every fixed mask reaches q: a complete check on masks,
-like the row re-check of an LP's game.  A kept part proves its block
+is kept only if every fixed mask reaches q: a complete check on masks.
+Every part is such a threshold part, weights over their gcd and a quota
+one above the heaviest target: an LP's part takes the LP's weights in
+place of the swing counts (``_separate``).  A kept part proves its block
 feasible, so every block gets the answer its LP would give.  A traded pair
 proves that no one part separates it, so the part misses on it by that
 check alone.
@@ -209,10 +211,9 @@ def _separate(
     """The integer game [q; w] winning on every fixed mask and losing on every target, or None.
 
     The LP's rows are the ``_separation_rows`` of the masks, and this is the
-    only place that lays them out.  Its assignment is put over one common
-    denominator and divided by the gcd of its numerators, and the game is
-    re-checked on the masks: q >= 1, every fixed mask reaches q and no
-    target does.
+    only place that lays them out.  Only its weights are read: put over one
+    common denominator, they give the :func:`_threshold_part` of the masks,
+    which must exist, since the LP's own quota separates them.
     """
     import gamedim.lp as lp
 
@@ -220,14 +221,11 @@ def _separate(
     result = lp.solve_feasibility(lp.LinearProgram(n + 1, rows))
     if not result.feasible:
         return None
-    values, _ = lp.common_denominator(result.assignment)
-    shrink = gcd(*values)
-    *weights, quota = (v // shrink for v in values)
-    weight = _mask_weight(weights)
-    missed = quota < 1 or any(weight(m) < quota for m in fixed_masks)
-    if missed or any(weight(t) >= quota for t in target_masks):
+    weights, _ = lp.common_denominator(result.assignment[:n])
+    part = _threshold_part(weights, fixed_masks, target_masks)
+    if part is None:
         raise CertificateError("scaled weighted game misses a separation row")
-    return WeightedGame(quota, weights)
+    return part
 
 
 def _mask_weight(weights: Sequence[int]) -> Callable[[int], int]:
@@ -246,13 +244,16 @@ def _threshold_part(
 ) -> WeightedGame | None:
     """The part [q; w] with w = ``weights`` over their gcd, or None.
 
-    The quota is one above the heaviest target, so the part loses on every
-    target; it is returned only when every fixed mask reaches the quota.
+    The quota is one above the heaviest target, or 1 with no target, so the
+    part loses on every target; it is returned only when every fixed mask
+    reaches the quota.  All-zero weights give no part.
     """
     shrink = gcd(*weights)
+    if not shrink:
+        return None
     weights = [w // shrink for w in weights]
     weight = _mask_weight(weights)
-    quota = 1 + max(map(weight, target_masks))
+    quota = 1 + max(map(weight, target_masks), default=0)
     if any(weight(m) < quota for m in fixed_masks):
         return None
     return WeightedGame(quota, weights)
@@ -341,7 +342,8 @@ def realizable(
     and w(A) = w(N) - w(N - A) >= q for the new quota q.  That q is a valid
     quota and the grand coalition wins, so the empty target set still yields
     a weighted game: q* <= w(N - L) <= w(N) on any fixed row gives q >= 1,
-    and q* >= 1 from the quota row gives w(N) >= q.
+    and q* >= 1, one above the heaviest target or 1 with none, gives
+    w(N) >= q.
     """
     mlc = tuple(mlc)
     if not mlc:

@@ -137,8 +137,9 @@ def gen_random_monotone(n: int, m: int, seed: int) -> SimpleGame:
 
     Draw k maps to the coalition with compact mask 1 + (k mod (2^n - 2)), so
     draws are nonempty proper subsets and the game is automatically proper.
-    The single-player game has no nonempty proper coalition; it degenerates
-    to the dictator game.
+    The draws stop once every such coalition has been drawn, since no later
+    draw can change the game.  The single-player game has no nonempty proper
+    coalition; it degenerates to the dictator game.
     """
     n = as_int(n)
     m = as_int(m)
@@ -152,5 +153,9 @@ def gen_random_monotone(n: int, m: int, seed: int) -> SimpleGame:
         return make_explicit(1, [Coalition.grand(1)], MINIMAL_GIVEN)
     stream = splitmix64(seed)
     span = (1 << n) - 2
-    drawn = {1 + next(stream) % span for _ in range(m)}
+    drawn: set[int] = set()
+    for _ in range(m):
+        drawn.add(1 + next(stream) % span)
+        if len(drawn) == span:  # every later draw is already in the set
+            break
     return make_explicit(n, [Coalition(c << 1, n) for c in drawn], ARBITRARY_WINNING)

@@ -31,11 +31,14 @@ Phase one runs on the Farkas alternative of the system, not on its rows
 and b.y = 1.  That alternative has one equality row per variable j,
 sum_i a_ij y_i + s_j = 0 with a slack s_j >= 0, and the row b.y = 1.  Each
 variable's row starts with its slack basic at 0, and the row b.y = 1 with
-the one artificial basic at 1; the phase-one objective is the artificial.
-So the tableau has n + 2 rows, the reduced costs included, and m + n + 1
-columns however many rows the system has: it grows linearly in m, where a
-tableau over the system's own rows, with a surplus column per row, grows as
-m^2.
+the one artificial t basic at 1; the phase-one objective is t.  While t is
+basic, the reduced-cost row is exactly minus the artificial's row
+b.y + t = 1: the objective t = 1 - b.y starts that way, each pivot updates
+both rows by the same linear step, and the pivot that makes t leave zeroes
+the reduced costs, which ends phase one.  So no row holds them: the tableau
+has n + 1 rows and m + n + 1 columns however many rows the system has.  It
+grows linearly in m, where a tableau over the system's own rows, with a
+surplus column per row, grows as m^2.
 
 Every solve builds its tableau at once from that start, with d = 1, runs
 one phase one on it, and reads the certificate off the final rows.  No
@@ -43,24 +46,27 @@ tableau outlives its solve, so ``_pivot`` may edit rows in place: they are
 the solve's own, and concurrent solves share none of them.
 
 The artificial is a basis label with no stored column.  It stays basic, with
-reduced cost 0, until it leaves, and phase one stops as soon as the
-artificial is zero, so no pivot ever needs its column: the pivots are those
-of Bland's rule on the full tableau, which terminates (Bland, Math. Oper.
-Res. 1977).  The alternative is a cone cut by b.y + t = 1 for the artificial
-t, and a point with 0 < t < 1 lies between a point with t = 0 and the start,
-so at every basis the artificial is 1 or 0: each pivot either leaves it at 1
-or drives it to 0.
+reduced cost 0, until it leaves, and phase one stops as soon as it leaves,
+so no pivot ever needs its column: the pivots are those of Bland's rule on
+the full tableau, which terminates (Bland, Math. Oper. Res. 1977).  Bland's
+rule enters the first column with a positive entry in the artificial's row,
+which is the first negative reduced cost.  So that row has a positive entry
+in the entering column, and the ratio test always has it as a candidate: the
+test never comes up empty.  The alternative is a cone cut by b.y + t = 1,
+and a point with 0 < t < 1 lies between a point with t = 0 and the start,
+so at every basis the artificial is 1 or 0: each pivot either leaves it at
+1 or makes it leave at 0.
 
-Both certificates are read off the final tableau.  When the artificial is
-zero, the basic y and slacks over d are Farkas multipliers: y_i on row i and
+Both certificates are read off the final tableau.  When the artificial has
+left, the basic y and slacks over d are Farkas multipliers: y_i on row i and
 s_j on the sign row x_j >= 0: A^T y + s = 0 cancels every variable, and
 b.y = 1 is the combined right-hand side.  Otherwise no column has a negative
 reduced cost and the artificial is 1, and LP duality (Schrijver 1986) gives
 the dual optimum: multipliers u of the variable rows and 1 of the row
 b.y = 1, with A u + b <= 0 and u <= 0.  Slack s_j's reduced cost is -u_j,
-so the slack columns' reduced costs over the artificial's value are an
-assignment x = -u >= 0, and y_i's reduced cost is a_i.x - b_i >= 0, row i's
-surplus at x.
+so the slack columns' reduced costs, minus the slack entries of the
+artificial's row, over the artificial's value are an assignment x = -u >= 0,
+and y_i's reduced cost is a_i.x - b_i >= 0, row i's surplus at x.
 
 ``fractions.Fraction`` values are formed only when the result is built.  The
 verifier puts a certificate over one common denominator and substitutes its
@@ -233,34 +239,36 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
     """Phase one on the Farkas alternative of ``lp``, from the slack start with d = 1.
 
     The result is read off the final rows: the basic multipliers over d once
-    the artificial has left, or else the slack columns' reduced costs over
-    the artificial's final value.
+    the artificial has left, or else minus the slack entries of the
+    artificial's row over that row's rhs.
     """
     # Column layout: one column y_i per row of ``lp``, then one slack column
     # s_j per variable.  Tableau row j is sum_i a_ij y_i + s_j = 0 with s_j
-    # basic at 0; row n is b.y = 1 with the artificial basic, as label ncols
-    # with no stored column; the last row holds the reduced costs.
+    # basic at 0; row n is b.y + t = 1 with the artificial t basic, as label
+    # ncols with no stored column.  While t is basic, the reduced costs are
+    # minus row n, so no row holds them.
     n, m = lp.num_vars, len(lp.constraints)
     ncols = m + n
     tableau = [[con.coeffs[j] for con in lp.constraints] + [0] * (n + 1) for j in range(n)]
     for j, row in enumerate(tableau):
         row[m + j] = 1
-    b = [con.rhs for con in lp.constraints]
-    tableau += [b + [0] * n + [1], [-v for v in b] + [0] * n + [-1]]
+    tableau.append([con.rhs for con in lp.constraints] + [0] * n + [1])
     basis = [*range(m, ncols), ncols]
 
     d = 1
-    while tableau[n + 1][ncols]:  # stop once the artificial is zero
-        z = tableau[n + 1]
+    while basis[n] == ncols:  # stop once the artificial has left
+        art = tableau[n]
         enter = -1
-        for j in range(ncols):  # Bland: smallest eligible column index
-            if z[j] < 0:
+        for j in range(ncols):  # Bland: smallest column with a negative reduced cost
+            if art[j] > 0:
                 enter = j
                 break
         if enter < 0:
-            break
+            # The slack columns' reduced costs, -art[m:ncols], over the artificial's value.
+            x = (Fraction(-v, art[ncols]) for v in art[m:ncols])
+            return FeasibilityResult(assignment=tuple(x))
         # Ratio test rhs/t by cross-multiplication (every t > 0), ties to
-        # the smallest basic variable.
+        # the smallest basic variable.  Row n always has t > 0.
         leave = -1
         for i in range(n + 1):
             t = tableau[i][enter]
@@ -272,21 +280,15 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
                 rhs = tableau[leave][ncols] * t
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
-        if leave < 0:  # objective is bounded below by zero
-            raise CertificateError("phase-one search became unbounded")
         d = _pivot(tableau, d, leave, enter)
         basis[leave] = enter
 
-    z = tableau[n + 1]
-    if z[ncols]:
-        # The slack columns' reduced costs over the artificial's value.
-        return FeasibilityResult(assignment=tuple(Fraction(v, -z[ncols]) for v in z[m:ncols]))
-    values = [0] * (ncols + 1)  # a basic artificial is 0
+    values = [0] * ncols
     for row, bv in zip(tableau, basis):
         values[bv] = row[ncols]
     witness = FarkasWitness(
         tuple(Fraction(v, d) for v in values[:m]),
-        tuple((j, Fraction(v, d)) for j, v in enumerate(values[m:ncols]) if v),
+        tuple((j, Fraction(v, d)) for j, v in enumerate(values[m:]) if v),
     )
     return FeasibilityResult(farkas=witness)
 

@@ -1,8 +1,9 @@
 """Every game on at most five players: a census of answers, block parts and weighted games.
 
 The checks below run on every game on at most four players; one sweep of
-answers and LP certificates, and the check of ``is_weighted`` against an
-enumeration of weighted games, run on all 7,579 games on five too.
+answers, LP certificates and tight part quotas, and the check of
+``is_weighted`` against an enumeration of weighted games, run on all 7,579
+games on five too.
 
 A game here is a monotone truth table over compact masks with the empty
 coalition losing and some coalition winning.  The monotone tables on n
@@ -11,6 +12,7 @@ players: f0 holds the coalitions without player n and f1 those with it.
 """
 
 import itertools
+from math import gcd
 
 import gamedim as gd
 from gamedim import dimsolver
@@ -150,19 +152,41 @@ def test_is_weighted_agrees_with_an_enumeration_of_every_small_weighted_game():
     assert counts == [1, 4, 18, 148, 3285]
 
 
+def assert_tight(part, targets):
+    """The part is a threshold part: weights with gcd 1, and a target one short of its quota."""
+    assert gcd(*part.weights) == 1, part
+    sums = coalition_weights(part.weights)
+    assert any(sums[t] == part.quota - 1 for t in targets), part
+
+
 def test_every_five_player_game_has_equal_dimension_and_codimension():
     # On five players the dimension equals the codimension game by game
     # (example1 n=3, on six players, has dimension 3 and codimension 4), a
     # game is weighted exactly when its dimension is 1, and every LP solved
-    # on the way re-verifies.  The sweep takes a few seconds.
+    # on the way re-verifies.  Every part's quota is tight: the dimension
+    # parts and the ``is_weighted`` part on the maximal losing masks, and
+    # the dual of each codimension part on the complemented minimal winning
+    # ones.  The sweep takes a few seconds.
     joint = {}
+    parts = 0
     with gd.record_certificates() as log:
         for table in games(5):
             game = simple_game(table, 5)
-            dim, codim = gd.dimension(game).value, gd.codimension(game).value
-            joint[dim, codim] = joint.get((dim, codim), 0) + 1
-            assert (gd.is_weighted(game) is not None) == (dim == 1)
+            dim, codim = gd.dimension(game), gd.codimension(game)
+            joint[dim.value, codim.value] = joint.get((dim.value, codim.value), 0) + 1
+            weighted = gd.is_weighted(game)
+            assert (weighted is not None) == (dim.value == 1)
+            (_, losing), (_, winning) = separation_families(table, 5)
+            tight = [(p, losing) for p in dim.parts]
+            tight += [(gd.dual_weighted(p), winning) for p in codim.parts]
+            if weighted is not None:
+                tight.append((weighted, losing))
+            for part, targets in tight:
+                assert_tight(part, targets)
+            parts += len(tight)
     assert joint == {(1, 1): 3285, (2, 2): 4270, (3, 3): 24}
+    # 11,897 dimension parts, as many codimension parts and 3,285 representations.
+    assert parts == 27079
     # 3,104 LPs, 127 of them infeasible.
     assert any(not result.feasible for _, result in log)
     for lp, result in log:

@@ -1025,9 +1025,9 @@ class TestBlockPart:
 
 
 class TestSeparate:
-    # The LP is stubbed to return a chosen assignment, so the mask re-check
-    # of the scaled game is what accepts or refuses it.  The fixed mask is
-    # {1, 2}; the target, when there is one, is {1}.
+    # The LP is stubbed to return a chosen assignment, so the mask check of
+    # its weights' threshold part is what accepts or refuses it.  The fixed
+    # mask is {1, 2}; the target, when there is one, is {1}.
     @pytest.fixture
     def solved(self, monkeypatch):
         """Make every LP return ``assignment``; the LPs it gets are listed."""
@@ -1051,13 +1051,26 @@ class TestSeparate:
         assert [lp.constraints for lp in lps] == [dimsolver._separation_rows(2, [0b11], [0b01])]
 
     @pytest.mark.parametrize(
+        "assignment, targets, part",
+        [
+            ([1, 1, 1], [0b01], gd.make_weighted(2, [1, 1])),  # [1; 1, 1] lets {1} win
+            ([1, 1, 0], [], gd.make_weighted(1, [1, 1])),  # quota 0 lets the empty coalition win
+        ],
+        ids=["wins-on-a-target", "quota-zero"],
+    )
+    def test_the_lp_quota_is_not_read(self, solved, assignment, targets, part):
+        # Weights that separate give their threshold part, whatever the
+        # LP's quota: one above the heaviest target, or 1 with none.
+        solved(assignment)
+        assert dimsolver._separate(2, [0b11], targets) == part
+
+    @pytest.mark.parametrize(
         "assignment, targets",
         [
             ([gd.rational(1, 2), 0, 1], [0b01]),  # [2; 1, 0]: {1, 2} weighs 1
-            ([1, 1, 1], [0b01]),  # [1; 1, 1]: the target {1} wins
-            ([1, 1, 0], []),  # quota 0: the empty coalition would win
+            ([0, 0, 1], [0b01]),  # no weight: {1, 2} weighs 0
         ],
-        ids=["misses-a-fixed-mask", "wins-on-a-target", "quota-zero"],
+        ids=["misses-a-fixed-mask", "all-zero-weights"],
     )
     def test_a_scaled_game_that_misses_a_mask_is_refused(self, solved, assignment, targets):
         solved(assignment)
@@ -1066,10 +1079,10 @@ class TestSeparate:
 
 
 class TestPrimitiveSeparationGames:
-    # Every game read off a separation LP is divided by the gcd of its
-    # quota and weights.  A union part is the dual of such a game, and the
-    # dual itself may have a common factor, so codimension is checked on
-    # the duals of its parts.
+    # Every game read off a separation LP is a threshold part: its weights
+    # over their gcd, and a quota one above its heaviest target.  A union
+    # part is the dual of such a game, and the dual itself may have a common
+    # factor, so codimension is checked on the duals of its parts.
     def test_every_separation_game_is_primitive(self, acceptance_corpus):
         for game in acceptance_corpus:
             sets = gd.extremal_sets(game)

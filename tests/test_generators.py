@@ -193,6 +193,12 @@ class TestGenRandomMonotone:
         assert peak < 8 * 2**20
         assert len(game.antichain) == 12
 
+    def test_draws_stop_once_every_coalition_is_drawn(self):
+        # 10^12 draws would not finish; on 12 players every nonempty proper
+        # coalition has been drawn after some tens of thousands.
+        game = gd.gen_random_monotone(12, 10**12, 1)
+        assert sorted(c.members for c in game.antichain) == [1 << j for j in range(1, 13)]
+
     def test_the_game_is_the_closure_of_every_draw(self):
         for seed in range(20):
             stream = gd.splitmix64(seed)

@@ -260,7 +260,8 @@ CORPUS_8_6_1029_MWC = [(1, 3), (2, 3, 4, 7), (2, 5, 7), (2, 4, 5, 6, 8), (1, 5, 
 # phase one on the Farkas alternative {y >= 0, A^T y <= 0, b.y = 1}: each
 # variable's row starts with its slack basic at 0, and the row b.y = 1 with
 # the one artificial, and no pivot follows the artificial's departure.  A
-# feasible system's assignment is the slack columns' reduced costs; an
+# feasible system's assignment is minus the slack entries of the
+# artificial's row over its rhs, the slack columns' reduced costs; an
 # infeasible system's multipliers are the basic y and slacks, so b.y = 1.
 # (lp, assignment) for feasible and (lp, (row multipliers, sign-row
 # multipliers)) for infeasible systems.
