@@ -332,20 +332,39 @@ def _weighted_table(part: WeightedGame) -> int:
     return rows[0]
 
 
-def superset_closure(masks: Sequence[int], n: int) -> int:
-    """Table over compact masks, set exactly on supersets of ``masks``.
+def _seeded(masks: Sequence[int], n: int) -> int:
+    """Table over compact masks, set exactly on ``masks``.
 
     The masks are seeded through a byte buffer, since OR-ing each bit into a
     growing int copies it every time; the buffer is dropped once it is read.
-    Then one zeta-transform pass per player: each coalition with player j+1
-    inherits the bit of the same coalition without it.
     """
     table = bytearray(((1 << n) + 7) // 8)
     for m in masks:
         table[m >> 3] |= 1 << (m & 7)
-    table = int.from_bytes(table, "little")
+    return int.from_bytes(table, "little")
+
+
+def superset_closure(masks: Sequence[int], n: int) -> int:
+    """Table over compact masks, set exactly on supersets of ``masks``.
+
+    One zeta-transform pass per player: each coalition with player j+1
+    inherits the bit of the same coalition without it.
+    """
+    table = _seeded(masks, n)
     for j, clear in _bit_clears(n):
         table |= (table & clear) << (1 << j)
+    return table
+
+
+def subset_closure(masks: Sequence[int], n: int) -> int:
+    """Table over compact masks, set exactly on subsets of ``masks``.
+
+    The same passes downward: each coalition without player j+1 inherits the
+    bit of the same coalition with it.
+    """
+    table = _seeded(masks, n)
+    for j, clear in _bit_clears(n):
+        table |= (table >> (1 << j)) & clear
     return table
 
 

@@ -101,6 +101,21 @@ the first descent of every attempt it fits in, and no separate greedy pass
 runs.  By downward closure every partition into k feasible blocks stays
 feasible on each prefix of the targets, so an attempt at k finds one
 whenever one exists and a failed attempt proves that none does.
+
+An answer is checked on its partition and its masks; no part table is built.
+Every part was checked on masks when it was made: a threshold part wins on
+every fixed mask and loses on every target of the block it was checked on
+(the unit part too), and the cache hands a part only to a subset of that
+block.  So two facts are checked.  The blocks are disjoint and cover every
+target.  The superset closure of the minimal winning masks is the game's
+table, and the subset closure of the maximal losing masks is the set of its
+losing coalitions (a union's masks are complemented back first).  Then
+every winning coalition holds a fixed mask, on which every part wins, and
+every losing one lies in a target, on which the part of its block loses,
+so by monotonicity the parts intersect to the game.
+The mirror argument holds for a union's parts mapped back by
+``dual_weighted``: each loses on every maximal losing L, and each minimal
+winning A wins in the part of its block.
 """
 
 from __future__ import annotations
@@ -122,10 +137,14 @@ from .core import (
     _subset_weights,
     combine,
     set_bits,
+    subset_closure,
     superset_closure,
     swing_counts,
 )
-from .structure import dual_weighted, equivalent, extremal_sets
+from .structure import dual_weighted, extremal_sets
+
+# Unused here: bench/tracer.py patches ``dimsolver.equivalent`` to time it.
+from .structure import equivalent  # noqa: F401
 
 # ``gamedim.lp`` (with ``fractions``) is imported inside the functions that
 # lay out or solve an LP, so a process whose games need no LP never loads
@@ -497,8 +516,11 @@ def _minimum_partition(count: int, fits: Callable[[int], bool], adj: list[int]) 
 
 def _search(
     n: int, fixed_masks: Sequence[int], target_masks: Sequence[int]
-) -> tuple[WeightedGame, ...]:
-    """One part per block of a minimum partition of the targets, by the search.
+) -> tuple[tuple[WeightedGame, ...], list[int]]:
+    """One part per block of a minimum partition of the targets, and the blocks.
+
+    Each block is a mask over target indices, answered by the part at the
+    same position.
 
     The search's state lives here: the pair graph of checked 2-trades and
     the oracle cache over blocks of targets.  It keeps no separation rows:
@@ -545,10 +567,11 @@ def _search(
         """Whether one part separates ``mask``: its widened block's, or else its own."""
         return cache.query(widened(mask)) is not None or cache.query(mask) is not None
 
-    parts = tuple(cache.query(bm) for bm in _minimum_partition(count, fits, adj))
+    blocks = _minimum_partition(count, fits, adj)
+    parts = tuple(cache.query(bm) for bm in blocks)
     if None in parts:
         raise RuntimeError("internal error: a block of the found partition is infeasible")
-    return parts
+    return parts, blocks
 
 
 def _witnessed_partition(game: SimpleGame, kind: str) -> DimensionWitness:
@@ -560,7 +583,9 @@ def _witnessed_partition(game: SimpleGame, kind: str) -> DimensionWitness:
     whole target set read off the game's table, is tried, and only when it
     misses does the search run.  A codimension complements each mask of the
     game's own extremal sets, which keeps the order of its ascending
-    coalitions, and maps each part back by ``dual_weighted``.
+    coalitions, and maps each part back by ``dual_weighted``.  The answer is
+    checked on its blocks and on the extremal masks, which the module
+    docstring shows is enough; no part table is built.
     """
     if game.form == WEIGHTED:
         return DimensionWitness(1, game.parts, kind)
@@ -573,14 +598,29 @@ def _witnessed_partition(game: SimpleGame, kind: str) -> DimensionWitness:
         raise SizeLimitError(f"{count} separation targets exceed the solver cap of {COVER_MAX}")
     fixed_masks = [flip ^ m for m in set_bits(fixed_table)]
     target_masks = [flip ^ m for m in set_bits(target_table)]
-    part = _threshold_part(swing_counts(game.truth_table, n), fixed_masks, target_masks)
-    parts = (part,) if part is not None else _search(n, fixed_masks, target_masks)
+    table = game.truth_table
+    part = _threshold_part(swing_counts(table, n), fixed_masks, target_masks)
+    all_targets = (1 << count) - 1
+    if part is not None:
+        parts, blocks = (part,), [all_targets]
+    else:
+        parts, blocks = _search(n, fixed_masks, target_masks)
+    covered = 0
+    for block in blocks:
+        covered |= block
+    if covered != all_targets or sum(b.bit_count() for b in blocks) != count:
+        raise RuntimeError("internal error: the found blocks do not partition the targets")
+    # Minimal winning masks close upward to the table, maximal losing ones
+    # downward to its complement; a union's masks are flipped back first.
+    winners, losers = (target_masks, fixed_masks) if flip else (fixed_masks, target_masks)
+    if (
+        superset_closure([flip ^ m for m in winners], n) != table
+        or subset_closure([flip ^ m for m in losers], n) != table ^ ((1 << (1 << n)) - 1)
+    ):
+        raise RuntimeError("internal error: the extremal masks do not describe the game")
     if kind == UNION:
         parts = tuple(map(dual_weighted, parts))
-    witness = DimensionWitness(len(parts), parts, kind)
-    if not equivalent(witness.as_game(), game):
-        raise RuntimeError("internal error: witness parts do not recombine to the game")
-    return witness
+    return DimensionWitness(len(parts), parts, kind)
 
 
 def dimension(game: SimpleGame) -> DimensionWitness:

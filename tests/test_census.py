@@ -12,6 +12,7 @@ players: f0 holds the coalitions without player n and f1 those with it.
 """
 
 import itertools
+from functools import reduce
 from math import gcd
 
 import gamedim as gd
@@ -126,6 +127,11 @@ def weighted_table(sums, quota):
     return sum(1 << s for s, w in enumerate(sums) if w >= quota)
 
 
+def part_table(part):
+    """The truth table of one weighted part, rebuilt coalition by coalition."""
+    return weighted_table(coalition_weights(part.weights), part.quota)
+
+
 def threshold_tables(n, most):
     """Tables of every [q; w] on ``n`` players, integer weights 0..``most``, 1 <= q <= w(N)."""
     tables = set()
@@ -166,13 +172,17 @@ def test_every_five_player_game_has_equal_dimension_and_codimension():
     # on the way re-verifies.  Every part's quota is tight: the dimension
     # parts and the ``is_weighted`` part on the maximal losing masks, and
     # the dual of each codimension part on the complemented minimal winning
-    # ones.  The sweep takes a few seconds.
+    # ones.  Each witness's parts, rebuilt here coalition by coalition,
+    # intersect (dimension) or unite (codimension) to the game's table.  The
+    # sweep takes a few seconds.
     joint = {}
     parts = 0
     with gd.record_certificates() as log:
         for table in games(5):
             game = simple_game(table, 5)
             dim, codim = gd.dimension(game), gd.codimension(game)
+            for witness, fold in ((dim, int.__and__), (codim, int.__or__)):
+                assert reduce(fold, map(part_table, witness.parts)) == table
             joint[dim.value, codim.value] = joint.get((dim.value, codim.value), 0) + 1
             weighted = gd.is_weighted(game)
             assert (weighted is not None) == (dim.value == 1)

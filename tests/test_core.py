@@ -13,6 +13,7 @@ from gamedim.core import (
     _bit_clears,
     first_nested_pair,
     minimal_table,
+    subset_closure,
     superset_closure,
     swing_counts,
 )
@@ -501,6 +502,8 @@ class TestTablePasses:
             table = superset_closure(masks, n)
             winning = {s for s in range(1 << n) if any(m & ~s == 0 for m in masks)}
             assert table == to_table(winning)
+            below = {s for s in range(1 << n) if any(s & ~m == 0 for m in masks)}
+            assert subset_closure(masks, n) == to_table(below)
             minimal = {s for s in winning if not any(t != s and t & ~s == 0 for t in winning)}
             assert minimal_table(table, n) == to_table(minimal)
             swings = [

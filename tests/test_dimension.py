@@ -323,6 +323,60 @@ class TestSolverAgreement:
         with pytest.raises(RuntimeError, match="internal error"):
             gd.dimension(gd.gen_example1(2))
 
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda blocks: blocks[:-1], lambda blocks: blocks + blocks[:1]],
+        ids=["target-dropped", "target-repeated"],
+    )
+    def test_found_blocks_that_do_not_partition_the_targets_are_an_internal_error(
+        self, monkeypatch, damage
+    ):
+        # Every pair of example1 n=2's targets is traded, so each block holds
+        # one target: dropping the last block drops a target, and repeating
+        # the first puts a target in two blocks.
+        minimum_partition = dimsolver._minimum_partition
+        monkeypatch.setattr(
+            dimsolver, "_minimum_partition", lambda *args: damage(minimum_partition(*args))
+        )
+        with pytest.raises(RuntimeError, match="internal error: the found blocks"):
+            gd.dimension(gd.gen_example1(2))
+
+    @pytest.mark.parametrize("solve", [gd.dimension, gd.codimension])
+    @pytest.mark.parametrize("side", ["winning", "losing"])
+    def test_extremal_sets_missing_an_extremal_mask_are_an_internal_error(
+        self, monkeypatch, solve, side
+    ):
+        # A missing minimal winning mask fails the upward closure, a missing
+        # maximal losing one the downward closure.
+        extremal_sets = dimsolver.extremal_sets
+
+        def drop_lowest(game):
+            sets = extremal_sets(game)
+            winning, losing = sets.winning, sets.losing
+            if side == "winning":
+                winning &= winning - 1
+            else:
+                losing &= losing - 1
+            return gd.ExtremalSets(sets.n, winning, losing)
+
+        monkeypatch.setattr(dimsolver, "extremal_sets", drop_lowest)
+        with pytest.raises(RuntimeError, match="internal error: the extremal masks"):
+            solve(gd.gen_example1(2))
+
+    def test_answers_build_no_part_table(self, monkeypatch, acceptance_corpus):
+        # The answer is checked on its partition and the extremal masks, so
+        # once the input's own table is built no weighted part's table is.
+        for game in acceptance_corpus:
+            game.truth_table
+
+        def refuse(part):
+            raise AssertionError(f"part table built for {part}")
+
+        monkeypatch.setattr(gd.core, "_weighted_table", refuse)
+        for game in acceptance_corpus:
+            assert gd.dimension(game).value >= 1
+            assert gd.codimension(game).value >= 1
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_example1_dimension_solves_no_lp(self, n):
         # Every pair of maximal losing coalitions is traded, so each target is
