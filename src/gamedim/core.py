@@ -21,9 +21,10 @@ concurrent sharing is safe).
 
 Inside the package coalitions travel as compact masks, and families of them
 as tables of the same shape: :func:`minimal_table` keeps the minimal set bits
-of a monotone table, and :func:`complemented` maps every coalition to its
-complement.  ``Coalition`` objects are built only where a public function
-takes or returns them.
+of a monotone table, and :func:`extremal_tables` reads a game's minimal
+winning table, maximal losing table and swing counts off its truth table in
+one pass per player.  ``Coalition`` objects are built only where a public
+function takes or returns them.
 """
 
 from __future__ import annotations
@@ -216,12 +217,12 @@ class WeightedGame(Immutable):
     weights: tuple[int, ...]
 
     def __init__(self, quota: int, weights: tuple[int, ...]) -> None:
-        quota, weights = as_int(quota), tuple(as_int(w) for w in weights)
+        quota, weights = as_int(quota), tuple(map(as_int, weights))
         if not 1 <= len(weights) <= N_MAX:
             raise _bad_player_count(len(weights))
         if quota < 1:
             raise InvalidGameError("quota must be at least 1 (the empty coalition loses)")
-        if any(w < 0 for w in weights):
+        if min(weights) < 0:
             raise InvalidGameError("weights must be nonnegative")
         if sum(weights) < quota:
             raise InvalidGameError("total weight below quota (the grand coalition must win)")
@@ -356,16 +357,18 @@ def superset_closure(masks: Sequence[int], n: int) -> int:
     return table
 
 
-def subset_closure(masks: Sequence[int], n: int) -> int:
-    """Table over compact masks, set exactly on subsets of ``masks``.
+def closures(above: Sequence[int], below: Sequence[int], n: int) -> tuple[int, int]:
+    """Tables of the supersets of ``above`` and of the subsets of ``below``.
 
-    The same passes downward: each coalition without player j+1 inherits the
-    bit of the same coalition with it.
+    The passes of :func:`superset_closure`, and the same passes downward,
+    share one pattern per player: each coalition without player j+1
+    inherits the bit of the same coalition with it.
     """
-    table = _seeded(masks, n)
+    up, down = _seeded(above, n), _seeded(below, n)
     for j, clear in _bit_clears(n):
-        table |= (table >> (1 << j)) & clear
-    return table
+        up |= (up & clear) << (1 << j)
+        down |= (down >> (1 << j)) & clear
+    return up, down
 
 
 def minimal_table(table: int, n: int) -> int:
@@ -392,23 +395,34 @@ def swing_counts(table: int, n: int) -> list[int]:
     return [size - 2 * (table & clear).bit_count() for _, clear in _bit_clears(n)][::-1]
 
 
+def extremal_tables(table: int, n: int) -> tuple[int, int, list[int]]:
+    """Minimal winning table, maximal losing table and swing counts of a monotone table.
+
+    One pass per player j serves all three.  A winning S with bit j clear
+    makes S + 2^j non-minimal, a losing S + 2^j makes S non-maximal, and the
+    winning S with bit j clear give the swings as in :func:`swing_counts`.
+    By monotonicity a non-minimal bit is a winning one and a non-maximal bit
+    a losing one, so one table collects both, and each family is its side
+    of the table less that table.  Each temporary is dropped once read,
+    which keeps five tables alive at most, the input aside.
+    """
+    losing = table ^ ((1 << (1 << n)) - 1)
+    size, beaten, swings = table.bit_count(), 0, []
+    for j, clear in _bit_clears(n):
+        above = (table & clear) << (1 << j)
+        swings.append(size - 2 * above.bit_count())
+        beaten |= above
+        del above
+        beaten |= (losing >> (1 << j)) & clear
+    del clear
+    winning = table ^ (table & beaten)
+    losing ^= losing & beaten
+    return winning, losing, swings[::-1]
+
+
 def minimal_masks(table: int, n: int) -> list[int]:
     """Ascending compact masks of the minimal set bits of a monotone table."""
     return set_bits(minimal_table(table, n))
-
-
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def complemented(table: int, n: int) -> int:
-    """The table with bit S moved to bit 2^n - 1 - S, the complement of S.
-
-    It reverses the 2^n bits: the bytes in reverse order, each byte reversed.
-    """
-    size = 1 << n
-    nbytes = (size + 7) // 8
-    flipped = table.to_bytes(nbytes, "big").translate(_REVERSED_BYTE)
-    return int.from_bytes(flipped, "little") >> (8 * nbytes - size)
 
 
 def first_nested_pair(masks: Sequence[int], n: int) -> tuple[int, int] | None:

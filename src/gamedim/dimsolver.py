@@ -75,8 +75,9 @@ some but not all targets of B; a block of one target has D empty, and its
 part is the unit part [1; w_j = 0 on T, 1 elsewhere], checked with no
 table.  The whole target set's game is the game itself (dimension) or its
 dual (codimension).  S is a swing of j in a game exactly when (N - S) + j
-is one in its dual, so both have the game's own swing counts, which the
-top rung reads off the game's cached table: a separable game is its
+is one in its dual, so both have the game's own swing counts.  The top
+rung reads them from ``ExtremalSets.swings``, counted in the same pass over
+the game's table that reads its extremal families: a separable game is its
 one-part partition, and no trade, row or LP is built.  When that part
 misses, the search runs: the first block it asks is a pair, which widens
 (below) to the full block, so a separable target set still costs at most
@@ -109,7 +110,8 @@ every fixed mask and loses on every target of the block it was checked on
 block.  So two facts are checked.  The blocks are disjoint and cover every
 target.  The superset closure of the minimal winning masks is the game's
 table, and the subset closure of the maximal losing masks is the set of its
-losing coalitions (a union's masks are complemented back first).  Then
+losing coalitions (a union's masks are complemented back first); one pass
+per player builds both.  Then
 every winning coalition holds a fixed mask, on which every part wins, and
 every losing one lies in a target, on which the part of its block loses,
 so by monotonicity the parts intersect to the game.
@@ -135,9 +137,9 @@ from .core import (
     SizeLimitError,
     WeightedGame,
     _subset_weights,
+    closures,
     combine,
     set_bits,
-    subset_closure,
     superset_closure,
     swing_counts,
 )
@@ -580,10 +582,10 @@ def _witnessed_partition(game: SimpleGame, kind: str) -> DimensionWitness:
     The ladder runs cheapest certificate first: a weighted-form game is its
     own part; otherwise the cap is checked on the target table's bit count,
     before any mask is listed, then the Banzhaf part, the block part of the
-    whole target set read off the game's table, is tried, and only when it
-    misses does the search run.  A codimension complements each mask of the
-    game's own extremal sets, which keeps the order of its ascending
-    coalitions, and maps each part back by ``dual_weighted``.  The answer is
+    whole target set weighted by the swing counts of the extremal sets, is
+    tried, and only when it misses does the search run.  A codimension
+    complements each mask of the game's own extremal sets, which keeps the
+    order of its ascending coalitions, and maps each part back by ``dual_weighted``.  The answer is
     checked on its blocks and on the extremal masks, which the module
     docstring shows is enough; no part table is built.
     """
@@ -598,8 +600,7 @@ def _witnessed_partition(game: SimpleGame, kind: str) -> DimensionWitness:
         raise SizeLimitError(f"{count} separation targets exceed the solver cap of {COVER_MAX}")
     fixed_masks = [flip ^ m for m in set_bits(fixed_table)]
     target_masks = [flip ^ m for m in set_bits(target_table)]
-    table = game.truth_table
-    part = _threshold_part(swing_counts(table, n), fixed_masks, target_masks)
+    part = _threshold_part(sets.swings, fixed_masks, target_masks)
     all_targets = (1 << count) - 1
     if part is not None:
         parts, blocks = (part,), [all_targets]
@@ -613,10 +614,9 @@ def _witnessed_partition(game: SimpleGame, kind: str) -> DimensionWitness:
     # Minimal winning masks close upward to the table, maximal losing ones
     # downward to its complement; a union's masks are flipped back first.
     winners, losers = (target_masks, fixed_masks) if flip else (fixed_masks, target_masks)
-    if (
-        superset_closure([flip ^ m for m in winners], n) != table
-        or subset_closure([flip ^ m for m in losers], n) != table ^ ((1 << (1 << n)) - 1)
-    ):
+    up, down = closures([flip ^ m for m in winners], [flip ^ m for m in losers], n)
+    table = game.truth_table
+    if up != table or down != table ^ ((1 << (1 << n)) - 1):
         raise RuntimeError("internal error: the extremal masks do not describe the game")
     if kind == UNION:
         parts = tuple(map(dual_weighted, parts))
@@ -655,19 +655,18 @@ def is_weighted(game: SimpleGame) -> WeightedGame | None:
     if game.form == WEIGHTED:
         return game.parts[0]
     sets = extremal_sets(game)
-    n = game.n
     winning, losing = set_bits(sets.winning), set_bits(sets.losing)
-    swings = swing_counts(game.truth_table, n)
-    # The part's quota depends only on the heaviest target, which is T*.
-    heaviest = max(losing, key=_mask_weight(swings))
-    part = _threshold_part(swings, winning, [heaviest])
+    # The part's quota is set by the heaviest target, T*, which is picked
+    # only when the part misses.
+    part = _threshold_part(sets.swings, winning, losing)
     if part is not None:
         return part
+    heaviest = max(losing, key=_mask_weight(sets.swings))
     for target in losing:
         if target != heaviest and (record := _trade(winning, heaviest, target)) is not None:
             _check_trade(frozenset(winning), heaviest, target, record)
             return None
-    return _separate(n, winning, losing)
+    return _separate(game.n, winning, losing)
 
 
 def canonical_intersection(game: SimpleGame) -> list[WeightedGame]:

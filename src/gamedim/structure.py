@@ -1,12 +1,12 @@
 """Extremal coalitions, dual games, and equivalence of simple games.
 
 The enumeration oracle walks all 2^n coalitions through the cached truth
-table with the one minimality routine, :func:`gamedim.core.minimal_table`,
-and keeps each extremal family as a table over compact masks.  A losing
-coalition S is maximal exactly when its complement is minimal winning in the
-dual.  The dual's table is the game's table complemented coalition-wise (its
-2^n bits reversed) and then negated, so the maximal losing table is the
-complemented minimal table of the dual's.
+table and keeps each extremal family as a table over compact masks.  One
+kernel, :func:`gamedim.core.extremal_tables`, reads both families and the
+swing counts in one pass per player: a winning S is minimal when no S - j
+wins, and a losing S is maximal when no S + j loses.  The dual of an explicit
+game is read off the maximal losing masks: its minimal winning coalitions
+are their complements.
 """
 
 from __future__ import annotations
@@ -23,10 +23,12 @@ from .core import (
     SimpleGame,
     WeightedGame,
     combine,
-    complemented,
+    extremal_tables,
     make_explicit,
     minimal_table,
     set_bits,
+    superset_closure,
+    swing_counts,
 )
 
 
@@ -36,6 +38,9 @@ class ExtremalSets(Immutable):
     Bit S of ``winning`` is set when the compact coalition S is minimal
     winning, and bit S of ``losing`` when it is maximal losing.  The
     ``Coalition`` views, ascending by mask, are built on first access.
+    ``swings`` holds the game's swing counts, player 1 first:
+    :func:`extremal_sets` fills it in from its one pass, and a hand-built
+    instance computes it on first access from the closure of ``winning``.
     """
 
     n: int
@@ -53,18 +58,18 @@ class ExtremalSets(Immutable):
     def maximal_losing(self) -> tuple[Coalition, ...]:
         return _coalitions(self.losing, self.n)
 
+    @cached_property
+    def swings(self) -> tuple[int, ...]:
+        return tuple(swing_counts(superset_closure(set_bits(self.winning), self.n), self.n))
+
 
 def _coalitions(table: int, n: int) -> tuple[Coalition, ...]:
     return tuple(Coalition(m << 1, n) for m in set_bits(table))
 
 
-def _dual_table(table: int, n: int) -> int:
-    return complemented(table, n) ^ ((1 << (1 << n)) - 1)
-
-
 def losing_table(table: int, n: int) -> int:
     """Table of the maximal losing compact masks of a monotone ``table``."""
-    return complemented(minimal_table(_dual_table(table, n), n), n)
+    return extremal_tables(table, n)[1]
 
 
 def minimal_winning(game: SimpleGame) -> tuple[Coalition, ...]:
@@ -78,8 +83,11 @@ def maximal_losing(game: SimpleGame) -> tuple[Coalition, ...]:
 
 
 def extremal_sets(game: SimpleGame) -> ExtremalSets:
-    table = game.truth_table
-    return ExtremalSets(game.n, minimal_table(table, game.n), losing_table(table, game.n))
+    winning, losing, swings = extremal_tables(game.truth_table, game.n)
+    sets = ExtremalSets(game.n, winning, losing)
+    # Filled in as ``cached_property`` itself would store it.
+    sets.__dict__["swings"] = tuple(swings)
+    return sets
 
 
 def dual_weighted(part: WeightedGame) -> WeightedGame:
@@ -92,9 +100,9 @@ def dual(game: SimpleGame) -> SimpleGame:
 
     The result keeps a form matched to the input: weighted parts dualise by
     the quota flip above in a single pass, intersections become unions of the
-    part duals (and vice versa), and an explicit game maps to the minimal
-    masks of the dual's table, the complements of its maximal losing
-    coalitions.
+    part duals (and vice versa), and an explicit game maps to the
+    complements of its maximal losing coalitions, the dual's minimal winning
+    ones.
     """
     if game.form == WEIGHTED:
         return SimpleGame.from_weighted(dual_weighted(game.parts[0]))
@@ -102,8 +110,11 @@ def dual(game: SimpleGame) -> SimpleGame:
         return combine(UNION, [dual_weighted(p) for p in game.parts])
     if game.form == UNION:
         return combine(INTERSECTION, [dual_weighted(p) for p in game.parts])
-    winning = minimal_table(_dual_table(game.truth_table, game.n), game.n)
-    return make_explicit(game.n, _coalitions(winning, game.n), MINIMAL_GIVEN)
+    n, full = game.n, (1 << game.n) - 1
+    # Complements of the ascending maximal losing masks, taken from the top
+    # down so that they come out ascending.
+    losing = reversed(set_bits(losing_table(game.truth_table, n)))
+    return make_explicit(n, [Coalition((full ^ m) << 1, n) for m in losing], MINIMAL_GIVEN)
 
 
 def equivalent(g1: SimpleGame, g2: SimpleGame) -> bool:

@@ -17,7 +17,7 @@ from math import gcd
 
 import gamedim as gd
 from gamedim import dimsolver
-from gamedim.core import complemented, minimal_masks, minimal_table, set_bits
+from gamedim.core import extremal_tables, minimal_masks, minimal_table, set_bits, swing_counts
 from gamedim.structure import losing_table
 
 
@@ -37,14 +37,41 @@ def games(n):
 
 def separation_families(table, n):
     """(fixed masks, target masks) of the dimension and of the codimension."""
-    winning, losing = minimal_table(table, n), losing_table(table, n)
-    yield set_bits(winning), set_bits(losing)
-    yield set_bits(complemented(losing, n)), set_bits(complemented(winning, n))
+    winning, losing = set_bits(minimal_table(table, n)), set_bits(losing_table(table, n))
+    yield winning, losing
+    full = (1 << n) - 1
+    yield sorted(full ^ m for m in losing), sorted(full ^ m for m in winning)
 
 
 def test_game_counts_are_the_dedekind_numbers_less_the_constants():
     # 3, 6, 20, 168 and 7,581 monotone functions of 1 to 5 variables (OEIS A000372).
     assert [len(games(n)) for n in range(1, 6)] == [1, 4, 18, 166, 7579]
+
+
+def losing_by_the_dual(table, n):
+    """The maximal losing table read off the dual's table by bit reversal.
+
+    Reversing the 2^n bits maps each coalition to its complement; negated,
+    that is the dual's table, and the reversed minimal table of the dual is
+    the maximal losing table.
+    """
+
+    def reverse(t):
+        return int(f"{t:0{1 << n}b}"[::-1], 2)
+
+    return reverse(minimal_table(reverse(table) ^ ((1 << (1 << n)) - 1), n))
+
+
+def test_the_one_pass_extremal_tables_match_the_separate_passes():
+    # Every game on at most five players: the minimal winning table, the
+    # maximal losing table by way of the dual, and the swing counts.
+    checked = 0
+    for n in range(1, 6):
+        for table in games(n):
+            winning, losing = minimal_table(table, n), losing_by_the_dual(table, n)
+            assert extremal_tables(table, n) == (winning, losing, swing_counts(table, n))
+            checked += 1
+    assert checked == 7768
 
 
 def simple_game(table, n):

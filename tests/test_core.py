@@ -11,9 +11,9 @@ import pytest
 import gamedim as gd
 from gamedim.core import (
     _bit_clears,
+    closures,
     first_nested_pair,
     minimal_table,
-    subset_closure,
     superset_closure,
     swing_counts,
 )
@@ -502,8 +502,9 @@ class TestTablePasses:
             table = superset_closure(masks, n)
             winning = {s for s in range(1 << n) if any(m & ~s == 0 for m in masks)}
             assert table == to_table(winning)
-            below = {s for s in range(1 << n) if any(s & ~m == 0 for m in masks)}
-            assert subset_closure(masks, n) == to_table(below)
+            others = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
+            below = {s for s in range(1 << n) if any(s & ~m == 0 for m in others)}
+            assert closures(masks, others, n) == (table, to_table(below))
             minimal = {s for s in winning if not any(t != s and t & ~s == 0 for t in winning)}
             assert minimal_table(table, n) == to_table(minimal)
             swings = [
@@ -529,6 +530,23 @@ class TestTablePasses:
         kept, peak = fresh_eval(code, "(kept, peak)")
         assert kept < 4096
         assert peak < 8 * 2**17
+
+    def test_the_one_pass_kernel_holds_five_tables_at_most(self):
+        # Five 2^20-bit ints take about 0.67 MiB in 30-bit digits; the
+        # input table is built before tracing starts.
+        code = (
+            "import tracemalloc\n"
+            "from gamedim.core import SimpleGame, extremal_tables, make_weighted\n"
+            "n = 20\n"
+            "table = SimpleGame.from_weighted(make_weighted(10, [1] * n)).truth_table\n"
+            "tracemalloc.start()\n"
+            "base = tracemalloc.get_traced_memory()[0]\n"
+            "extremal_tables(table, n)\n"
+            "kept, peak = (m - base for m in tracemalloc.get_traced_memory())"
+        )
+        kept, peak = fresh_eval(code, "(kept, peak)")
+        assert kept < 4096
+        assert peak < 6 * 2**17
 
 
 # One instance of each public value type, built by keyword and leaving any

@@ -67,6 +67,18 @@ class TestExtremalSets:
         assert sets.winning.bit_count() == len(sets.minimal_winning)
         assert sets.losing.bit_count() == len(sets.maximal_losing)
 
+    def test_a_hand_built_instance_counts_the_same_swings(self, acceptance_corpus):
+        # extremal_sets fills the swings in from its one pass; a hand-built
+        # instance counts them on first access from the closure of winning.
+        for game in acceptance_corpus:
+            sets = gd.extremal_sets(game)
+            assert "swings" in vars(sets)
+            by_hand = gd.ExtremalSets(game.n, sets.winning, sets.losing)
+            assert "swings" not in vars(by_hand)
+            assert by_hand == sets and repr(by_hand) == repr(sets)
+            assert by_hand.swings == sets.swings
+            assert len(sets.swings) == game.n
+
     def test_outputs_are_antichains(self, small_corpus):
         for game in small_corpus:
             sets = gd.extremal_sets(game)
