@@ -19,8 +19,9 @@ process in a pipe pays for its own start-up.  ``gen`` imports neither
 ``weighted``, ``dim``, ``codim`` and ``convert`` import ``dimsolver``.  The
 solver import comes before the game is read from standard input, so in
 ``gen ... | gamedim dim`` it overlaps the producer's run.  The LP code
-(``lp``, and with it ``fractions``) loads on the first LP, after the read,
-and a game answered by closed-form parts and trades never loads it.
+(``lp``) loads on the first LP, after the read, and a game answered by
+closed-form parts and trades never loads it.  No command loads
+``fractions``: certificates hold integers over one denominator.
 ``_build_parser`` builds the top parser and only the subcommand that the
 command line names, or every subcommand when it names none.  A ``dim``
 process on example1 n=3 (no LP) took a median 82.5 ms where it took

@@ -148,10 +148,9 @@ from .structure import dual_weighted, extremal_sets
 # Unused here: bench/tracer.py patches ``dimsolver.equivalent`` to time it.
 from .structure import equivalent  # noqa: F401
 
-# ``gamedim.lp`` (with ``fractions``) is imported inside the functions that
-# lay out or solve an LP, so a process whose games need no LP never loads
-# it.  Not ``from . import lp``: that package lookup would load every
-# submodule.
+# ``gamedim.lp`` is imported inside the functions that lay out or solve an
+# LP, so a process whose games need no LP never loads it.  Not ``from .
+# import lp``: that package lookup would load every submodule.
 
 COVER_MAX = 32
 
@@ -232,9 +231,10 @@ def _separate(
     """The integer game [q; w] winning on every fixed mask and losing on every target, or None.
 
     The LP's rows are the ``_separation_rows`` of the masks, and this is the
-    only place that lays them out.  Only its weights are read: put over one
-    common denominator, they give the :func:`_threshold_part` of the masks,
-    which must exist, since the LP's own quota separates them.
+    only place that lays them out.  Only its weights are read: their integer
+    numerators, all over the result's one denominator, give the
+    :func:`_threshold_part` of the masks, which must exist, since the LP's
+    own quota separates them.
     """
     import gamedim.lp as lp
 
@@ -242,8 +242,7 @@ def _separate(
     result = lp.solve_feasibility(lp.LinearProgram(n + 1, rows))
     if not result.feasible:
         return None
-    weights, _ = lp.common_denominator(result.assignment[:n])
-    part = _threshold_part(weights, fixed_masks, target_masks)
+    part = _threshold_part(result.assignment[:n], fixed_masks, target_masks)
     if part is None:
         raise CertificateError("scaled weighted game misses a separation row")
     return part
@@ -422,9 +421,9 @@ def _trade_certificate(
 
     The witness is on the pair's separation LP: the fixed rows, the quota
     row, then rows ``t1`` and ``t2``.  It puts 1 on rows M, M2, T1 and T2,
-    0 on the quota row (two won rows less two lost ones), and on the sign
-    row w_j >= 0 the count [j in T1] + [j in T2] - [j in M] - [j in M2].
-    None when there is no trade.
+    0 on the quota row (two won rows less two lost ones), on the sign row
+    w_j >= 0 the count [j in T1] + [j in T2] - [j in M] - [j in M2], and 0
+    on q >= 0, all over the denominator 1.  None when there is no trade.
     """
     import gamedim.lp as lp
 
@@ -437,7 +436,7 @@ def _trade_certificate(
     rows[fixed_masks.index(m2)] += 1
     rows[-2] = rows[-1] = 1
     counts = [(t1 >> j & 1) + (t2 >> j & 1) - (m >> j & 1) - (m2 >> j & 1) for j in range(n)]
-    return lp.FarkasWitness(tuple(rows), tuple((j, u) for j, u in enumerate(counts) if u))
+    return lp.FarkasWitness(tuple(rows), (*counts, 0))
 
 
 def _minimum_partition(count: int, fits: Callable[[int], bool], adj: list[int]) -> list[int]:

@@ -68,36 +68,31 @@ so the slack columns' reduced costs, minus the slack entries of the
 artificial's row, over the artificial's value are an assignment x = -u >= 0,
 and y_i's reduced cost is a_i.x - b_i >= 0, row i's surplus at x.
 
-``fractions.Fraction`` values are formed only when the result is built.  The
-verifier puts a certificate over one common denominator and substitutes its
-integer numerators, so the rows are checked in integer arithmetic.
+A result holds the integers that the final tableau ends with, over one
+positive ``denominator``: d, which is also the rhs of the artificial's row
+while the artificial is basic at 1.  No rational is formed.  The verifier
+substitutes those integers as they are, so the rows are checked in integer
+arithmetic with no rescaling.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
-from fractions import Fraction
 from operator import index as as_int
 
 from .core import CertificateError, Immutable
 
 
 def rational(numerator, denominator=1):
-    """The exact rational ``numerator / denominator`` as a ``Fraction``."""
+    """The exact rational ``numerator / denominator`` as a ``fractions.Fraction``.
+
+    The solver never calls it, and ``fractions`` loads only when it is
+    called: a certificate's value is an integer over its ``denominator``.
+    """
+    from fractions import Fraction
+
     return Fraction(numerator, denominator)
-
-
-def common_denominator(values) -> tuple[list[int], int]:
-    """Integer numerators over one positive common denominator of exact rationals."""
-    for v in values:
-        # Exact type tests first: the ABC check costs several times more.
-        if not (type(v) is int or type(v) is Fraction or isinstance(v, numbers.Rational)):
-            raise CertificateError(f"certificate value {v!r} is not an exact rational")
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 class Constraint(Immutable):
@@ -131,10 +126,10 @@ class LinearProgram(Immutable):
 class FarkasWitness(Immutable):
     """Nonnegative multipliers recombining the system into 0 >= positive.
 
-    ``row_multipliers[i]`` applies to constraint i; ``nonneg_multipliers``
-    holds (variable, multiplier) pairs for the implicit rows x_j >= 0.
-    Summing all multiplied rows cancels every variable exactly and leaves a
-    positive right-hand side.
+    ``row_multipliers[i]`` applies to constraint i and ``nonneg_multipliers[j]``
+    to the implicit row x_j >= 0, one per variable, each an integer over the
+    result's ``denominator``.  Summing all multiplied rows cancels every
+    variable exactly and leaves a positive right-hand side.
     """
 
     row_multipliers: tuple
@@ -145,15 +140,25 @@ class FarkasWitness(Immutable):
 
 
 class FeasibilityResult(Immutable):
-    """An outcome as its certificate: an assignment or a Farkas witness, exactly one."""
+    """An outcome as its certificate: an assignment or a Farkas witness, exactly one.
+
+    Its values are integers over the one ``denominator``, so value v reads
+    as the rational v / denominator.
+    """
 
     assignment: tuple | None
     farkas: FarkasWitness | None
+    denominator: int
 
-    def __init__(self, assignment: tuple | None = None, farkas: FarkasWitness | None = None):
+    def __init__(
+        self,
+        assignment: tuple | None = None,
+        farkas: FarkasWitness | None = None,
+        denominator: int = 1,
+    ):
         if (assignment is None) == (farkas is None):
             raise ValueError("a result holds exactly one of an assignment and a Farkas witness")
-        self._set(assignment, farkas)
+        self._set(assignment, farkas, denominator)
 
     @property
     def feasible(self) -> bool:
@@ -181,15 +186,18 @@ def record_certificates():
 def verify_certificate(lp: LinearProgram, result: FeasibilityResult) -> None:
     """Re-check a certificate by exact substitution; raise CertificateError on failure.
 
-    The certificate's values are put over one common denominator D, and their
-    integer numerators are substituted: an assignment must meet every row
-    against rhs * D, and the multiplied rows must cancel every variable and
-    leave a positive right-hand side.
+    Every value and the denominator D must be integers, as ``operator.index``
+    takes them, with D >= 1.  An assignment must meet every row against
+    rhs * D, and the multiplied rows must cancel every variable and leave a
+    positive right-hand side.
     """
+    [d] = _integers((result.denominator,))
+    if d < 1:
+        raise CertificateError(f"denominator {d} is not positive")
     if result.feasible:
         if len(result.assignment) != lp.num_vars:
             raise CertificateError("feasible result lacks a full assignment")
-        x, d = common_denominator(result.assignment)
+        x = _integers(result.assignment)
         for j, xj in enumerate(x):
             if xj < 0:
                 raise CertificateError(f"assignment violates x_{j} >= 0")
@@ -198,27 +206,30 @@ def verify_certificate(lp: LinearProgram, result: FeasibilityResult) -> None:
                 raise CertificateError(f"assignment violates row {i}")
         return
     witness = result.farkas
-    if len(witness.row_multipliers) != len(lp.constraints):
+    mults, sums = witness.row_multipliers, witness.nonneg_multipliers
+    if len(mults) != len(lp.constraints) or len(sums) != lp.num_vars:
         raise CertificateError("infeasible result lacks a full Farkas witness")
-    signs = witness.nonneg_multipliers
-    mults, _ = common_denominator([*witness.row_multipliers, *(u for _, u in signs)])
-    if any(y < 0 for y in mults):
+    mults, sums = _integers(mults), _integers(sums)
+    if any(y < 0 for y in mults) or any(u < 0 for u in sums):
         raise CertificateError("negative multiplier")
-    sums = [0] * lp.num_vars
     rhs_sum = 0
     for y, con in zip(mults, lp.constraints):
         if y:
             for j, c in enumerate(con.coeffs):
                 sums[j] += y * c
             rhs_sum += y * con.rhs
-    for (j, _), u in zip(signs, mults[len(lp.constraints):]):
-        if not 0 <= j < lp.num_vars:
-            raise CertificateError(f"sign row x_{j} >= 0 names no variable")
-        sums[j] += u
     if any(sums):
         raise CertificateError("combination does not cancel all variables")
     if rhs_sum <= 0:
         raise CertificateError("combined right-hand side is not positive")
+
+
+def _integers(values) -> list[int]:
+    """``values`` through ``operator.index``; any other value raises CertificateError."""
+    try:
+        return [as_int(v) for v in values]
+    except TypeError as exc:
+        raise CertificateError(f"certificate value is not an integer: {exc}") from None
 
 
 def solve_feasibility(lp: LinearProgram) -> FeasibilityResult:
@@ -240,7 +251,7 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
 
     The result is read off the final rows: the basic multipliers over d once
     the artificial has left, or else minus the slack entries of the
-    artificial's row over that row's rhs.
+    artificial's row over that row's rhs, which is d.
     """
     # Column layout: one column y_i per row of ``lp``, then one slack column
     # s_j per variable.  Tableau row j is sum_i a_ij y_i + s_j = 0 with s_j
@@ -265,8 +276,7 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
                 break
         if enter < 0:
             # The slack columns' reduced costs, -art[m:ncols], over the artificial's value.
-            x = (Fraction(-v, art[ncols]) for v in art[m:ncols])
-            return FeasibilityResult(assignment=tuple(x))
+            return FeasibilityResult(tuple(-v for v in art[m:ncols]), denominator=art[ncols])
         # Ratio test rhs/t by cross-multiplication (every t > 0), ties to
         # the smallest basic variable.  Row n always has t > 0.
         leave = -1
@@ -286,11 +296,8 @@ def _phase_one(lp: LinearProgram) -> FeasibilityResult:
     values = [0] * ncols
     for row, bv in zip(tableau, basis):
         values[bv] = row[ncols]
-    witness = FarkasWitness(
-        tuple(Fraction(v, d) for v in values[:m]),
-        tuple((j, Fraction(v, d)) for j, v in enumerate(values[m:]) if v),
-    )
-    return FeasibilityResult(farkas=witness)
+    witness = FarkasWitness(tuple(values[:m]), tuple(values[m:]))
+    return FeasibilityResult(farkas=witness, denominator=d)
 
 
 def _pivot(tableau, d, leave, enter):

@@ -663,11 +663,12 @@ SUBCOMMAND_LOADS = [
     subcommand_case(["codim"], *NO_LP),
     subcommand_case(["weighted"], *NO_LP),
     subcommand_case(["convert", "--to", "union"], *NO_LP),
-    # The Banzhaf part of this game misses, so its answer is read off an LP.
+    # The Banzhaf part of this game misses, so its answer is read off an LP,
+    # whose certificate holds integers: no ``fractions``.
     subcommand_case(
         ["weighted"],
         {"gamedim.dimsolver", "gamedim.lp"},
-        set(),
+        {"fractions"},
         game=gd.gen_random_monotone(7, 5, 1028),
         prints="weighted\nwmg 11 : 1 7 1 4 0 1 4\n",
         id="weighted-lp",

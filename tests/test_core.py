@@ -574,9 +574,9 @@ VALUE_TYPES = [
         "FarkasWitness(row_multipliers=(1,), nonneg_multipliers=())",
     ),
     (
-        lambda: gd.FeasibilityResult(farkas=gd.FarkasWitness((1,), ())),
+        lambda: gd.FeasibilityResult(farkas=gd.FarkasWitness((1,), ()), denominator=2),
         "FeasibilityResult(assignment=None, "
-        "farkas=FarkasWitness(row_multipliers=(1,), nonneg_multipliers=()))",
+        "farkas=FarkasWitness(row_multipliers=(1,), nonneg_multipliers=()), denominator=2)",
     ),
 ]
 

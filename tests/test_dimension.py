@@ -634,8 +634,8 @@ class TestTradeCertificates:
             for k, y in enumerate(rows)
         ]
         changed += [
-            gd.FarkasWitness(rows, signs[:k] + ((j, u - 1),) + signs[k + 1 :])
-            for k, (j, u) in enumerate(signs)
+            gd.FarkasWitness(rows, signs[:k] + (u + 1,) + signs[k + 1 :])
+            for k, u in enumerate(signs)
         ]
         for bad in changed:
             with pytest.raises(gd.CertificateError):
@@ -1084,15 +1084,14 @@ class TestSeparate:
     # mask is {1, 2}; the target, when there is one, is {1}.
     @pytest.fixture
     def solved(self, monkeypatch):
-        """Make every LP return ``assignment``; the LPs it gets are listed."""
+        """Make every LP return ``assignment`` over ``denominator``; the LPs it gets are listed."""
 
-        def solve(assignment):
+        def solve(assignment, denominator=1):
             lps = []
 
             def stub(lp):
                 lps.append(lp)
-                result = tuple(map(gd.rational, assignment))
-                return gd.FeasibilityResult(result)
+                return gd.FeasibilityResult(tuple(assignment), denominator=denominator)
 
             monkeypatch.setattr(gd.lp, "solve_feasibility", stub)
             return lps
@@ -1100,7 +1099,7 @@ class TestSeparate:
         return solve
 
     def test_a_game_that_meets_every_mask_is_returned_scaled(self, solved):
-        lps = solved([gd.rational(1, 2), gd.rational(1, 2), 1])
+        lps = solved([1, 1, 2], 2)  # (1/2, 1/2, 1)
         assert dimsolver._separate(2, [0b11], [0b01]) == gd.make_weighted(2, [1, 1])
         assert [lp.constraints for lp in lps] == [dimsolver._separation_rows(2, [0b11], [0b01])]
 
@@ -1119,15 +1118,17 @@ class TestSeparate:
         assert dimsolver._separate(2, [0b11], targets) == part
 
     @pytest.mark.parametrize(
-        "assignment, targets",
+        "assignment, denominator, targets",
         [
-            ([gd.rational(1, 2), 0, 1], [0b01]),  # [2; 1, 0]: {1, 2} weighs 1
-            ([0, 0, 1], [0b01]),  # no weight: {1, 2} weighs 0
+            ([1, 0, 2], 2, [0b01]),  # (1/2, 0, 1), so [2; 1, 0]: {1, 2} weighs 1
+            ([0, 0, 1], 1, [0b01]),  # no weight: {1, 2} weighs 0
         ],
         ids=["misses-a-fixed-mask", "all-zero-weights"],
     )
-    def test_a_scaled_game_that_misses_a_mask_is_refused(self, solved, assignment, targets):
-        solved(assignment)
+    def test_a_scaled_game_that_misses_a_mask_is_refused(
+        self, solved, assignment, denominator, targets
+    ):
+        solved(assignment, denominator)
         with pytest.raises(gd.CertificateError, match="misses a separation row"):
             dimsolver._separate(2, [0b11], targets)
 

@@ -8,7 +8,6 @@ import pytest
 
 import gamedim as gd
 from gamedim.generators import splitmix64
-from gamedim.lp import common_denominator
 
 
 def lp_of(rows, num_vars):
@@ -70,14 +69,14 @@ class TestSpecSystems:
         result = gd.solve_feasibility(lp)
         assert not result.feasible
         # 1*(w >= 1) + 1*(-w >= 0) recombines to 0 >= 1.
-        assert result.farkas.row_multipliers == (1, 1)
+        assert result.farkas.row_multipliers == (1, 1) and result.denominator == 1
         gd.verify_certificate(lp, result)
 
     def test_interval(self):
         lp = lp_of([((1,), 1), ((-1,), -2)], 1)
         result = gd.solve_feasibility(lp)
         assert result.feasible
-        assert 1 <= result.assignment[0] <= 2
+        assert 1 <= Fraction(result.assignment[0], result.denominator) <= 2
 
     def test_example1_nonweightedness_system(self):
         # w1+w3 >= q, w2+w4 >= q, q-w1-w2 >= 1, q-w3-w4 >= 1, w >= 0, q >= 1:
@@ -107,69 +106,116 @@ class TestCertificates:
     def test_verifier_rejects_corrupted_assignment(self):
         lp = lp_of([((1,), 3)], 1)
         result = gd.solve_feasibility(lp)
-        forged = gd.FeasibilityResult(assignment=(gd.rational(0),))
-        with pytest.raises(gd.CertificateError):
+        forged = gd.FeasibilityResult(assignment=(0,))
+        with pytest.raises(gd.CertificateError, match="violates row 0"):
             gd.verify_certificate(lp, forged)
         gd.verify_certificate(lp, result)
         # x_0 + x_1 >= 1 holds at (2, -1), but x_1 >= 0 does not.
         lp = lp_of([((1, 1), 1)], 2)
-        negative = gd.FeasibilityResult(assignment=(gd.rational(2), gd.rational(-1)))
+        negative = gd.FeasibilityResult(assignment=(2, -1))
         with pytest.raises(gd.CertificateError, match="x_1 >= 0"):
             gd.verify_certificate(lp, negative)
 
     def test_verifier_rejects_corrupted_witness(self):
         lp = lp_of([((1,), 1), ((-1,), 0)], 1)
         result = gd.solve_feasibility(lp)
-        forged = gd.FeasibilityResult(farkas=gd.FarkasWitness((gd.rational(1), gd.rational(0)), ()))
-        with pytest.raises(gd.CertificateError):
+        forged = gd.FeasibilityResult(farkas=gd.FarkasWitness((1, 0), (0,)))
+        with pytest.raises(gd.CertificateError, match="cancel"):
             gd.verify_certificate(lp, forged)
         gd.verify_certificate(lp, result)
 
     def test_verifier_rejects_inexact_values(self):
-        # 3 * 0.333... rounds to 1.0 in floats, but is 1 - 2**-54 exactly.
+        # 3 * 0.333... rounds to 1.0 in floats, but is 1 - 2**-54 exactly;
+        # the exact 1/3 is the numerator 1 over the denominator 3.
         lp = lp_of([((3,), 1)], 1)
+        gd.verify_certificate(lp, gd.FeasibilityResult(assignment=(1,), denominator=3))
         inexact = gd.FeasibilityResult(assignment=(1 / 3,))
-        with pytest.raises(gd.CertificateError, match="not an exact rational"):
+        with pytest.raises(gd.CertificateError, match="not an integer"):
             gd.verify_certificate(lp, inexact)
         lp = lp_of([((1,), 1), ((-1,), 0)], 1)
-        inexact = gd.FeasibilityResult(farkas=gd.FarkasWitness((1.0, gd.rational(1)), ()))
-        with pytest.raises(gd.CertificateError, match="not an exact rational"):
+        inexact = gd.FeasibilityResult(farkas=gd.FarkasWitness((1.0, 1), (0,)))
+        with pytest.raises(gd.CertificateError, match="not an integer"):
             gd.verify_certificate(lp, inexact)
-
-    def test_common_denominator_takes_exact_rationals_only(self):
-        class SubFraction(Fraction):
-            pass
-
-        for inexact in (0.5, Decimal(1)):
-            with pytest.raises(gd.CertificateError, match="not an exact rational"):
-                common_denominator([1, Fraction(1, 3), inexact])
-        values = [SubFraction(1, 2), Fraction(1, 3), 2, True]
-        assert common_denominator(values) == ([3, 2, 12, 6], 6)
 
     def test_verifier_rejects_sign_row_on_wrong_variable(self):
         # -x_0 >= 1 with x_0, x_1 >= 0: 1 * (-x_0 >= 1) + 1 * (x_0 >= 0) gives 0 >= 1.
         lp = lp_of([((-1, 0), 1)], 2)
         result = gd.solve_feasibility(lp)
-        assert result.farkas == gd.FarkasWitness((Fraction(1),), ((0, Fraction(1)),))
-        forged = gd.FeasibilityResult(farkas=gd.FarkasWitness((Fraction(1),), ((1, Fraction(1)),)))
+        assert result == gd.FeasibilityResult(farkas=gd.FarkasWitness((1,), (1, 0)))
+        forged = gd.FeasibilityResult(farkas=gd.FarkasWitness((1,), (0, 1)))
         with pytest.raises(gd.CertificateError, match="cancel"):
             gd.verify_certificate(lp, forged)
-        for j in (2, -1):
-            forged = gd.FeasibilityResult(
-                farkas=gd.FarkasWitness((Fraction(1),), ((j, Fraction(1)),))
-            )
-            with pytest.raises(gd.CertificateError, match="names no variable"):
+        # One sign multiplier per variable, no fewer and no more.
+        for signs in ((1,), (1, 0, 0)):
+            forged = gd.FeasibilityResult(farkas=gd.FarkasWitness((1,), signs))
+            with pytest.raises(gd.CertificateError, match="lacks a full Farkas witness"):
                 gd.verify_certificate(lp, forged)
 
     def test_verifier_substitutes_mixed_denominators_exactly(self):
-        # 12 x_0 + 36 x_1 = 9 as a pair of rows; 12/4 + 36/6 meets it exactly.
+        # 12 x_0 + 36 x_1 = 9 as a pair of rows; (1/4, 1/6) meets it exactly,
+        # written over the denominators 12 and 24.
         lp = lp_of([((12, 36), 9), ((-12, -36), -9)], 2)
-        exact = (Fraction(1, 4), Fraction(1, 6))
-        gd.verify_certificate(lp, gd.FeasibilityResult(assignment=exact))
-        for miss in (Fraction(1, 1000), Fraction(-1, 1000)):
-            near = (Fraction(1, 4) + miss, Fraction(1, 6))
+        for exact, d in (((3, 2), 12), ((6, 4), 24)):
+            gd.verify_certificate(lp, gd.FeasibilityResult(assignment=exact, denominator=d))
+        # (1/4 + 1/1000, 1/6) and (1/4 - 1/1000, 1/6) over 12,000.
+        for near in ((3012, 2000), (2988, 2000)):
             with pytest.raises(gd.CertificateError, match="violates row"):
-                gd.verify_certificate(lp, gd.FeasibilityResult(assignment=near))
+                gd.verify_certificate(lp, gd.FeasibilityResult(assignment=near, denominator=12000))
+
+    NOT_INTEGERS = [0.5, 1.0, Fraction(1, 2), Fraction(1), Decimal(1), "1", None]
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    def test_verifier_refuses_a_value_that_is_not_an_integer_in_any_slot(self, value):
+        # 1 * (x_0 >= 1) + 1 * (-x_0 >= 0) + 0 * (x_0 >= 0) gives 0 >= 1, and
+        # x_0 = 1 meets x_0 >= 1: a value in any slot is checked.
+        infeasible = lp_of([((1,), 1), ((-1,), 0)], 1)
+        feasible = lp_of([((1,), 1)], 1)
+        witness = gd.FarkasWitness((1, 1), (0,))
+        gd.verify_certificate(feasible, gd.FeasibilityResult(assignment=(1,)))
+        gd.verify_certificate(infeasible, gd.FeasibilityResult(farkas=witness))
+        forged = [
+            (feasible, gd.FeasibilityResult(assignment=(value,))),
+            (feasible, gd.FeasibilityResult(assignment=(1,), denominator=value)),
+            (infeasible, gd.FeasibilityResult(farkas=gd.FarkasWitness((value, 1), (0,)))),
+            (infeasible, gd.FeasibilityResult(farkas=gd.FarkasWitness((1, value), (0,)))),
+            (infeasible, gd.FeasibilityResult(farkas=gd.FarkasWitness((1, 1), (value,)))),
+            (infeasible, gd.FeasibilityResult(farkas=witness, denominator=value)),
+        ]
+        for lp, result in forged:
+            with pytest.raises(gd.CertificateError, match="not an integer"):
+                gd.verify_certificate(lp, result)
+
+    def test_verifier_refuses_a_denominator_below_one(self):
+        # -2 / -1 would meet x_0 >= 1 as a rational; the denominator is refused.
+        feasible = lp_of([((1,), 1)], 1)
+        infeasible = lp_of([((1,), 1), ((-1,), 0)], 1)
+        witness = gd.FarkasWitness((1, 1), (0,))
+        gd.verify_certificate(feasible, gd.FeasibilityResult(assignment=(2,), denominator=2))
+        for d in (0, -1, -2):
+            for lp, result in (
+                (feasible, gd.FeasibilityResult(assignment=(-2,), denominator=d)),
+                (infeasible, gd.FeasibilityResult(farkas=witness, denominator=d)),
+            ):
+                with pytest.raises(gd.CertificateError, match="denominator .* is not positive"):
+                    gd.verify_certificate(lp, result)
+
+    def test_verifier_refuses_each_witness_of_the_wrong_shape_or_sign(self):
+        lp = lp_of([((1, 0), 1), ((-1, 0), 0)], 2)
+        assert gd.solve_feasibility(lp).farkas == gd.FarkasWitness((1, 1), (0, 0))
+        with pytest.raises(gd.CertificateError, match="feasible result lacks a full assignment"):
+            gd.verify_certificate(lp, gd.FeasibilityResult(assignment=(1,)))
+        for rows in ((1,), (1, 1, 0)):
+            witness = gd.FarkasWitness(rows, (0, 0))
+            with pytest.raises(gd.CertificateError, match="infeasible result lacks a full Farkas"):
+                gd.verify_certificate(lp, gd.FeasibilityResult(farkas=witness))
+        # A multiplier below zero is refused, in a row slot or in a sign slot.
+        for witness in (gd.FarkasWitness((2, 1), (-1, 0)), gd.FarkasWitness((1, 1), (0, -1))):
+            with pytest.raises(gd.CertificateError, match="negative multiplier"):
+                gd.verify_certificate(lp, gd.FeasibilityResult(farkas=witness))
+        # 1 * (-x_0 >= 0) + 1 * (x_0 >= 0) cancels x_0 but leaves 0 >= 0.
+        witness = gd.FarkasWitness((0, 1), (1, 0))
+        with pytest.raises(gd.CertificateError, match="combined right-hand side is not positive"):
+            gd.verify_certificate(lp, gd.FeasibilityResult(farkas=witness))
 
     def test_constraint_takes_integers_only(self):
         con = gd.Constraint((1, 0, -3), 2)
@@ -246,10 +292,6 @@ def separation_lp(n, winning, losing):
     return lp_of(rows, n + 1)
 
 
-def as_fractions(*values):
-    return tuple(Fraction(v) for v in values)
-
-
 EXAMPLE1_3_TRANSVERSALS = [
     (a, b, c) for a in (1, 2) for b in (3, 4) for c in (5, 6)
 ]
@@ -263,12 +305,13 @@ CORPUS_8_6_1029_MWC = [(1, 3), (2, 3, 4, 7), (2, 5, 7), (2, 4, 5, 6, 8), (1, 5, 
 # feasible system's assignment is minus the slack entries of the
 # artificial's row over its rhs, the slack columns' reduced costs; an
 # infeasible system's multipliers are the basic y and slacks, so b.y = 1.
-# (lp, assignment) for feasible and (lp, (row multipliers, sign-row
-# multipliers)) for infeasible systems.
+# (lp, assignment, denominator) for feasible and (lp, row multipliers,
+# sign-row multipliers, denominator) for infeasible systems, each value an
+# integer over the denominator.
 GOLDEN_FEASIBLE = [
     pytest.param(
         separation_lp(6, EXAMPLE1_3_TRANSVERSALS, [(1, 2, 3, 4)]),
-        as_fractions(0, 0, 0, 0, 1, 1, 1),
+        (0, 0, 0, 0, 1, 1, 1), 1,
         id="example1-one-pair",
     ),
     pytest.param(
@@ -276,23 +319,21 @@ GOLDEN_FEASIBLE = [
             8, CORPUS_8_6_1029_MWC,
             [(2, 3, 4, 5, 6), (2, 3, 4, 5, 8), (2, 3, 4, 6, 8), (3, 4, 5, 6, 7, 8)],
         ),
-        as_fractions(7, 4, 0, 0, 1, 1, 3, 1, 7),
+        (7, 4, 0, 0, 1, 1, 3, 1, 7), 1,
         id="corpus-8-6-1029",
     ),
 ]
 GOLDEN_INFEASIBLE = [
     pytest.param(
         separation_lp(6, EXAMPLE1_3_TRANSVERSALS, [(1, 2, 3, 4), (1, 2, 5, 6)]),
-        as_fractions(
-            0, Fraction(1, 2), Fraction(1, 2), 0, 0, 0, 0, 0, Fraction(1, 2), Fraction(1, 2), 0,
-        ),
-        ((1, Fraction(1)),),
+        # 1/2 on rows 1, 2, 8 and 9; 1 on x_1 >= 0.
+        (0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 0), (0, 2, 0, 0, 0, 0, 0), 2,
         id="example1-two-pairs",
     ),
     pytest.param(
         separation_lp(8, CORPUS_8_6_1029_MWC, [(1, 2, 4, 5, 6), (2, 3, 4, 5, 8)]),
-        as_fractions(Fraction(1, 2), 0, 0, Fraction(1, 2), 0, Fraction(1, 2), Fraction(1, 2), 0),
-        ((1, Fraction(1, 2)), (3, Fraction(1, 2)), (4, Fraction(1, 2))),
+        # 1/2 on rows 0, 3, 5 and 6 and on x_1, x_3, x_4 >= 0.
+        (1, 0, 0, 1, 0, 1, 1, 0), (0, 1, 0, 1, 1, 0, 0, 0, 0), 2,
         id="corpus-8-6-1029",
     ),
     # The is_weighted LP of gen_random_monotone(7, 7, 2006).  Its id is from
@@ -303,11 +344,8 @@ GOLDEN_INFEASIBLE = [
             7, [(3, 4, 5), (3, 6), (4, 7)],
             [(1, 2, 3, 4), (1, 2, 4, 5, 6), (1, 2, 3, 5, 7), (1, 2, 5, 6, 7)],
         ),
-        as_fractions(
-            Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(1, 2),
-            Fraction(1, 4), Fraction(1, 4), 0, 0,
-        ),
-        ((0, Fraction(1)), (1, Fraction(1))),
+        # 1/2, 1/4, 1/4, 1/2, 1/4, 1/4 on rows 0 to 5; 1 on x_0, x_1 >= 0.
+        (2, 1, 1, 2, 1, 1, 0, 0), (4, 4, 0, 0, 0, 0, 0, 0), 4,
         id="artificial-not-re-entered",
     ),
     # The is_weighted LP of gen_random_monotone(8, 5, 2002), an infeasible
@@ -324,18 +362,15 @@ GOLDEN_INFEASIBLE = [
                 (1, 4, 5, 6, 7, 8), (3, 4, 5, 6, 7, 8),
             ],
         ),
-        as_fractions(
-            Fraction(1, 2), Fraction(1, 2), 0, 0, Fraction(1, 2), 0, Fraction(1, 2),
-            0, 0, 0, 0, 0, 0, 0, 0,
-        ),
-        ((2, Fraction(1, 2)), (3, Fraction(1)), (6, Fraction(1))),
+        # 1/2 on rows 0, 1, 4 and 6 and on x_2 >= 0; 1 on x_3, x_6 >= 0.
+        (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 2, 0, 0, 2, 0, 0), 2,
         id="artificial-would-re-enter",
     ),
 ]
 
 
-def all_fractions(values):
-    return all(type(v) is Fraction for v in values)
+def all_ints(values):
+    return all(type(v) is int for v in values)
 
 
 class TestGoldenCertificates:
@@ -344,25 +379,26 @@ class TestGoldenCertificates:
     Phase one runs on the Farkas alternative, with one row per variable and
     one row b.y = 1 whose artificial is the only one, and stops as soon as
     that artificial is zero.  Every infeasible case's multipliers therefore
-    combine the rows' right-hand sides to exactly 1.  Every case is solved
-    cold.
+    combine the rows' right-hand sides to exactly 1: to the denominator, in
+    numerators.  Every case is solved cold.
     """
 
-    @pytest.mark.parametrize("lp, assignment", GOLDEN_FEASIBLE)
-    def test_feasible_assignment(self, lp, assignment):
+    @pytest.mark.parametrize("lp, assignment, denominator", GOLDEN_FEASIBLE)
+    def test_feasible_assignment(self, lp, assignment, denominator):
         result = gd.solve_feasibility(lp)
         assert result.feasible and result.farkas is None
-        assert result.assignment == assignment
-        assert all_fractions(result.assignment)
+        assert result.assignment == assignment and result.denominator == denominator
+        assert all_ints((*result.assignment, result.denominator))
 
-    @pytest.mark.parametrize("lp, rows, signs", GOLDEN_INFEASIBLE)
-    def test_infeasible_multipliers(self, lp, rows, signs):
+    @pytest.mark.parametrize("lp, rows, signs, denominator", GOLDEN_INFEASIBLE)
+    def test_infeasible_multipliers(self, lp, rows, signs, denominator):
         result = gd.solve_feasibility(lp)
         assert not result.feasible and result.assignment is None
-        assert result.farkas.row_multipliers == rows
-        assert result.farkas.nonneg_multipliers == signs
-        assert all_fractions(result.farkas.row_multipliers)
-        assert all_fractions(v for _, v in result.farkas.nonneg_multipliers)
+        assert result.farkas == gd.FarkasWitness(rows, signs)
+        assert result.denominator == denominator
+        rows, signs = result.farkas.row_multipliers, result.farkas.nonneg_multipliers
+        assert all_ints((*rows, *signs, result.denominator))
+        assert sum(y * con.rhs for y, con in zip(rows, lp.constraints)) == denominator
 
 
 def random_integer_lp(stream, num_vars, num_rows):
