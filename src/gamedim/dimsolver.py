@@ -124,7 +124,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     INTERSECTION,
@@ -451,63 +451,56 @@ def _minimum_partition(count: int, fits: Callable[[int], bool], adj: list[int]) 
     than ``limit`` exist.  Each block keeps the union of its members'
     neighbourhoods, so the targets that fit no current block are one AND
     per block, and the attempt backtracks when they contain a clique too
-    large for the blocks still allowed.  The placements live on an explicit
-    stack, so the depth is bounded by memory, not by the recursion limit.
-    The attempts run from the clique bound up, so the first that succeeds is
-    a minimum.
+    large for the blocks still allowed.  Each placed target has a generator
+    of its placements, which yields after each one and undoes it after the
+    ``yield``; the attempt keeps these generators on a list, pushes one for
+    the next target after each placement and pops one that is exhausted, so
+    the depth is bounded by memory, not by the recursion limit.  The
+    attempts run from the clique bound up, so the first that succeeds is a
+    minimum.  ``count`` is at least 1, since every game has a maximal losing
+    and a minimal winning coalition.
     """
     full = (1 << count) - 1
     by_degree = sorted(range(count), key=lambda v: (-adj[v].bit_count(), v))
     clique = _greedy_clique(by_degree, full, adj)
     in_clique = set(clique)
     order = clique + [v for v in by_degree if v not in in_clique]
-    unplaced = [0] * (count + 1)
-    for pos in range(count - 1, -1, -1):
-        unplaced[pos] = unplaced[pos + 1] | 1 << order[pos]
 
     def attempt(limit: int) -> list[int] | None:
         # Per block, its targets and the union of their neighbourhoods.
         blocks: list[tuple[int, int]] = []
-        # Per placed position, its block index and that block before it.
-        placed: list[tuple[int, tuple[int, int] | None]] = []
-        pos, nxt = 0, 0  # nxt: the first block to try for order[pos]
-        while True:
-            if nxt == 0:
-                if pos == count:
-                    return [bm for bm, _ in blocks]
-                # Every unplaced target must still have a compatible home.
-                stuck = unplaced[pos]
-                for _, nb in blocks:
-                    stuck &= nb
-                if stuck and len(blocks) + len(_greedy_clique(order[pos:], stuck, adj)) > limit:
-                    nxt = limit + 1  # no block is left to try: backtrack
+
+        def placements(pos: int) -> Iterator[None]:
+            """Place ``order[pos]`` in each block that may take it, in turn, then in a new one."""
+            # Every unplaced target must still have a compatible home.
+            stuck = full
+            for bm, nb in blocks:
+                stuck &= nb & ~bm
+            if stuck and len(blocks) + len(_greedy_clique(order[pos:], stuck, adj)) > limit:
+                return
             v = order[pos]
             vbit = 1 << v
-            while nxt < len(blocks):
-                bm = blocks[nxt][0]
+            for i, (bm, nb) in enumerate(blocks):
                 if not adj[v] & bm and fits(bm | vbit):
-                    break
-                nxt += 1
-            if nxt < len(blocks):
-                placed.append((nxt, blocks[nxt]))
-                bm, nb = blocks[nxt]
-                blocks[nxt] = (bm | vbit, nb | adj[v])
-            elif nxt == len(blocks) < limit:
-                placed.append((nxt, None))
+                    blocks[i] = (bm | vbit, nb | adj[v])
+                    yield
+                    blocks[i] = (bm, nb)
+            if len(blocks) < limit:
                 blocks.append((vbit, adj[v]))
-            elif placed:
-                # Take the last placement back and try its next block.
-                pos -= 1
-                nxt, before = placed.pop()
-                if before is None:
-                    blocks.pop()
-                else:
-                    blocks[nxt] = before
-                nxt += 1
-                continue
+                yield
+                blocks.pop()
+
+        stack = [placements(0)]
+        while stack:
+            # The top target's next placement, or backtrack when it has none.
+            for _ in stack[-1]:
+                if len(stack) == count:
+                    return [bm for bm, _ in blocks]
+                stack.append(placements(len(stack)))
+                break
             else:
-                return None
-            pos, nxt = pos + 1, 0
+                stack.pop()
+        return None
 
     limit = max(1, len(clique))
     while (found := attempt(limit)) is None:

@@ -1,6 +1,7 @@
 """Dimension/codimension solver, separation oracles, canonical conversions."""
 
 import itertools
+import sys
 from math import gcd
 
 import pytest
@@ -272,6 +273,51 @@ class TestSolverAgreement:
         assert witness.value == 3
         assert games_agree_by_hand(witness.as_game(), game)
 
+    def test_partition_search_backtracks_on_32_targets(self, monkeypatch):
+        # 32 maximal losing coalitions, the solver's cap, and a greedy trade
+        # clique of 7: the attempt at 7 blocks fails after 122 block
+        # queries, and the search ends at 8 after 1,714.  8 is the search's
+        # own value, since brute force is out of reach at 32 targets.  The
+        # check goes through the dual's complemented masks instead: the
+        # codimension of the dual runs on the same fixed and target masks
+        # in another order, where the greedy clique holds 8 pairwise traded
+        # targets, each trade checked, so no 7 parts can separate them.
+        searches = []
+        minimum_partition = dimsolver._minimum_partition
+
+        def spy(count, fits, adj):
+            calls = []
+
+            def counted(mask):
+                calls.append(mask)
+                return fits(mask)
+
+            by_degree = sorted(range(count), key=lambda v: (-adj[v].bit_count(), v))
+            clique = dimsolver._greedy_clique(by_degree, (1 << count) - 1, adj)
+            blocks = minimum_partition(count, counted, adj)
+            searches.append((count, len(clique), len(calls), len(blocks)))
+            return blocks
+
+        monkeypatch.setattr(dimsolver, "_minimum_partition", spy)
+        game = gd.gen_random_monotone(11, 12, 9113)
+        with gd.record_certificates() as log:
+            witness = gd.dimension(game)
+        assert len(log) <= 11
+        assert witness.value == 8
+        assert games_agree_by_hand(witness.as_game(), game)
+        count, clique, calls, blocks = searches.pop()
+        assert count == dimsolver.COVER_MAX == 32
+        assert clique == 7 and calls <= 1714 and blocks == 8
+
+        dual = gd.dual(game)
+        with gd.record_certificates() as log:
+            witness = gd.codimension(dual)
+        assert len(log) <= 11
+        assert witness.value == 8
+        assert games_agree_by_hand(witness.as_game(), dual)
+        assert searches.pop()[:2] == (32, 8)
+        assert gd.codimension(game).value == 7
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5], ids=lambda n: f"example1-{n}")
     def test_example1_codimension_solves_no_lp(self, n):
         # Every incompatible pair is a 2-trade, so first-fit placement meets
@@ -402,6 +448,22 @@ class TestSolverAgreement:
         blocks = dimsolver._minimum_partition(count, fits, adj)
         assert len(blocks) == count
         assert sorted(blocks) == [1 << v for v in range(count)]
+
+    @pytest.mark.parametrize("traded", [False, True], ids=["always-fits", "path"])
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self, traded):
+        # One search level per target, three times the recursion limit of
+        # them: an oracle that always fits gives one block, and a path graph,
+        # where target i is traded with i + 1, gives its two colour classes.
+        count = 3 * sys.getrecursionlimit()
+        adj = [0] * count
+        if traded:
+            for v in range(count - 1):
+                adj[v] |= 1 << v + 1
+                adj[v + 1] |= 1 << v
+        blocks = dimsolver._minimum_partition(count, lambda mask: True, adj)
+        evens = sum(1 << v for v in range(0, count, 2))
+        full = (1 << count) - 1
+        assert sorted(blocks) == (sorted([evens, full ^ evens]) if traded else [full])
 
     def test_search_matches_brute_force_on_stub_oracles(self):
         # Random trade graphs plus hidden infeasible triples that no pair of
