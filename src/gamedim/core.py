@@ -21,15 +21,15 @@ concurrent sharing is safe).
 
 Inside the package coalitions travel as compact masks, and families of them
 as tables of the same shape: :func:`minimal_table` keeps the minimal set bits
-of a monotone table, and :func:`extremal_tables` reads a game's minimal
+of a monotone table, :func:`extremal_tables` reads a game's minimal
 winning table, maximal losing table and swing counts off its truth table in
-one pass per player.  ``Coalition`` objects are built only where a public
-function takes or returns them.
+one pass per player, and :func:`set_bits` lists a table's members by halving
+it down to its nonzero pieces.  ``Coalition`` objects are built only where a
+public function takes or returns them.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left, bisect_right
 from functools import cached_property, reduce
 from operator import index as as_int
@@ -255,35 +255,69 @@ class WeightedGame(Immutable):
         return f"[{self.quota}; {', '.join(map(str, self.weights))}]"
 
 
-_NONZERO_RUN = re.compile(rb"[^\x00]+")
+# Listing splits tables no finer than this: every table of a game on at most
+# 12 players is one piece, and dense 24-player tables listed at least as fast
+# as with 512- or 1,024-bit pieces.
+_PIECE_BITS = 1 << 12
 _BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 
 
 def set_bits(x: int) -> list[int]:
     """Ascending positions of the set bits of ``x >= 0``.
 
-    One scan over the runs of nonzero bytes of ``x``; clearing the lowest
-    bit in a loop would copy a 2 MiB table once per set bit.
+    ``x`` is halved at multiples of a fixed piece size, every zero half is
+    dropped, and each nonzero piece is listed byte by byte.  So a sparse
+    2^24-bit table costs one chain of a dozen halvings per set bit, not a
+    scan of all its 2 MiB, and a small mask costs one copy of its bytes,
+    with no regular expression scanner set up per call.  Clearing the lowest bit in a loop
+    instead would copy the whole table once per set bit.
     """
-    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
-    return _bits_between(data, 0, len(data))
+    return _bits_from(x, 0)
 
 
 def set_bit_chunks(x: int, nbytes: int = 1 << 10) -> Iterator[list[int]]:
-    """:func:`set_bits` of ``x`` in ascending pieces, one per ``nbytes`` bytes of ``x``.
+    """:func:`set_bits` of ``x`` in ascending pieces, one per nonzero ``nbytes`` bytes.
 
-    Only one piece's list is alive at a time, so listing a table of
-    millions of set bits keeps its memory to one piece.
+    ``x`` is halved at multiples of ``nbytes`` bytes as in :func:`set_bits`,
+    so zero stretches yield nothing.  Only one piece's list is alive at a
+    time, so listing a table of millions of set bits keeps its memory to one
+    piece.
     """
-    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
-    for start in range(0, len(data), nbytes):
-        yield _bits_between(data, start, start + nbytes)
+    for base, chunk in _nonzero_pieces(x, 8 * nbytes, 0):
+        yield _bits_from(chunk, base)
 
 
-def _bits_between(data: bytes, start: int, stop: int) -> list[int]:
-    """Ascending positions of the set bits in bytes ``start`` to ``stop`` of ``data``."""
-    runs = _NONZERO_RUN.finditer(data, start, stop)
-    return [8 * k + j for r in runs for k, b in enumerate(r[0], r.start()) for j in _BYTE_BITS[b]]
+def _bits_from(x: int, base: int) -> list[int]:
+    """Ascending ``base + i`` over the set bits i of ``x``; ``base`` is a multiple of 8."""
+    return [
+        8 * k + j
+        for at, piece in _nonzero_pieces(x, _PIECE_BITS, base)
+        for k, b in enumerate(piece.to_bytes((piece.bit_length() + 7) // 8, "little"), at >> 3)
+        for j in _BYTE_BITS[b]
+    ]
+
+
+def _nonzero_pieces(x: int, width: int, base: int) -> Iterator[tuple[int, int]]:
+    """Ascending pairs (base + offset, piece) over the nonzero ``width``-bit pieces of ``x``.
+
+    A value spanning several pieces splits after half of them, rounded down;
+    zero halves are dropped, the rest split again.  The low half is masked
+    off before the high half is shifted out, so a split holds at most two
+    half-size temporaries beside its input.
+    """
+    stack = [(base, x)] if x else []
+    while stack:
+        base, x = stack.pop()
+        mid = (x.bit_length() + width - 1) // width // 2 * width
+        if not mid:
+            yield base, x
+            continue
+        low = x & ((1 << mid) - 1)
+        high = x >> mid
+        if high:
+            stack.append((base + mid, high))
+        if low:
+            stack.append((base, low))
 
 
 def _bit_clears(n: int) -> Iterator[tuple[int, int]]:

@@ -23,8 +23,6 @@ lines that are equal or nested, taking pairs in the order of that later line.
 
 from __future__ import annotations
 
-import re
-
 from .core import (
     EXPLICIT,
     FORMS,
@@ -73,9 +71,10 @@ def wmg_line(part: WeightedGame) -> str:
 def decimal_integer(token: str) -> int:
     """``int(token)`` for an optionally signed run of ASCII digits only.
 
-    int() alone also reads "٣" and "２" as digits and "1_0" as 10.
+    int() alone also reads "٣" and "２" as digits, "1_0" as 10 and " 1" as 1.
     """
-    if not re.fullmatch(r"[+-]?[0-9]+", token):
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal integer: {token!r}")
     return int(token)
 

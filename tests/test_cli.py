@@ -252,7 +252,7 @@ class TestJsonAgreement:
 
     @pytest.mark.parametrize("cmd", ["mwc", "mlc"])
     def test_reports_in_many_pieces_are_the_one_string_reports(self, small_corpus, cmd, monkeypatch):
-        # One byte of table per piece: many pieces per report, some empty.
+        # One byte of table per piece: many pieces per report, zero bytes skipped.
         import gamedim.cli
 
         chunks = gd.core.set_bit_chunks

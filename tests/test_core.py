@@ -10,10 +10,13 @@ import pytest
 
 import gamedim as gd
 from gamedim.core import (
+    _PIECE_BITS,
     _bit_clears,
     closures,
     first_nested_pair,
     minimal_table,
+    set_bit_chunks,
+    set_bits,
     superset_closure,
     swing_counts,
 )
@@ -547,6 +550,66 @@ class TestTablePasses:
         kept, peak = fresh_eval(code, "(kept, peak)")
         assert kept < 4096
         assert peak < 6 * 2**17
+
+
+def bits_by_hand(x):
+    return [i for i in range(x.bit_length()) if x >> i & 1]
+
+
+class TestSetBits:
+    """The listing kernel against a bit-by-bit scan."""
+
+    def test_every_small_int(self):
+        for x in range(1 << 12):
+            assert set_bits(x) == bits_by_hand(x)
+
+    def test_bits_and_runs_around_piece_boundaries(self):
+        # A single bit, the run of all bits below, a run ending and a run
+        # starting there, and a bit paired with one past the last edge.
+        far = 1 << (5 * _PIECE_BITS + 3)
+        edges = [m + d for m in range(0, 5 * _PIECE_BITS, _PIECE_BITS) for d in (-1, 0, 1)]
+        for p in edges[1:]:
+            ending = ((1 << (p + 1)) - 1) ^ ((1 << max(p - 7, 0)) - 1)
+            for x in (1 << p, (1 << p) - 1, ending, 511 << p, far | 1 << p):
+                assert set_bits(x) == bits_by_hand(x)
+
+    @pytest.mark.parametrize("density", [1e-5, 1e-3, 0.5])
+    def test_random_tables_up_to_2_to_the_20_bits(self, density):
+        # At this size the scan by hand would shift the table a million
+        # times, so each table is built from the positions it must list.
+        rng = random.Random(int(density * 1e6))
+        for size in (1000, 1 << 14, 1 << 20):
+            positions = sorted(rng.sample(range(size), max(1, int(size * density))))
+            digits = bytearray(b"0" * size)
+            for p in positions:
+                digits[-1 - p] = ord("1")
+            assert set_bits(int(digits, 2)) == positions
+
+    @pytest.mark.parametrize("nbytes", [1, 3, 1 << 10])
+    def test_chunks_join_to_the_listing(self, nbytes):
+        rng = random.Random(nbytes)
+        width = 8 * nbytes
+        for x in [0, 1, 1 << 8191, rng.getrandbits(1 << 15), to_table(rng.sample(range(1 << 18), 50))]:
+            chunks = list(set_bit_chunks(x, nbytes))
+            assert [i for chunk in chunks for i in chunk] == set_bits(x)
+            starts = [chunk[0] // width for chunk in chunks]
+            assert starts == sorted(set(starts))
+            for start, chunk in zip(starts, chunks):
+                assert all(i // width == start for i in chunk)
+
+    def test_a_sparse_full_width_table_peaks_below_two_tables(self):
+        # The 2^24-bit table of 2 MiB is built before tracing starts.
+        code = (
+            "import tracemalloc\n"
+            "from gamedim.core import set_bits\n"
+            "x = 1 << (2**24 - 1)\n"
+            "tracemalloc.start()\n"
+            "listed = set_bits(x)\n"
+            "peak = tracemalloc.get_traced_memory()[1]"
+        )
+        listed, peak = fresh_eval(code, "(listed, peak)")
+        assert listed == [2**24 - 1]
+        assert peak <= 2 * 2**21
 
 
 # One instance of each public value type, built by keyword and leaving any

@@ -3,6 +3,7 @@
 import pytest
 
 import gamedim as gd
+from gamedim.gamefile import decimal_integer
 
 
 def players(iterable, n):
@@ -172,6 +173,10 @@ class TestParseErrors:
         assert game.parts == (gd.make_weighted(2, [2, 1]),)
         err = parse_error("simplegame 1\nplayers 2\nform weighted\nwmg 1 : -1 2\n")
         assert err.code == "invalid-wmg" and err.line == 4
+        for token in ("", "+", "-", "+-1", " 1", "1 ", "٣", "1_0", "0x1"):
+            with pytest.raises(ValueError):
+                decimal_integer(token)
+        assert [decimal_integer(t) for t in ("-0", "+7", "-12", "007")] == [0, 7, -12, 7]
 
     def test_bad_wmg_width(self):
         err = parse_error("simplegame 1\nplayers 3\nform weighted\nwmg 1 : 1 1\n")
